@@ -43,8 +43,8 @@ def _oracle_from(locator: str):
     return local_oracle(load_model(locator))
 
 
-def _ledger_line(oracle) -> str:
-    snap = oracle.ledger.snapshot()
+def _ledger_line(snap: dict) -> str:
+    """One-line victim bill from a ledger snapshot."""
     parts = ", ".join(f"{k}={snap[k]}"
                       for k in ("signature", "signature_baseline", "attack_eval", "other"))
     return f"victim queries: total={snap['total']} ({parts})"
@@ -89,7 +89,7 @@ def _cmd_sign(args) -> CommandOutcome:
     sig = compute_signature(oracle, plan)
     save_signature(sig, args.out)
     lines = [f"{plan.n * plan.p} perturbation queries",
-             _ledger_line(oracle),
+             _ledger_line(oracle.ledger.snapshot()),
              f"signature {sig.model_id} -> {args.out}"]
     if args.store:
         SignatureStore(args.store).put_signature(sig)
@@ -144,7 +144,7 @@ def _cmd_transfer(args) -> CommandOutcome:
     lines = [f"transfer {res.success_count}/{res.valid_points} "
              f"(rate {res.success_rate:.4f}, raw {res.raw_success_rate:.4f}, "
              f"already misclassified {res.already_misclassified})",
-             _ledger_line(victim)]
+             _ledger_line(victim.ledger.snapshot())]
     if args.out:
         atomic_write_text(args.out, (
             "victim_id,surrogate_id,total_points,valid_points,success_count,"
@@ -169,10 +169,7 @@ def _cmd_campaign(args) -> CommandOutcome:
     for rec in result.correlations:
         lines.append(f"pearson[{rec.metric.value}] = {rec.r:+.4f} "
                      f"over {rec.sample_count} surrogates")
-    snap = result.victim_ledger
-    parts = ", ".join(f"{k}={snap[k]}"
-                      for k in ("signature", "signature_baseline", "attack_eval", "other"))
-    lines.append(f"victim queries: total={snap['total']} ({parts})")
+    lines.append(_ledger_line(result.victim_ledger))
     return CommandOutcome(0, "\n".join(lines), result.manifest_path)
 
 

@@ -174,14 +174,9 @@ def replay_reference(fixture: ReferenceFixture, metric: DistanceMetric,
         ordered, _ = rank_candidates(fixture.candidates(metric, n, target))
         best = ordered[0][1]
         tied = [pid for pid, d in ordered if d <= best + TIE_WINDOW + 1e-12]
-        if expected in tied:
-            chosen = expected
-            matched = True
-            tie = len(tied) > 1
-        else:
-            chosen = ordered[0][0]
-            matched = False
-            tie = len(tied) > 1
+        tie = len(tied) > 1
+        matched = expected in tied
+        chosen = expected if matched else ordered[0][0]
         rows.append(ReplayRow(
             target=target, expected=expected, chosen=chosen,
             matrix_distance=fixture.distance(metric, n, target, chosen),

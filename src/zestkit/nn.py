@@ -202,24 +202,6 @@ def input_gradient(model: MlpModel, x, true_label: int) -> np.ndarray:
     return input_gradient_batch(model, x[None, :], [int(true_label)])[0]
 
 
-def _param_gradients(model, x, y):
-    """Mean-loss gradients for every layer on minibatch (x, y)."""
-    m = x.shape[0]
-    pre, acts = _forward_trace(model, x)
-    delta = softmax(pre[-1])
-    delta[np.arange(m), y] -= 1.0
-    delta /= m
-    grads = []
-    for i in range(len(model.layers) - 1, -1, -1):
-        grads.append((acts[i].T @ delta, delta.sum(axis=0)))
-        if i > 0:
-            delta = delta @ model.layers[i].weights.T
-            if model.layers[i - 1].activation == "relu":
-                delta = delta * (pre[i - 1] > 0.0)
-    grads.reverse()
-    return grads
-
-
 def train(data: Dataset, cfg: TrainConfig, model_id: str = "model") -> MlpModel:
     """Seeded SGD on cross-entropy; deterministic for a fixed config."""
     if len(data) == 0:
@@ -229,28 +211,42 @@ def train(data: Dataset, cfg: TrainConfig, model_id: str = "model") -> MlpModel:
 
     rng = np.random.default_rng(cfg.rng_seed)
     widths = [data.points.shape[1], *cfg.hidden, data.class_count]
-    layers = []
-    for i, (fan_in, fan_out) in enumerate(zip(widths, widths[1:])):
-        w = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, fan_out))
-        b = np.zeros(fan_out)
-        act = "identity" if i == len(widths) - 2 else "relu"
-        layers.append(Layer(w, b, act))
-    model = MlpModel(tuple(layers), model_id=model_id)
+    ws, bs = [], []
+    for fan_in, fan_out in zip(widths, widths[1:]):
+        ws.append(rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, fan_out)))
+        bs.append(np.zeros(fan_out))
+    last = len(ws) - 1
 
+    # SGD runs on plain mutable arrays; parameters are validated and frozen
+    # once at the end. Under w - lr*g a non-finite entry never becomes finite
+    # again, so that single check rejects every diverged training.
     n = len(data)
+    rows = np.arange(cfg.batch_size)
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
+        points, labels = data.points[order], data.labels[order]
         for start in range(0, n, cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
-            grads = _param_gradients(model, data.points[idx], data.labels[idx])
-            new_layers = []
-            for layer, (gw, gb) in zip(model.layers, grads):
-                new_layers.append(Layer(
-                    layer.weights - cfg.learning_rate * gw,
-                    layer.bias - cfg.learning_rate * gb,
-                    layer.activation,
-                ))
-            model = MlpModel(tuple(new_layers), model_id=model_id)
+            x = points[start:start + cfg.batch_size]
+            y = labels[start:start + cfg.batch_size]
+            m = x.shape[0]
+            pre, acts = [], [x]
+            for i, (w, b) in enumerate(zip(ws, bs)):
+                z = acts[-1] @ w + b
+                pre.append(z)
+                acts.append(z if i == last else np.maximum(z, 0.0))
+            delta = softmax(pre[-1])
+            delta[rows[:m], y] -= 1.0
+            delta /= m
+            for i in range(last, -1, -1):
+                gw, gb = acts[i].T @ delta, delta.sum(axis=0)
+                if i > 0:
+                    delta = (delta @ ws[i].T) * (pre[i - 1] > 0.0)
+                ws[i] -= cfg.learning_rate * gw
+                bs[i] -= cfg.learning_rate * gb
+
+    layers = tuple(Layer(w, b, "identity" if i == last else "relu")
+                   for i, (w, b) in enumerate(zip(ws, bs)))
+    model = MlpModel(layers, model_id=model_id)
 
     acc = float(np.mean(forward(model, data.points).argmax(axis=1) == data.labels))
     meta = {

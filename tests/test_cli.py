@@ -192,9 +192,20 @@ def test_campaign_cli(capsys, tmp_path):
     assert code == 0
     assert "selected[cosine] = sur-" in out
     assert "pearson[cosine] = " in out
-    assert "victim queries: total=" in out
+    # N*P signature rows, N baselines, then 2 * points * portfolio attack rows
+    assert ("victim queries: total=254 (signature=160, signature_baseline=4, "
+            "attack_eval=90, other=0)") in out.splitlines()
     manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
     assert manifest["status"] == "ok"
+
+
+def test_campaign_cli_bundled_ledger_line(capsys, tmp_path):
+    code, out, _ = run_cli(capsys, "campaign", "--config", "bundled",
+                           "--out", str(tmp_path / "run"))
+    assert code == 0
+    assert out.splitlines()[-1] == (
+        "victim queries: total=9232 (signature=8000, signature_baseline=32, "
+        "attack_eval=1200, other=0)")
 
 
 def test_usage_error_exits_two(capsys):

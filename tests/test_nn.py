@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -167,6 +169,78 @@ def test_train_deterministic_bytes(tmp_path, blob_world):
     zk.save_model(a, pa)
     zk.save_model(b, pb)
     assert pa.read_bytes() == pb.read_bytes()
+
+
+def _reference_train(data, cfg):
+    """SGD that rebuilds the frozen model after every step.
+
+    Same arithmetic, in the same order, as ``train`` is required to keep:
+    forward z = a @ W + b with relu on hidden layers; delta = softmax, minus
+    one at the label, over m; gW = a.T @ delta, gb = delta.sum(0); delta is
+    backpropagated through the pre-update W.
+    """
+    rng = np.random.default_rng(cfg.rng_seed)
+    widths = [data.points.shape[1], *cfg.hidden, data.class_count]
+    layers = []
+    for i, (fan_in, fan_out) in enumerate(zip(widths, widths[1:])):
+        w = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, fan_out))
+        act = "identity" if i == len(widths) - 2 else "relu"
+        layers.append(zk.nn.Layer(w, np.zeros(fan_out), act))
+    model = zk.MlpModel(tuple(layers), model_id="ref")
+    n = len(data)
+    for _ in range(cfg.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
+            x, y = data.points[idx], data.labels[idx]
+            m = x.shape[0]
+            pre, acts = [], [x]
+            for layer in model.layers:
+                z = acts[-1] @ layer.weights + layer.bias
+                pre.append(z)
+                acts.append(np.maximum(z, 0.0) if layer.activation == "relu" else z)
+            delta = zk.softmax(pre[-1])
+            delta[np.arange(m), y] -= 1.0
+            delta /= m
+            grads = []
+            for i in range(len(model.layers) - 1, -1, -1):
+                grads.append((acts[i].T @ delta, delta.sum(axis=0)))
+                if i > 0:
+                    delta = delta @ model.layers[i].weights.T
+                    if model.layers[i - 1].activation == "relu":
+                        delta = delta * (pre[i - 1] > 0.0)
+            grads.reverse()
+            model = zk.MlpModel(tuple(
+                zk.nn.Layer(layer.weights - cfg.learning_rate * gw,
+                            layer.bias - cfg.learning_rate * gb, layer.activation)
+                for layer, (gw, gb) in zip(model.layers, grads)), model_id="ref")
+    return model
+
+
+@pytest.mark.parametrize("hidden", [(8,), (24,), (24, 16)])
+# 203 rows leave a short last batch of 11, where dividing by m is inexact
+@pytest.mark.parametrize("rows", [192, 203])
+def test_train_matches_per_step_reference_bitwise(hidden, rows):
+    centers = zk.blob_centers(3, 10, 5)
+    data = zk.sample_blobs(centers, rows, 0.1, 6)
+    cfg = zk.TrainConfig(hidden=hidden, epochs=4, batch_size=32, rng_seed=3)
+    got = zk.train(data, cfg)
+    ref = _reference_train(data, cfg)
+    assert len(got.layers) == len(ref.layers) == len(hidden) + 1
+    for lg, lr in zip(got.layers, ref.layers):
+        assert lg.activation == lr.activation
+        assert lg.weights.tobytes() == lr.weights.tobytes()
+        assert lg.bias.tobytes() == lr.bias.tobytes()
+
+
+def test_train_divergence_rejected():
+    centers = zk.blob_centers(3, 6, 1)
+    data = zk.sample_blobs(centers, 64, 0.1, 2)
+    cfg = zk.TrainConfig(hidden=(8,), epochs=3, learning_rate=1e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(DomainError, match="^layer parameters contain non-finite entries$"):
+            zk.train(data, cfg)
 
 
 def test_train_single_class_warns():
