@@ -3,14 +3,13 @@ selection from a signature portfolio, PGD adversarial crafting, and transfer
 evaluation, with exact query accounting throughout."""
 
 from .attack import (AdversarialBatch, AttackConfig, TransferResult, batch_summary_csv,
-                     load_batch, pgd, quantize, save_batch, transfer_eval)
+                     load_batch, pgd, pgd_many, quantize, save_batch, transfer_eval)
 from .errors import (ComparabilityError, ConfigError, DomainError, IntegrityError,
                      NumericalError, ProtocolError, ShapeError, TransportError,
                      UndefinedCorrelationError, UndefinedDistanceError, ZestError)
 from .experiment import (CampaignResult, CorrelationRecord, TransferMatrix,
                          bundled_campaign_config, compute_transfer_matrix,
-                         load_campaign_config, pearson, run_campaign,
-                         select_attack_points, spearman)
+                         load_campaign_config, run_campaign, select_attack_points)
 from .fixtures import (ReferenceFixture, ReplayReport, StabilityReport,
                        compare_rank_stability, load_reference_fixture, model_family,
                        replay_reference)
@@ -20,10 +19,10 @@ from .lime import (LimeConfig, PerturbationPlan, PointModel, SegmentGrid, Signat
                    save_signature, signature_summary_csv)
 from .nn import (Dataset, MlpModel, TrainConfig, blob_centers, cross_entropy, forward,
                  input_gradient, input_gradient_batch, load_dataset, load_model,
-                 sample_blobs, save_dataset, save_model, softmax, train)
+                 sample_blobs, save_dataset, save_model, softmax, train, train_many)
 from .oracle import (LocalOracle, ModelServer, QueryLedger, QueryOracle, RemoteEndpoint,
                      RemoteOracle, local_oracle, remote_oracle, serve)
-from .util import canonical_json, config_hash, derived_seed
+from .util import canonical_json, config_hash, derived_seed, pearson, spearman
 from .zest import (DistanceMetric, DistanceReport, SignatureStore, rank_candidates,
                    select_surrogate, vector_distance, zest_distance)
 

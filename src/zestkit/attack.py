@@ -20,9 +20,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, DomainError, ShapeError
-from .nn import Dataset, MlpModel, as_matrix, cross_entropy, forward, input_gradient_batch
+from .nn import (Dataset, MlpModel, _check_labels, as_matrix, cross_entropy, forward,
+                 loss_input_gradient, one_hot, stack_models)
+# kept importable here: bench/spans.py patches zestkit.attack.input_gradient_batch
+from .nn import input_gradient_batch  # noqa: F401
 from .oracle import QueryOracle
-from .util import derived_seed, read_container, write_container
+from .util import derived_seed, read_container, run_grouped, write_container
 
 QUANT_SLACK = 1.0 / 510.0  # worst-case L-inf shift from 8-bit rounding
 
@@ -102,42 +105,80 @@ class AdversarialBatch:
 
 def pgd(model: MlpModel, data: Dataset, cfg: AttackConfig) -> AdversarialBatch:
     """Untargeted L-inf PGD with random restarts, best restart per point."""
-    if data.class_count != model.class_count:
-        raise ShapeError("dataset class count does not match the surrogate")
-    x0 = as_matrix(data.points, cols=model.input_dim, name="attack points")
-    y = data.labels
+    return pgd_many([(model, cfg)], data)[0]
+
+
+def pgd_many(jobs, data: Dataset) -> "list[AdversarialBatch]":
+    """PGD from each ``(model, cfg)`` job on the same points, in input order.
+
+    Jobs whose models share layer shapes and activations, and whose configs
+    share epsilon, step size, steps and restarts, step in lockstep on weights
+    stacked along a leading model axis. Each job keeps its own "pgd.init"
+    stream, restart choice and quantization, so each batch is bitwise the
+    one its job would craft alone.
+    """
+    jobs = list(jobs)
+    for model, _ in jobs:
+        if data.class_count != model.class_count:
+            raise ShapeError("dataset class count does not match the surrogate")
+    return run_grouped(
+        jobs,
+        lambda job: (tuple((layer.weights.shape, layer.activation) for layer in job[0].layers),
+                     job[1].epsilon, job[1].step_size, job[1].steps, job[1].restarts),
+        lambda group: _pgd_group(group, data))
+
+
+def _pgd_group(group, data: Dataset) -> "list[AdversarialBatch]":
+    """PGD for K jobs whose models have the same layer shapes and activations."""
+    model0, cfg0 = group[0]
+    x0 = as_matrix(data.points, cols=model0.input_dim, name="attack points")
+    y = _check_labels(data.labels, model0.class_count)
     m, d = x0.shape
-    eps, step = cfg.epsilon, cfg.step_size
+    k_count = len(group)
+    eps, step = cfg0.epsilon, cfg0.step_size
+    weights = [stack_models([model.layers[i].weights for model, _ in group])
+               for i in range(len(model0.layers))]
+    biases = [stack_models([model.layers[i].bias[None, :] for model, _ in group])
+              for i in range(len(model0.layers))]
+    activations = [layer.activation for layer in model0.layers]
+    targets = one_hot(y, model0.class_count)
 
-    rng = np.random.default_rng(derived_seed(cfg.rng_seed, "pgd.init"))
-    best_loss = np.full(m, -np.inf)
-    best_adv = x0.copy()
-    best_flip = np.zeros(m, dtype=bool)
-    best_restart = np.zeros(m, dtype=np.int64)
+    rngs = [np.random.default_rng(derived_seed(cfg.rng_seed, "pgd.init")) for _, cfg in group]
+    best_loss = np.full((k_count, m), -np.inf)
+    best_adv = np.repeat(x0[None], k_count, axis=0)
+    best_flip = np.zeros((k_count, m), dtype=bool)
+    best_restart = np.zeros((k_count, m), dtype=np.int64)
 
-    for r in range(cfg.restarts):
-        xa = np.clip(x0 + rng.uniform(-eps, eps, size=(m, d)), 0.0, 1.0)
-        for _ in range(cfg.steps):
-            g = input_gradient_batch(model, xa, y)
+    lo, hi = x0 - eps, x0 + eps
+    for r in range(cfg0.restarts):
+        xa = stack_models([np.clip(x0 + rng.uniform(-eps, eps, size=(m, d)), 0.0, 1.0)
+                           for rng in rngs])
+        for _ in range(cfg0.steps):
+            if not np.all(np.isfinite(xa)):
+                raise DomainError("batch: contains non-finite entries")
+            g = loss_input_gradient(weights, biases, activations, xa, targets)
             xa = xa + step * np.sign(g)
-            xa = np.clip(xa, x0 - eps, x0 + eps)
+            xa = np.clip(xa, lo, hi)
             xa = np.clip(xa, 0.0, 1.0)
-        loss = cross_entropy(model, xa, y)
-        flip = forward(model, xa).argmax(axis=1) != y
-        # flips beat non-flips; within the same class, higher loss wins
-        better = (flip & ~best_flip) | ((flip == best_flip) & (loss > best_loss))
-        best_adv[better] = xa[better]
-        best_loss[better] = loss[better]
-        best_flip[better] = flip[better]
-        best_restart[better] = r
+        xa = xa.reshape(k_count, m, d)
+        for k, (model, _) in enumerate(group):
+            loss = cross_entropy(model, xa[k], y)
+            flip = forward(model, xa[k]).argmax(axis=1) != y
+            # flips beat non-flips; within the same class, higher loss wins
+            better = (flip & ~best_flip[k]) | ((flip == best_flip[k]) & (loss > best_loss[k]))
+            best_adv[k][better] = xa[k][better]
+            best_loss[k][better] = loss[better]
+            best_flip[k][better] = flip[better]
+            best_restart[k][better] = r
 
-    batch = AdversarialBatch(
-        originals=x0, labels=y, adversarials=best_adv,
-        local_success=best_flip, achieved_loss=best_loss,
-        restart_index=best_restart, epsilon=eps, surrogate_id=model.model_id)
-    if cfg.quantize_8bit:
-        batch = quantize(batch)
-    return batch
+    batches = []
+    for k, (model, cfg) in enumerate(group):
+        batch = AdversarialBatch(
+            originals=x0, labels=y, adversarials=best_adv[k],
+            local_success=best_flip[k], achieved_loss=best_loss[k],
+            restart_index=best_restart[k], epsilon=eps, surrogate_id=model.model_id)
+        batches.append(quantize(batch) if cfg.quantize_8bit else batch)
+    return batches
 
 
 def quantize(batch: AdversarialBatch) -> AdversarialBatch:

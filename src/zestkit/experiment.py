@@ -12,59 +12,22 @@ import io
 import json
 import logging
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .attack import AttackConfig, batch_summary_csv, pgd, save_batch, transfer_eval
-from .errors import ConfigError, UndefinedCorrelationError
+from .attack import AttackConfig, batch_summary_csv, pgd_many, save_batch, transfer_eval
+from .errors import ConfigError
 from .lime import LimeConfig, SegmentGrid, compute_signature, make_plan, save_plan, save_signature
-from .nn import Dataset, TrainConfig, blob_centers, forward, sample_blobs, save_model, train
+from .nn import Dataset, TrainConfig, blob_centers, forward, sample_blobs, save_model, train_many
 from .oracle import RemoteEndpoint, local_oracle, remote_oracle
-from .util import atomic_write_text, config_hash, derived_seed
+from .util import atomic_write_text, config_hash, derived_seed, pearson
 from .zest import DistanceMetric, SignatureStore, select_surrogate
+# kept importable here: bench/spans.py patches zestkit.experiment.train and .pgd
+from .attack import pgd  # noqa: F401
+from .nn import train  # noqa: F401
 
 log = logging.getLogger(__name__)
-
-
-def pearson(xs, ys) -> float:
-    """Sample Pearson correlation coefficient."""
-    x = np.asarray(xs, dtype=np.float64)
-    y = np.asarray(ys, dtype=np.float64)
-    if x.ndim != 1 or y.ndim != 1 or x.shape != y.shape:
-        raise ConfigError("pearson needs two equal-length vectors")
-    if x.shape[0] < 2:
-        raise ConfigError("pearson needs at least two samples")
-    dx = x - x.mean()
-    dy = y - y.mean()
-    sxx = float(dx @ dx)
-    syy = float(dy @ dy)
-    if sxx == 0.0 or syy == 0.0:
-        raise UndefinedCorrelationError("correlation undefined for zero-variance input")
-    r = float(dx @ dy) / float(np.sqrt(sxx * syy))
-    return float(min(1.0, max(-1.0, r)))
-
-
-def _average_ranks(values) -> np.ndarray:
-    """1-based ranks; equal values share the mean of their positions."""
-    v = np.asarray(values, dtype=np.float64)
-    order = np.argsort(v, kind="stable")
-    sv = v[order]
-    ranks = np.empty(v.shape[0])
-    base = np.arange(1.0, v.shape[0] + 1.0)
-    i = 0
-    while i < v.shape[0]:
-        j = i
-        while j + 1 < v.shape[0] and sv[j + 1] == sv[i]:
-            j += 1
-        ranks[order[i:j + 1]] = base[i:j + 1].mean()
-        i = j + 1
-    return ranks
-
-
-def spearman(xs, ys) -> float:
-    """Spearman rank correlation (Pearson over average ranks)."""
-    return pearson(_average_ranks(xs), _average_ranks(ys))
 
 
 @dataclass(frozen=True)
@@ -119,7 +82,7 @@ def select_attack_points(models, data: Dataset, count: int) -> Dataset:
 
 def compute_transfer_matrix(models, points_data: Dataset, cfg: AttackConfig) -> TransferMatrix:
     """All-pairs transfer among local models on a shared point set."""
-    batches = [pgd(model, points_data, cfg) for model in models]
+    batches = pgd_many([(model, cfg) for model in models], points_data)
     n = len(models)
     rates = np.zeros((n, n))
     for j, victim_model in enumerate(models):
@@ -215,26 +178,27 @@ def run_campaign(config: dict, out_dir) -> CampaignResult:
         stage = "train"
         models_dir = os.path.join(out_dir, "models")
         os.makedirs(models_dir, exist_ok=True)
-        proxies = []
-        for entry in portfolio_cfg:
-            mid = entry["model_id"]
-            view = _portfolio_dataset(train_data, entry, master)
-            model = train(view, _train_config(entry, derived_seed(master, f"train.{mid}")),
-                          model_id=mid)
-            save_model(model, os.path.join(models_dir, f"{mid}.mlp"))
-            proxies.append(model)
-            log.info("trained %s: accuracy %.3f", mid, model.metadata["train_accuracy"])
-        if victim_cfg.get("kind", "local") == "local":
+        jobs = [(_portfolio_dataset(train_data, entry, master),
+                 _train_config(entry, derived_seed(master, f"train.{entry['model_id']}")),
+                 entry["model_id"]) for entry in portfolio_cfg]
+        local_victim = victim_cfg.get("kind", "local") == "local"
+        if local_victim:
             vid = victim_cfg.get("model_id", "victim")
-            victim_model = train(
-                train_data, _train_config(victim_cfg, derived_seed(master, f"train.{vid}")),
-                model_id=vid)
-            save_model(victim_model, os.path.join(models_dir, f"{vid}.mlp"))
-            victim = local_oracle(victim_model)
-        elif victim_cfg["kind"] == "remote":
-            victim = remote_oracle(RemoteEndpoint(victim_cfg["url"]))
-        else:
+            jobs.append((train_data,
+                         _train_config(victim_cfg, derived_seed(master, f"train.{vid}")), vid))
+        elif victim_cfg["kind"] != "remote":
             raise ConfigError(f"unknown victim kind {victim_cfg['kind']!r}")
+        models = train_many(jobs)
+        proxies = models[:len(portfolio_cfg)]
+        for model in proxies:
+            save_model(model, os.path.join(models_dir, f"{model.model_id}.mlp"))
+            log.info("trained %s: accuracy %.3f", model.model_id,
+                     model.metadata["train_accuracy"])
+        if local_victim:
+            save_model(models[-1], os.path.join(models_dir, f"{vid}.mlp"))
+            victim = local_oracle(models[-1])
+        else:
+            victim = remote_oracle(RemoteEndpoint(victim_cfg["url"]))
 
         stage = "plan"
         grid = SegmentGrid.uniform(int(ds_cfg["features"]), int(lime_cfg.get("segments", 16)))
@@ -274,17 +238,11 @@ def run_campaign(config: dict, out_dir) -> CampaignResult:
             quantize_8bit=bool(attack_cfg_block.get("quantize_8bit", False)))
         points = select_attack_points(proxies, test_data,
                                       int(attack_cfg_block.get("points", 100)))
-        batches = {}
-        results = {}
-        for model in proxies:
-            per_proxy = AttackConfig(
-                epsilon=acfg.epsilon, step_size=acfg.step_size, steps=acfg.steps,
-                restarts=acfg.restarts,
-                rng_seed=derived_seed(master, f"pgd.{model.model_id}"),
-                quantize_8bit=acfg.quantize_8bit)
-            batch = pgd(model, points, per_proxy)
-            batches[model.model_id] = batch
-            results[model.model_id] = transfer_eval(victim, batch)
+        crafted = pgd_many(
+            [(model, replace(acfg, rng_seed=derived_seed(master, f"pgd.{model.model_id}")))
+             for model in proxies], points)
+        batches = {batch.surrogate_id: batch for batch in crafted}
+        results = {mid: transfer_eval(victim, batch) for mid, batch in batches.items()}
 
         primary = metrics[0].value
         chosen = batches[selected[primary]]

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .errors import ConfigError
-from .experiment import spearman
+from .util import spearman
 from .zest import DistanceMetric, rank_candidates
 
 REFERENCE_SIZES = (128, 64, 32)

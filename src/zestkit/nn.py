@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DomainError, ShapeError
-from .util import read_container, write_container
+from .util import read_container, run_grouped, write_container
 
 ACTIVATIONS = ("relu", "identity")
 
@@ -127,11 +127,11 @@ class TrainConfig:
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
-    """Row-wise stable softmax (max-shifted, then normalized)."""
+    """Stable softmax over the last axis (max-shifted, then normalized)."""
     z = np.asarray(z, dtype=np.float64)
-    shifted = z - z.max(axis=1, keepdims=True)
+    shifted = z - z.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def logits(model: MlpModel, batch) -> np.ndarray:
@@ -146,19 +146,6 @@ def logits(model: MlpModel, batch) -> np.ndarray:
 def forward(model: MlpModel, batch) -> np.ndarray:
     """Class probabilities for each row of the batch."""
     return softmax(logits(model, batch))
-
-
-def _forward_trace(model: MlpModel, x: np.ndarray):
-    """Forward pass keeping pre-activations; x is (m, input_dim)."""
-    pre = []
-    act = x
-    acts = [act]
-    for layer in model.layers:
-        z = act @ layer.weights + layer.bias
-        pre.append(z)
-        act = np.maximum(z, 0.0) if layer.activation == "relu" else z
-        acts.append(act)
-    return pre, acts
 
 
 def _check_labels(labels, class_count):
@@ -183,13 +170,38 @@ def input_gradient_batch(model: MlpModel, batch, labels) -> np.ndarray:
     y = _check_labels(labels, model.class_count)
     if y.shape[0] != x.shape[0]:
         raise ShapeError("labels do not match batch rows")
-    pre, _ = _forward_trace(model, x)
-    probs = softmax(pre[-1])
-    delta = probs
-    delta[np.arange(x.shape[0]), y] -= 1.0
-    for i in range(len(model.layers) - 1, -1, -1):
-        delta = delta @ model.layers[i].weights.T
-        if i > 0 and model.layers[i - 1].activation == "relu":
+    return loss_input_gradient([layer.weights for layer in model.layers],
+                               [layer.bias for layer in model.layers],
+                               [layer.activation for layer in model.layers], x,
+                               one_hot(y, model.class_count))
+
+
+def one_hot(labels: np.ndarray, class_count: int) -> np.ndarray:
+    """(m, class_count) float rows: 1.0 at the label, 0.0 elsewhere.
+
+    Subtracting 0.0 leaves a probability bitwise unchanged, so softmax minus
+    these rows is exactly "minus one at the label".
+    """
+    return (labels[:, None] == np.arange(class_count)).astype(np.float64)
+
+
+def loss_input_gradient(weights, biases, activations, x, targets) -> np.ndarray:
+    """Backpropagated d cross-entropy / d x on unchecked arrays.
+
+    ``x`` is (m, d) with 2-D weights, or (K, m, d) with weights stacked
+    (K, fan_in, fan_out) and biases (K, 1, fan_out) for K models; the
+    one-hot ``targets`` (m, classes) are shared. Each of the K slices gets
+    the same float ops, in the same order, as a 2-D call for that model.
+    """
+    pre = []
+    for w, b, act in zip(weights, biases, activations):
+        z = x @ w + b
+        pre.append(z)
+        x = np.maximum(z, 0.0) if act == "relu" else z
+    delta = softmax(pre[-1]) - targets
+    for i in range(len(weights) - 1, -1, -1):
+        delta = delta @ np.swapaxes(weights[i], -1, -2)
+        if i > 0 and activations[i - 1] == "relu":
             delta = delta * (pre[i - 1] > 0.0)
     return delta
 
@@ -204,62 +216,102 @@ def input_gradient(model: MlpModel, x, true_label: int) -> np.ndarray:
 
 def train(data: Dataset, cfg: TrainConfig, model_id: str = "model") -> MlpModel:
     """Seeded SGD on cross-entropy; deterministic for a fixed config."""
-    if len(data) == 0:
-        raise ShapeError("cannot train on an empty dataset")
-    if np.unique(data.labels).size < 2:
-        warnings.warn("training data contains a single class", RuntimeWarning, stacklevel=2)
+    return train_many([(data, cfg, model_id)])[0]
 
-    rng = np.random.default_rng(cfg.rng_seed)
-    widths = [data.points.shape[1], *cfg.hidden, data.class_count]
+
+def train_many(jobs) -> "list[MlpModel]":
+    """Train one model per ``(data, cfg, model_id)`` job, in input order.
+
+    Jobs that agree on input width, hidden widths, class count, row count,
+    batch size and epochs run one SGD loop together, on parameters stacked
+    along a leading model axis; learning rate and seed may differ. numpy's
+    stacked matmul makes one gemm call per model and every other op is
+    elementwise or reduces within a model in the same order, so each model
+    is bitwise the one this job would train alone.
+    """
+    jobs = list(jobs)
+    for data, _, _ in jobs:
+        if len(data) == 0:
+            raise ShapeError("cannot train on an empty dataset")
+        if np.unique(data.labels).size < 2:
+            warnings.warn("training data contains a single class", RuntimeWarning, stacklevel=2)
+    params = run_grouped(jobs, lambda job: (job[0].points.shape[1], job[1].hidden,
+                                            job[0].class_count, len(job[0]),
+                                            job[1].batch_size, job[1].epochs), _sgd)
+    models = []
+    for (data, cfg, model_id), (ws, bs) in zip(jobs, params):
+        last = len(ws) - 1
+        layers = tuple(Layer(w, b, "identity" if i == last else "relu")
+                       for i, (w, b) in enumerate(zip(ws, bs)))
+        model = MlpModel(layers, model_id=model_id)
+        acc = float(np.mean(forward(model, data.points).argmax(axis=1) == data.labels))
+        meta = {
+            "train_accuracy": acc,
+            "train_config": {
+                "hidden": list(cfg.hidden),
+                "epochs": cfg.epochs,
+                "batch_size": cfg.batch_size,
+                "learning_rate": cfg.learning_rate,
+                "rng_seed": cfg.rng_seed,
+            },
+        }
+        models.append(MlpModel(model.layers, model_id=model_id, metadata=meta))
+    return models
+
+
+def stack_models(arrays) -> np.ndarray:
+    """Arrays stacked along a new leading model axis; one array stays as it is.
+
+    A single model runs on plain arrays, because numpy's stacked ops cost
+    more per call than the 2-D ones on matrices this small.
+    """
+    return np.stack(arrays) if len(arrays) > 1 else arrays[0]
+
+
+def _sgd(group):
+    """SGD for same-shape jobs; returns each job's (weights, biases)."""
+    data0, cfg0, _ = group[0]
+    k_count = len(group)
+    rngs = [np.random.default_rng(cfg.rng_seed) for _, cfg, _ in group]
+    widths = [data0.points.shape[1], *cfg0.hidden, data0.class_count]
     ws, bs = [], []
     for fan_in, fan_out in zip(widths, widths[1:]):
-        ws.append(rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, fan_out)))
-        bs.append(np.zeros(fan_out))
+        ws.append(stack_models([rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, fan_out))
+                                for rng in rngs]))
+        bs.append(np.zeros(ws[-1].shape[:-2] + (1, fan_out)))
+    lr = np.array([cfg.learning_rate for _, cfg, _ in group]).reshape(ws[0].shape[:-2] + (1, 1))
+    onehots = [one_hot(data.labels, data.class_count) for data, _, _ in group]
     last = len(ws) - 1
 
     # SGD runs on plain mutable arrays; parameters are validated and frozen
     # once at the end. Under w - lr*g a non-finite entry never becomes finite
     # again, so that single check rejects every diverged training.
-    n = len(data)
-    rows = np.arange(cfg.batch_size)
-    for _ in range(cfg.epochs):
-        order = rng.permutation(n)
-        points, labels = data.points[order], data.labels[order]
-        for start in range(0, n, cfg.batch_size):
-            x = points[start:start + cfg.batch_size]
-            y = labels[start:start + cfg.batch_size]
-            m = x.shape[0]
+    n, size = len(data0), cfg0.batch_size
+    for _ in range(cfg0.epochs):
+        orders = [rng.permutation(n) for rng in rngs]
+        points = stack_models([data.points[o] for (data, _, _), o in zip(group, orders)])
+        targets = stack_models([onehot[o] for onehot, o in zip(onehots, orders)])
+        for start in range(0, n, size):
+            x = points[..., start:start + size, :]
+            m = x.shape[-2]
             pre, acts = [], [x]
             for i, (w, b) in enumerate(zip(ws, bs)):
                 z = acts[-1] @ w + b
                 pre.append(z)
                 acts.append(z if i == last else np.maximum(z, 0.0))
             delta = softmax(pre[-1])
-            delta[rows[:m], y] -= 1.0
+            delta -= targets[..., start:start + size, :]
             delta /= m
             for i in range(last, -1, -1):
-                gw, gb = acts[i].T @ delta, delta.sum(axis=0)
+                gw = np.swapaxes(acts[i], -1, -2) @ delta
+                gb = delta.sum(axis=-2, keepdims=True)
                 if i > 0:
-                    delta = (delta @ ws[i].T) * (pre[i - 1] > 0.0)
-                ws[i] -= cfg.learning_rate * gw
-                bs[i] -= cfg.learning_rate * gb
-
-    layers = tuple(Layer(w, b, "identity" if i == last else "relu")
-                   for i, (w, b) in enumerate(zip(ws, bs)))
-    model = MlpModel(layers, model_id=model_id)
-
-    acc = float(np.mean(forward(model, data.points).argmax(axis=1) == data.labels))
-    meta = {
-        "train_accuracy": acc,
-        "train_config": {
-            "hidden": list(cfg.hidden),
-            "epochs": cfg.epochs,
-            "batch_size": cfg.batch_size,
-            "learning_rate": cfg.learning_rate,
-            "rng_seed": cfg.rng_seed,
-        },
-    }
-    return MlpModel(model.layers, model_id=model_id, metadata=meta)
+                    delta = (delta @ np.swapaxes(ws[i], -1, -2)) * (pre[i - 1] > 0.0)
+                ws[i] -= lr * gw
+                bs[i] -= lr * gb
+    ws = [w.reshape((k_count,) + w.shape[-2:]) for w in ws]
+    bs = [b.reshape(k_count, -1) for b in bs]
+    return [([w[k] for w in ws], [b[k] for b in bs]) for k in range(k_count)]
 
 
 def save_model(model: MlpModel, path) -> None:

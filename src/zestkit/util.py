@@ -1,4 +1,5 @@
-"""Small shared helpers: seed derivation, canonical JSON, atomic binary files.
+"""Small shared helpers: seed derivation, canonical JSON, atomic binary files,
+correlation coefficients, and running work in groups of like items.
 
 Every artifact file in the toolkit (models, plans, signatures, adversarial
 batches) uses one container layout so round trips are bit-exact:
@@ -18,7 +19,7 @@ import tempfile
 
 import numpy as np
 
-from .errors import IntegrityError
+from .errors import ConfigError, IntegrityError, UndefinedCorrelationError
 
 _MAGIC = b"ZSTK"
 _VERSION = 1
@@ -40,6 +41,62 @@ def canonical_json(obj) -> str:
 def config_hash(obj) -> str:
     """Stable hex digest of a JSON-serializable configuration."""
     return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
+
+
+def run_grouped(items, key, run) -> list:
+    """``run(group)`` for each group of items with equal ``key(item)``.
+
+    ``run`` returns one result per item of its group, in group order; the
+    results come back in the order of ``items``.
+    """
+    groups = {}
+    for i, item in enumerate(items):
+        groups.setdefault(key(item), []).append(i)
+    out = [None] * len(items)
+    for idx in groups.values():
+        for i, result in zip(idx, run([items[i] for i in idx])):
+            out[i] = result
+    return out
+
+
+def pearson(xs, ys) -> float:
+    """Sample Pearson correlation coefficient."""
+    x = np.asarray(xs, dtype=np.float64)
+    y = np.asarray(ys, dtype=np.float64)
+    if x.ndim != 1 or y.ndim != 1 or x.shape != y.shape:
+        raise ConfigError("pearson needs two equal-length vectors")
+    if x.shape[0] < 2:
+        raise ConfigError("pearson needs at least two samples")
+    dx = x - x.mean()
+    dy = y - y.mean()
+    sxx = float(dx @ dx)
+    syy = float(dy @ dy)
+    if sxx == 0.0 or syy == 0.0:
+        raise UndefinedCorrelationError("correlation undefined for zero-variance input")
+    r = float(dx @ dy) / float(np.sqrt(sxx * syy))
+    return float(min(1.0, max(-1.0, r)))
+
+
+def _average_ranks(values) -> np.ndarray:
+    """1-based ranks; equal values share the mean of their positions."""
+    v = np.asarray(values, dtype=np.float64)
+    order = np.argsort(v, kind="stable")
+    sv = v[order]
+    ranks = np.empty(v.shape[0])
+    base = np.arange(1.0, v.shape[0] + 1.0)
+    i = 0
+    while i < v.shape[0]:
+        j = i
+        while j + 1 < v.shape[0] and sv[j + 1] == sv[i]:
+            j += 1
+        ranks[order[i:j + 1]] = base[i:j + 1].mean()
+        i = j + 1
+    return ranks
+
+
+def spearman(xs, ys) -> float:
+    """Spearman rank correlation (Pearson over average ranks)."""
+    return pearson(_average_ranks(xs), _average_ranks(ys))
 
 
 def atomic_write_bytes(path, data: bytes) -> None:

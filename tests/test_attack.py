@@ -1,3 +1,6 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -131,6 +134,80 @@ def test_local_success_on_trained_model(blob_world):
     assert batch.local_success_rate >= 0.9
     preds = zk.forward(blob_world["victim"], batch.adversarials).argmax(axis=1)
     assert np.array_equal(preds != batch.labels, batch.local_success)
+
+
+def _reference_pgd(model, data, cfg):
+    """PGD one model at a time through the public per-batch functions."""
+    x0, y = data.points, data.labels
+    eps, step = cfg.epsilon, cfg.step_size
+    rng = np.random.default_rng(derived_seed(cfg.rng_seed, "pgd.init"))
+    best_loss = np.full(len(y), -np.inf)
+    best_adv = x0.copy()
+    best_flip = np.zeros(len(y), dtype=bool)
+    best_restart = np.zeros(len(y), dtype=np.int64)
+    for r in range(cfg.restarts):
+        xa = np.clip(x0 + rng.uniform(-eps, eps, size=x0.shape), 0.0, 1.0)
+        for _ in range(cfg.steps):
+            g = zk.input_gradient_batch(model, xa, y)
+            xa = np.clip(np.clip(xa + step * np.sign(g), x0 - eps, x0 + eps), 0.0, 1.0)
+        loss = zk.cross_entropy(model, xa, y)
+        flip = zk.forward(model, xa).argmax(axis=1) != y
+        better = (flip & ~best_flip) | ((flip == best_flip) & (loss > best_loss))
+        best_adv[better] = xa[better]
+        best_loss[better] = loss[better]
+        best_flip[better] = flip[better]
+        best_restart[better] = r
+    if cfg.quantize_8bit:
+        best_adv = np.round(best_adv * 255.0) / 255.0
+    return best_adv, best_loss, best_flip, best_restart
+
+
+def _assert_matches_reference(batch, ref):
+    adv, loss, flip, restart = ref
+    assert batch.adversarials.tobytes() == adv.tobytes()
+    assert batch.achieved_loss.tobytes() == loss.tobytes()
+    assert batch.local_success.tobytes() == flip.tobytes()
+    assert batch.restart_index.tobytes() == restart.tobytes()
+
+
+@pytest.fixture(scope="module")
+def pgd_jobs(blob_world):
+    train = blob_world["train"]
+    models = [zk.train(train, zk.TrainConfig(hidden=hidden, epochs=5, rng_seed=seed),
+                       model_id=f"m{seed}")
+              for hidden, seed in (((24,), 11), ((24, 16), 12), ((24,), 13), ((24,), 14))]
+    cfg = zk.AttackConfig(epsilon=0.2, step_size=0.02, steps=12, restarts=3)
+    return [(model, replace(cfg, rng_seed=i, quantize_8bit=(i == 2)))
+            for i, model in enumerate(models)]
+
+
+def test_pgd_matches_per_model_reference_bitwise(blob_world, pgd_jobs):
+    data = _attack_points(blob_world, 30)
+    for model, cfg in pgd_jobs:
+        _assert_matches_reference(zk.pgd(model, data, cfg), _reference_pgd(model, data, cfg))
+
+
+def test_pgd_many_matches_per_model_reference_bitwise(blob_world, pgd_jobs):
+    data = _attack_points(blob_world, 30)
+    batches = zk.pgd_many(pgd_jobs, data)
+    assert [b.surrogate_id for b in batches] == [m.model_id for m, _ in pgd_jobs]
+    for batch, (model, cfg) in zip(batches, pgd_jobs):
+        assert batch.quantized == cfg.quantize_8bit
+        _assert_matches_reference(batch, _reference_pgd(model, data, cfg))
+
+
+def test_pgd_rejects_non_finite_logits(blob_world):
+    proxy = blob_world["proxy"]
+    huge = zk.MlpModel(tuple(zk.nn.Layer(layer.weights * 1e200, layer.bias, layer.activation)
+                             for layer in proxy.layers), model_id="huge")
+    data = _attack_points(blob_world, 10)
+    cfg = zk.AttackConfig(epsilon=0.1, step_size=0.02, steps=3, restarts=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(DomainError, match="^batch: contains non-finite entries$"):
+            zk.pgd(huge, data, cfg)
+        with pytest.raises(DomainError, match="^batch: contains non-finite entries$"):
+            zk.pgd_many([(proxy, cfg), (huge, cfg)], data)
 
 
 def test_class_count_mismatch(blob_world):

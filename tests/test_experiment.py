@@ -7,7 +7,7 @@ import pytest
 
 import zestkit as zk
 from zestkit.errors import ConfigError, UndefinedCorrelationError
-from zestkit.experiment import _average_ranks
+from zestkit.util import _average_ranks
 from zestkit.nn import Dataset
 from zestkit.util import config_hash
 

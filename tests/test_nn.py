@@ -243,6 +243,47 @@ def test_train_divergence_rejected():
             zk.train(data, cfg)
 
 
+def _assert_same_model(got, want):
+    assert got.model_id == want.model_id
+    assert got.metadata == want.metadata
+    assert len(got.layers) == len(want.layers)
+    for lg, lw in zip(got.layers, want.layers):
+        assert lg.activation == lw.activation
+        assert lg.weights.tobytes() == lw.weights.tobytes()
+        assert lg.bias.tobytes() == lw.bias.tobytes()
+
+
+def test_train_many_matches_solo_training_bitwise():
+    centers = zk.blob_centers(3, 10, 5)
+    data = zk.sample_blobs(centers, 192, 0.1, 6)
+    # 203 rows leave a short last batch of 11 in every epoch
+    odd = zk.sample_blobs(centers, 203, 0.1, 7)
+    cfg = zk.TrainConfig(hidden=(24,), epochs=4, batch_size=32, rng_seed=3)
+    jobs = [
+        (data, cfg, "a"),
+        (odd, zk.TrainConfig(hidden=(24, 16), epochs=4, rng_seed=8), "odd-a"),
+        (data, zk.TrainConfig(hidden=(24,), epochs=4, learning_rate=0.05, rng_seed=4), "b"),
+        (data, zk.TrainConfig(hidden=(8,), epochs=4, rng_seed=5), "narrow"),
+        (odd, zk.TrainConfig(hidden=(24, 16), epochs=4, rng_seed=9), "odd-b"),
+        (data, zk.TrainConfig(hidden=(24,), epochs=2, rng_seed=6), "short"),
+    ]
+    got = zk.train_many(jobs)
+    assert [m.model_id for m in got] == [mid for _, _, mid in jobs]
+    for model, (d, c, mid) in zip(got, jobs):
+        _assert_same_model(model, zk.train(d, c, mid))
+
+
+def test_train_many_divergence_in_a_group_rejected():
+    centers = zk.blob_centers(3, 6, 1)
+    data = zk.sample_blobs(centers, 64, 0.1, 2)
+    jobs = [(data, zk.TrainConfig(hidden=(8,), epochs=3), "ok"),
+            (data, zk.TrainConfig(hidden=(8,), epochs=3, learning_rate=1e300), "diverges")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(DomainError, match="^layer parameters contain non-finite entries$"):
+            zk.train_many(jobs)
+
+
 def test_train_single_class_warns():
     pts = np.random.default_rng(0).random((40, 4))
     data = zk.Dataset(pts, np.zeros(40, dtype=np.int64), 2)
