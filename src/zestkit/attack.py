@@ -13,8 +13,6 @@ got right (already-misclassified points are excluded from the denominator
 and reported separately).
 """
 
-import csv
-import io
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -25,7 +23,7 @@ from .nn import (Dataset, MlpModel, _check_labels, as_matrix, cross_entropy, for
 # kept importable here: bench/spans.py patches zestkit.attack.input_gradient_batch
 from .nn import input_gradient_batch  # noqa: F401
 from .oracle import QueryOracle
-from .util import derived_seed, read_container, run_grouped, write_container
+from .util import csv_text, derived_seed, read_container, run_grouped, write_container
 
 QUANT_SLACK = 1.0 / 510.0  # worst-case L-inf shift from 8-bit rounding
 
@@ -131,8 +129,9 @@ def pgd_many(jobs, data: Dataset) -> "list[AdversarialBatch]":
 def _pgd_group(group, data: Dataset) -> "list[AdversarialBatch]":
     """PGD for K jobs whose models have the same layer shapes and activations."""
     model0, cfg0 = group[0]
-    x0 = as_matrix(data.points, cols=model0.input_dim, name="attack points")
-    y = _check_labels(data.labels, model0.class_count)
+    # copies: the batches freeze these arrays, and the caller's dataset stays writable
+    x0 = as_matrix(data.points, cols=model0.input_dim, name="attack points").copy()
+    y = _check_labels(data.labels, model0.class_count).copy()
     m, d = x0.shape
     k_count = len(group)
     eps, step = cfg0.epsilon, cfg0.step_size
@@ -270,12 +269,9 @@ def load_batch(path) -> AdversarialBatch:
 def batch_summary_csv(batch: AdversarialBatch) -> str:
     """Per-point distortion and craft outcome."""
     dist = batch.linf_distortion()
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["point", "label", "linf_distortion", "local_success", "restart_index",
-                "achieved_loss"])
-    for i in range(len(batch)):
-        w.writerow([i, int(batch.labels[i]), repr(float(dist[i])),
-                    int(batch.local_success[i]), int(batch.restart_index[i]),
-                    repr(float(batch.achieved_loss[i]))])
-    return buf.getvalue()
+    return csv_text(
+        ["point", "label", "linf_distortion", "local_success", "restart_index",
+         "achieved_loss"],
+        ([i, int(batch.labels[i]), repr(float(dist[i])), int(batch.local_success[i]),
+          int(batch.restart_index[i]), repr(float(batch.achieved_loss[i]))]
+         for i in range(len(batch))))

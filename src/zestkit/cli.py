@@ -22,7 +22,7 @@ from .lime import (LimeConfig, SegmentGrid, compute_signature, load_plan,
 from .nn import (TrainConfig, blob_centers, load_dataset, load_model, sample_blobs,
                  save_dataset, save_model, train)
 from .oracle import RemoteEndpoint, local_oracle, remote_oracle, serve
-from .util import atomic_write_text, derived_seed
+from .util import atomic_write_text, csv_text, derived_seed
 from .zest import SignatureStore, select_surrogate, zest_distance
 
 
@@ -146,13 +146,12 @@ def _cmd_transfer(args) -> CommandOutcome:
              f"already misclassified {res.already_misclassified})",
              _ledger_line(victim.ledger.snapshot())]
     if args.out:
-        atomic_write_text(args.out, (
-            "victim_id,surrogate_id,total_points,valid_points,success_count,"
-            "success_rate,raw_success_rate,already_misclassified,queries_used\n"
-            f"{res.victim_id},{res.surrogate_id},{res.total_points},"
-            f"{res.valid_points},{res.success_count},{res.success_rate!r},"
-            f"{res.raw_success_rate!r},{res.already_misclassified},"
-            f"{res.queries_used}\n"))
+        atomic_write_text(args.out, csv_text(
+            ["victim_id", "surrogate_id", "total_points", "valid_points", "success_count",
+             "success_rate", "raw_success_rate", "already_misclassified", "queries_used"],
+            [[res.victim_id, res.surrogate_id, res.total_points, res.valid_points,
+              res.success_count, repr(res.success_rate), repr(res.raw_success_rate),
+              res.already_misclassified, res.queries_used]]))
         lines.append(f"report -> {args.out}")
     return CommandOutcome(0, "\n".join(lines), args.out)
 

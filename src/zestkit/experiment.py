@@ -7,8 +7,6 @@ from its master_seed through labeled hashing, so identical configs yield
 byte-identical artifacts. Each artifact carries the config hash.
 """
 
-import csv
-import io
 import json
 import logging
 import os
@@ -21,7 +19,7 @@ from .errors import ConfigError
 from .lime import LimeConfig, SegmentGrid, compute_signature, make_plan, save_plan, save_signature
 from .nn import Dataset, TrainConfig, blob_centers, forward, sample_blobs, save_model, train_many
 from .oracle import RemoteEndpoint, local_oracle, remote_oracle
-from .util import atomic_write_text, config_hash, derived_seed, pearson
+from .util import atomic_write_text, config_hash, csv_text, derived_seed, pearson
 from .zest import DistanceMetric, SignatureStore, select_surrogate
 # kept importable here: bench/spans.py patches zestkit.experiment.train and .pgd
 from .attack import pgd  # noqa: F401
@@ -59,12 +57,9 @@ class TransferMatrix:
         object.__setattr__(self, "model_ids", tuple(self.model_ids))
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["surrogate\\victim", *self.model_ids])
-        for i, mid in enumerate(self.model_ids):
-            w.writerow([mid, *[repr(float(v)) for v in self.rates[i]]])
-        return buf.getvalue()
+        return csv_text(["surrogate\\victim", *self.model_ids],
+                        ([mid, *[repr(float(v)) for v in row]]
+                         for mid, row in zip(self.model_ids, self.rates)))
 
 
 def select_attack_points(models, data: Dataset, count: int) -> Dataset:
@@ -152,6 +147,10 @@ def run_campaign(config: dict, out_dir) -> CampaignResult:
     out_dir = os.fspath(out_dir)
     os.makedirs(out_dir, exist_ok=True)
     chash = config_hash(config)
+
+    def write_stamped(name, text):
+        atomic_write_text(os.path.join(out_dir, name), f"# config_hash: {chash}\n" + text)
+
     stage = "parse"
     try:
         master = int(config["master_seed"])
@@ -225,8 +224,7 @@ def run_campaign(config: dict, out_dir) -> CampaignResult:
             proxy_id, report = select_surrogate(store, victim_sig, metric)
             selected[metric.value] = proxy_id
             distances[metric.value] = dict(report.entries)
-            atomic_write_text(os.path.join(out_dir, f"distances_{metric.value}.csv"),
-                              f"# config_hash: {chash}\n" + report.to_csv())
+            write_stamped(f"distances_{metric.value}.csv", report.to_csv())
 
         stage = "attack"
         acfg = AttackConfig(
@@ -247,27 +245,21 @@ def run_campaign(config: dict, out_dir) -> CampaignResult:
         primary = metrics[0].value
         chosen = batches[selected[primary]]
         save_batch(chosen, os.path.join(out_dir, "selected.adv"))
-        atomic_write_text(os.path.join(out_dir, "selected_batch.csv"),
-                          f"# config_hash: {chash}\n" + batch_summary_csv(chosen))
+        write_stamped("selected_batch.csv", batch_summary_csv(chosen))
 
         stage = "transfer-report"
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        header = ["proxy_id", "local_success_rate", "valid_points",
-                  "already_misclassified", "success_count", "success_rate",
-                  "raw_success_rate"]
-        header += [f"distance_{m.value}" for m in metrics]
-        w.writerow(header)
+        rows = []
         for entry in portfolio_cfg:
             mid = entry["model_id"]
             res = results[mid]
-            row = [mid, repr(batches[mid].local_success_rate), res.valid_points,
-                   res.already_misclassified, res.success_count,
-                   repr(res.success_rate), repr(res.raw_success_rate)]
-            row += [repr(distances[m.value][mid]) for m in metrics]
-            w.writerow(row)
-        atomic_write_text(os.path.join(out_dir, "transfer.csv"),
-                          f"# config_hash: {chash}\n" + buf.getvalue())
+            rows.append([mid, repr(batches[mid].local_success_rate), res.valid_points,
+                         res.already_misclassified, res.success_count,
+                         repr(res.success_rate), repr(res.raw_success_rate),
+                         *[repr(distances[m.value][mid]) for m in metrics]])
+        write_stamped("transfer.csv", csv_text(
+            ["proxy_id", "local_success_rate", "valid_points", "already_misclassified",
+             "success_count", "success_rate", "raw_success_rate",
+             *[f"distance_{m.value}" for m in metrics]], rows))
 
         stage = "correlation"
         records = []
@@ -279,24 +271,14 @@ def run_campaign(config: dict, out_dir) -> CampaignResult:
             records.append(CorrelationRecord(
                 victim_id=victim.oracle_id, metric=metric, n_references=plan.n,
                 epsilon=acfg.epsilon, r=r, sample_count=len(xs)))
-            plot_rows += [(metric.value, e["model_id"], x, y, acfg.epsilon)
+            plot_rows += [[metric.value, e["model_id"], repr(x), repr(y), repr(acfg.epsilon)]
                           for e, x, y in zip(portfolio_cfg, xs, ys)]
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["victim_id", "metric", "n_references", "epsilon", "pearson_r",
-                    "sample_count"])
-        for rec in records:
-            w.writerow([rec.victim_id, rec.metric.value, rec.n_references,
-                        repr(rec.epsilon), repr(rec.r), rec.sample_count])
-        atomic_write_text(os.path.join(out_dir, "correlations.csv"),
-                          f"# config_hash: {chash}\n" + buf.getvalue())
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["metric", "proxy_id", "distance", "transfer_rate", "epsilon"])
-        for row in plot_rows:
-            w.writerow([row[0], row[1], repr(row[2]), repr(row[3]), repr(row[4])])
-        atomic_write_text(os.path.join(out_dir, "plotdata.csv"),
-                          f"# config_hash: {chash}\n" + buf.getvalue())
+        write_stamped("correlations.csv", csv_text(
+            ["victim_id", "metric", "n_references", "epsilon", "pearson_r", "sample_count"],
+            ([rec.victim_id, rec.metric.value, rec.n_references, repr(rec.epsilon),
+              repr(rec.r), rec.sample_count] for rec in records)))
+        write_stamped("plotdata.csv", csv_text(
+            ["metric", "proxy_id", "distance", "transfer_rate", "epsilon"], plot_rows))
 
         stage = "manifest"
         ledger = victim.ledger.snapshot()

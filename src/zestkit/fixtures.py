@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .errors import ConfigError
-from .util import spearman
+from .util import csv_text, spearman
 from .zest import DistanceMetric, rank_candidates
 
 REFERENCE_SIZES = (128, 64, 32)
@@ -146,15 +146,11 @@ class ReplayReport:
         return sum(r.family_match for r in self.rows)
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["target", "expected", "chosen", "matrix_distance",
-                    "published_distance", "matched", "tie_flagged", "family_match"])
-        for r in self.rows:
-            w.writerow([r.target, r.expected, r.chosen, repr(r.matrix_distance),
-                        repr(r.published_distance), int(r.matched),
-                        int(r.tie_flagged), int(r.family_match)])
-        return buf.getvalue()
+        return csv_text(["target", "expected", "chosen", "matrix_distance",
+                         "published_distance", "matched", "tie_flagged", "family_match"],
+                        ([r.target, r.expected, r.chosen, repr(r.matrix_distance),
+                          repr(r.published_distance), int(r.matched),
+                          int(r.tie_flagged), int(r.family_match)] for r in self.rows))
 
 
 def replay_reference(fixture: ReferenceFixture, metric: DistanceMetric,
@@ -211,13 +207,9 @@ class StabilityReport:
         return wins * 2 > len(self.rows)
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["victim", "spearman_n128_vs_n64", "spearman_n128_vs_n32"])
-        for r in self.rows:
-            w.writerow([r.victim, repr(r.rho_full_vs_half),
-                        repr(r.rho_full_vs_quarter)])
-        return buf.getvalue()
+        return csv_text(["victim", "spearman_n128_vs_n64", "spearman_n128_vs_n32"],
+                        ([r.victim, repr(r.rho_full_vs_half), repr(r.rho_full_vs_quarter)]
+                         for r in self.rows))
 
 
 def compare_rank_stability(fixture: ReferenceFixture,

@@ -13,9 +13,7 @@ unperturbed reference is sent once per point as the weighting anchor and
 billed under its own ledger purpose, keeping the N*P headline comparable).
 """
 
-import csv
 import hashlib
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,7 +22,7 @@ from .errors import (ComparabilityError, ConfigError, NumericalError, ShapeError
                      TransportError)
 from .nn import forward
 from .oracle import QueryOracle
-from .util import canonical_json, derived_seed, read_container, write_container
+from .util import canonical_json, csv_text, derived_seed, read_container, write_container
 
 REPLACEMENT_POLICIES = ("segment_mean", "zeros")
 
@@ -407,12 +405,7 @@ def load_signature(path) -> Signature:
 
 def signature_summary_csv(sig: Signature) -> str:
     """Per-point coefficient norms, the human-readable companion file."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["point", "coef_l1", "coef_l2", "coef_linf"])
-    for i, pm in enumerate(sig.point_models):
-        c = pm.coef.reshape(-1)
-        w.writerow([i, repr(float(np.abs(c).sum())),
-                    repr(float(np.sqrt((c * c).sum()))),
-                    repr(float(np.abs(c).max()))])
-    return buf.getvalue()
+    coefs = [pm.coef.reshape(-1) for pm in sig.point_models]
+    return csv_text(["point", "coef_l1", "coef_l2", "coef_linf"],
+                    ([i, repr(float(np.abs(c).sum())), repr(float(np.sqrt((c * c).sum()))),
+                      repr(float(np.abs(c).max()))] for i, c in enumerate(coefs)))

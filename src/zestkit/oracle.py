@@ -103,11 +103,8 @@ class LocalOracle(QueryOracle):
         return self._id
 
     def predict_proba(self, batch, purpose="other"):
-        x = as_matrix(batch, cols=self.input_dim)
-        if x.shape[0] == 0:
-            return np.zeros((0, self.class_count))
-        probs = forward(self._model, x)
-        self.ledger.add(purpose, x.shape[0])
+        probs = forward(self._model, batch)
+        self.ledger.add(purpose, probs.shape[0])
         return probs
 
 
@@ -121,15 +118,12 @@ class RemoteEndpoint:
     timeout: float = 10.0
     max_batch_rows: int = 1000
     retries: int = 2
-    max_inflight: int = 4
 
     def __post_init__(self):
         if self.max_batch_rows < 1:
             raise ConfigError("max_batch_rows must be >= 1")
         if self.retries < 0:
             raise ConfigError("retries cannot be negative")
-        if self.max_inflight < 1:
-            raise ConfigError("max_inflight must be >= 1")
         object.__setattr__(self, "base_url", self.base_url.rstrip("/"))
 
 
@@ -146,7 +140,6 @@ class RemoteOracle(QueryOracle):
         self.ledger = QueryLedger()
         self._info = None
         self._info_lock = threading.Lock()
-        self._inflight = threading.Semaphore(endpoint.max_inflight)
 
     def _fetch_info(self):
         with self._info_lock:
@@ -223,8 +216,7 @@ class RemoteOracle(QueryOracle):
         for start in range(0, x.shape[0], step):
             chunk = x[start:start + step]
             try:
-                with self._inflight:
-                    probs = self._post_chunk(chunk)
+                probs = self._post_chunk(chunk)
             except TransportError as e:
                 e.rows_counted = rows_done
                 raise

@@ -1,5 +1,6 @@
-"""Small shared helpers: seed derivation, canonical JSON, atomic binary files,
-correlation coefficients, and running work in groups of like items.
+"""Small shared helpers: seed derivation, canonical JSON, CSV text, atomic
+binary files, correlation coefficients, and running work in groups of like
+items.
 
 Every artifact file in the toolkit (models, plans, signatures, adversarial
 batches) uses one container layout so round trips are bit-exact:
@@ -11,7 +12,9 @@ The header records the container kind, a format version, a free-form
 sha256 of the payload. Arrays are stored little-endian, C-order.
 """
 
+import csv
 import hashlib
+import io
 import json
 import os
 import struct
@@ -41,6 +44,17 @@ def canonical_json(obj) -> str:
 def config_hash(obj) -> str:
     """Stable hex digest of a JSON-serializable configuration."""
     return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
+
+
+def csv_text(header, rows) -> str:
+    """Header plus rows in the toolkit's one CSV dialect: comma-separated,
+    ``\\n`` line ends, a field quoted only where it needs it. Callers pass
+    floats as ``repr`` strings so they round-trip exactly."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    w.writerows(rows)
+    return buf.getvalue()
 
 
 def run_grouped(items, key, run) -> list:

@@ -5,9 +5,7 @@ default) and are reported unnormalized; only relative order matters for
 surrogate selection. Stored at full 64-bit precision; round for display.
 """
 
-import csv
 import hashlib
-import io
 import os
 import re
 import threading
@@ -18,7 +16,7 @@ import numpy as np
 
 from .errors import ComparabilityError, ConfigError, IntegrityError, UndefinedDistanceError
 from .lime import Signature, load_signature, save_signature, signature_summary_csv
-from .util import atomic_write_text, sha256_file
+from .util import atomic_write_text, csv_text, sha256_file
 
 
 class DistanceMetric(str, Enum):
@@ -82,12 +80,9 @@ class DistanceReport:
     tie_flagged: bool = False
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["victim_id", "proxy_id", "metric", "distance", "rank"])
-        for rank, (proxy, dist) in enumerate(self.entries, start=1):
-            w.writerow([self.victim_id, proxy, self.metric.value, repr(dist), rank])
-        return buf.getvalue()
+        return csv_text(["victim_id", "proxy_id", "metric", "distance", "rank"],
+                        ([self.victim_id, proxy, self.metric.value, repr(dist), rank]
+                         for rank, (proxy, dist) in enumerate(self.entries, start=1)))
 
 
 def _safe_filename(model_id: str) -> str:

@@ -37,6 +37,15 @@ def test_config_validation():
     zk.AttackConfig(epsilon=0.0, step_size=0.5)
 
 
+def test_pgd_leaves_caller_dataset_writable(blob_world):
+    data = _attack_points(blob_world, 5)
+    batch = zk.pgd(blob_world["proxy"], data,
+                   zk.AttackConfig(epsilon=0.1, step_size=0.02, steps=3, restarts=1))
+    assert data.points.flags.writeable and data.labels.flags.writeable
+    assert not batch.originals.flags.writeable and not batch.labels.flags.writeable
+    assert np.array_equal(batch.originals, data.points)
+
+
 def test_zero_epsilon_returns_originals(blob_world):
     data = _attack_points(blob_world, 10)
     cfg = zk.AttackConfig(epsilon=0.0, step_size=0.1, steps=3, restarts=2,

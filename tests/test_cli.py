@@ -1,3 +1,4 @@
+import csv
 import json
 import subprocess
 import sys
@@ -129,6 +130,26 @@ def test_attack_and_transfer(capsys, workspace):
     report = (workspace / "transfer.csv").read_text().strip().split("\n")
     assert report[0].startswith("victim_id,surrogate_id,total_points")
     assert report[1].split(",")[0] == "victim"
+
+
+def test_transfer_report_quotes_ids(capsys, tmp_path):
+    code, _, _ = run_cli(
+        capsys, "train", "--features", "8", "--train-size", "120", "--epochs", "5",
+        "--model-id", "vic,tim", "--save-data", str(tmp_path / "d.ds"),
+        "--out", str(tmp_path / "v.mlp"))
+    assert code == 0
+    code, _, _ = run_cli(
+        capsys, "attack", "--model", str(tmp_path / "v.mlp"), "--data", str(tmp_path / "d.ds"),
+        "--points", "6", "--steps", "3", "--restarts", "1", "--out", str(tmp_path / "b.adv"))
+    assert code == 0
+    code, _, _ = run_cli(
+        capsys, "transfer", "--victim", str(tmp_path / "v.mlp"),
+        "--batch", str(tmp_path / "b.adv"), "--out", str(tmp_path / "t.csv"))
+    assert code == 0
+    with open(tmp_path / "t.csv", newline="") as f:
+        header, row = list(csv.reader(f))
+    assert len(header) == len(row) == 9
+    assert row[:2] == ["vic,tim", "vic,tim"]
 
 
 def test_remote_sign_matches_local(capsys, workspace, tmp_path):

@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 
 import zestkit as zk
-from zestkit.errors import ConfigError, UndefinedCorrelationError
+from zestkit.errors import ConfigError, TransportError, UndefinedCorrelationError
 from zestkit.util import _average_ranks
 from zestkit.nn import Dataset
+from zestkit.oracle import ModelServer
 from zestkit.util import config_hash
+
+from conftest import tiny_net
 
 
 # --- correlation -----------------------------------------------------------
@@ -244,16 +247,36 @@ def test_campaign_different_seed_differs(tmp_path):
     assert any(d1[k] != d2[k] for k in d1)
 
 
-def test_campaign_failure_manifest(tmp_path):
+def _closed_port_url():
+    server = ModelServer(tiny_net(0)).start()
+    server.stop()
+    return server.base_url
+
+
+_FAILURES = [
+    ("dataset", lambda c: c["dataset"].update(train_size=-1), ValueError),
+    ("train", lambda c: c["victim"].update(kind="bogus"), ConfigError),
+    ("plan", lambda c: c["lime"].pop("p"), KeyError),
+    ("signatures", lambda c: c.update(victim={"kind": "remote", "url": _closed_port_url()}),
+     TransportError),
+    # every transfer rate is 0, so the correlation is undefined
+    ("correlation", lambda c: c["attack"].update(epsilon=0.0), UndefinedCorrelationError),
+    # cannot screen this many
+    ("attack", lambda c: c["attack"].update(points=10 ** 6), ConfigError),
+]
+
+
+@pytest.mark.parametrize("stage, edit, error", _FAILURES, ids=[f[0] for f in _FAILURES])
+def test_campaign_failure_manifest(tmp_path, stage, edit, error):
     cfg = _tiny_config()
-    cfg["attack"]["points"] = 10 ** 6  # cannot screen this many
+    edit(cfg)
     out = tmp_path / "fail"
-    with pytest.raises(ConfigError):
+    with pytest.raises(error):
         zk.run_campaign(cfg, out)
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "failed"
-    assert manifest["stage"] == "attack"
-    assert "ConfigError" in manifest["error"]
+    assert manifest["stage"] == stage
+    assert manifest["error"].startswith(f"{error.__name__}: ")
     assert manifest["config_hash"] == config_hash(cfg)
 
 

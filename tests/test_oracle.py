@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import zestkit as zk
-from zestkit.errors import ConfigError, ProtocolError, ShapeError, TransportError
+from zestkit.errors import ConfigError, DomainError, ProtocolError, ShapeError, TransportError
 from zestkit.oracle import ModelServer, QueryLedger
 
 from conftest import tiny_net
@@ -73,6 +73,17 @@ def test_local_oracle_empty_batch():
     oracle = zk.local_oracle(tiny_net(1))
     out = oracle.predict_proba(np.zeros((0, oracle.input_dim)))
     assert out.shape == (0, oracle.class_count)
+    assert oracle.ledger.total_queries == 0
+
+
+def test_local_oracle_rejects_bad_batches_unbilled():
+    oracle = zk.local_oracle(tiny_net(1))
+    with pytest.raises(ShapeError):
+        oracle.predict_proba(np.zeros((3, oracle.input_dim + 1)))
+    bad = np.zeros((3, oracle.input_dim))
+    bad[1, 2] = np.nan
+    with pytest.raises(DomainError):
+        oracle.predict_proba(bad)
     assert oracle.ledger.total_queries == 0
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from zestkit.errors import IntegrityError
 from zestkit.util import (atomic_write_bytes, canonical_json, config_hash,
-                          container_bytes, derived_seed, read_container,
+                          container_bytes, csv_text, derived_seed, read_container,
                           sha256_file, write_container)
 
 
@@ -89,3 +89,12 @@ def test_sha256_file(tmp_path):
     path.write_bytes(b"abc")
     assert sha256_file(path) == (
         "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad")
+
+
+def test_csv_text_dialect():
+    text = csv_text(["id", "value", "count"],
+                    [["a", repr(0.1 + 0.2), 3], ["vic,tim", repr(1e-300), 0]])
+    assert text == ('id,value,count\n'
+                    'a,0.30000000000000004,3\n'
+                    '"vic,tim",1e-300,0\n')
+    assert csv_text(["only"], []) == "only\n"
