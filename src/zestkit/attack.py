@@ -23,7 +23,8 @@ from .nn import (Dataset, MlpModel, _check_labels, as_matrix, cross_entropy, for
 # kept importable here: bench/spans.py patches zestkit.attack.input_gradient_batch
 from .nn import input_gradient_batch  # noqa: F401
 from .oracle import QueryOracle
-from .util import csv_text, derived_seed, read_container, run_grouped, write_container
+from .util import (csv_text, derived_seed, owned_array, read_container, run_grouped,
+                   write_container)
 
 QUANT_SLACK = 1.0 / 510.0  # worst-case L-inf shift from 8-bit rounding
 
@@ -65,16 +66,13 @@ class AdversarialBatch:
     quantized: bool = False
 
     def __post_init__(self):
-        orig = as_matrix(self.originals, name="originals")
-        adv = as_matrix(self.adversarials, cols=orig.shape[1], name="adversarials")
-        labels = np.ascontiguousarray(np.asarray(self.labels, dtype=np.int64))
-        succ = np.ascontiguousarray(np.asarray(self.local_success, dtype=bool))
-        loss = np.ascontiguousarray(np.asarray(self.achieved_loss, dtype=np.float64))
-        ridx = np.ascontiguousarray(np.asarray(self.restart_index, dtype=np.int64))
+        orig = as_matrix(owned_array(self, "originals", np.float64), name="originals")
+        adv = as_matrix(owned_array(self, "adversarials", np.float64), cols=orig.shape[1],
+                        name="adversarials")
         m = orig.shape[0]
-        for name, arr in (("labels", labels), ("local_success", succ),
-                          ("achieved_loss", loss), ("restart_index", ridx)):
-            if arr.shape != (m,):
+        for name, dtype in (("labels", np.int64), ("local_success", bool),
+                            ("achieved_loss", np.float64), ("restart_index", np.int64)):
+            if owned_array(self, name, dtype).shape != (m,):
                 raise ShapeError(f"{name} must have one entry per point")
         if adv.shape[0] != m:
             raise ShapeError("adversarials must match originals row for row")
@@ -84,11 +82,6 @@ class AdversarialBatch:
                 raise DomainError("adversarial point exceeds the epsilon budget")
             if adv.min() < 0.0 or adv.max() > 1.0:
                 raise DomainError("adversarial features must stay in [0,1]")
-        for field_name, val in (("originals", orig), ("labels", labels),
-                                ("adversarials", adv), ("local_success", succ),
-                                ("achieved_loss", loss), ("restart_index", ridx)):
-            val.flags.writeable = False
-            object.__setattr__(self, field_name, val)
 
     def __len__(self):
         return self.originals.shape[0]
@@ -129,9 +122,8 @@ def pgd_many(jobs, data: Dataset) -> "list[AdversarialBatch]":
 def _pgd_group(group, data: Dataset) -> "list[AdversarialBatch]":
     """PGD for K jobs whose models have the same layer shapes and activations."""
     model0, cfg0 = group[0]
-    # copies: the batches freeze these arrays, and the caller's dataset stays writable
-    x0 = as_matrix(data.points, cols=model0.input_dim, name="attack points").copy()
-    y = _check_labels(data.labels, model0.class_count).copy()
+    x0 = as_matrix(data.points, cols=model0.input_dim, name="attack points")
+    y = _check_labels(data.labels, model0.class_count)
     m, d = x0.shape
     k_count = len(group)
     eps, step = cfg0.epsilon, cfg0.step_size

@@ -17,20 +17,19 @@ from .attack import AttackConfig, batch_summary_csv, load_batch, pgd, save_batch
 from .errors import ZestError
 from .experiment import bundled_campaign_config, load_campaign_config, run_campaign
 from .fixtures import compare_rank_stability, load_reference_fixture, replay_reference
-from .lime import (LimeConfig, SegmentGrid, compute_signature, load_plan,
-                   load_signature, make_plan, save_plan, save_signature)
+from .lime import (REPLACEMENT_POLICIES, LimeConfig, SegmentGrid, compute_signature,
+                   load_plan, load_signature, make_plan, save_plan, save_signature)
 from .nn import (TrainConfig, blob_centers, load_dataset, load_model, sample_blobs,
                  save_dataset, save_model, train)
 from .oracle import RemoteEndpoint, local_oracle, remote_oracle, serve
 from .util import atomic_write_text, csv_text, derived_seed
-from .zest import SignatureStore, select_surrogate, zest_distance
+from .zest import DistanceMetric, SignatureStore, select_surrogate, zest_distance
 
 
 @dataclass
 class CommandOutcome:
     exit_code: int
     summary: str
-    result_path: str = None
 
 
 def _is_url(s: str) -> bool:
@@ -67,7 +66,7 @@ def _cmd_train(args) -> CommandOutcome:
     if args.save_data:
         save_dataset(data, args.save_data)
         lines.append(f"dataset -> {args.save_data}")
-    return CommandOutcome(0, "\n".join(lines), args.out)
+    return CommandOutcome(0, "\n".join(lines))
 
 
 def _cmd_plan(args) -> CommandOutcome:
@@ -80,7 +79,7 @@ def _cmd_plan(args) -> CommandOutcome:
     save_plan(plan, args.out)
     return CommandOutcome(
         0, f"plan N={plan.n} P={plan.p} S={plan.s} "
-           f"fingerprint={plan.fingerprint()[:12]} -> {args.out}", args.out)
+           f"fingerprint={plan.fingerprint()[:12]} -> {args.out}")
 
 
 def _cmd_sign(args) -> CommandOutcome:
@@ -94,7 +93,7 @@ def _cmd_sign(args) -> CommandOutcome:
     if args.store:
         SignatureStore(args.store).put_signature(sig)
         lines.append(f"stored in {args.store}")
-    return CommandOutcome(0, "\n".join(lines), args.out)
+    return CommandOutcome(0, "\n".join(lines))
 
 
 def _cmd_dist(args) -> CommandOutcome:
@@ -116,7 +115,7 @@ def _cmd_select(args) -> CommandOutcome:
     if args.out:
         atomic_write_text(args.out, report.to_csv())
         lines.append(f"report -> {args.out}")
-    return CommandOutcome(0, "\n".join(lines), args.out)
+    return CommandOutcome(0, "\n".join(lines))
 
 
 def _cmd_attack(args) -> CommandOutcome:
@@ -134,7 +133,7 @@ def _cmd_attack(args) -> CommandOutcome:
     if args.csv:
         atomic_write_text(args.csv, batch_summary_csv(batch))
         lines.append(f"summary -> {args.csv}")
-    return CommandOutcome(0, "\n".join(lines), args.out)
+    return CommandOutcome(0, "\n".join(lines))
 
 
 def _cmd_transfer(args) -> CommandOutcome:
@@ -153,7 +152,7 @@ def _cmd_transfer(args) -> CommandOutcome:
               res.success_count, repr(res.success_rate), repr(res.raw_success_rate),
               res.already_misclassified, res.queries_used]]))
         lines.append(f"report -> {args.out}")
-    return CommandOutcome(0, "\n".join(lines), args.out)
+    return CommandOutcome(0, "\n".join(lines))
 
 
 def _cmd_campaign(args) -> CommandOutcome:
@@ -169,7 +168,7 @@ def _cmd_campaign(args) -> CommandOutcome:
         lines.append(f"pearson[{rec.metric.value}] = {rec.r:+.4f} "
                      f"over {rec.sample_count} surrogates")
     lines.append(_ledger_line(result.victim_ledger))
-    return CommandOutcome(0, "\n".join(lines), result.manifest_path)
+    return CommandOutcome(0, "\n".join(lines))
 
 
 def _cmd_serve(args) -> CommandOutcome:
@@ -200,7 +199,7 @@ def _cmd_replay(args) -> CommandOutcome:
         atomic_write_text(args.out, report.to_csv())
         lines.append(f"report -> {args.out}")
     code = 0 if report.passed else 1
-    return CommandOutcome(code, "\n".join(lines), args.out)
+    return CommandOutcome(code, "\n".join(lines))
 
 
 # --- parser ----------------------------------------------------------------
@@ -234,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--segments", type=int, default=16)
     p.add_argument("--kernel-width", type=float, default=None)
     p.add_argument("--ridge", type=float, default=1.0)
-    p.add_argument("--replacement", choices=("segment_mean", "zeros"),
+    p.add_argument("--replacement", choices=REPLACEMENT_POLICIES,
                    default="segment_mean")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--screen", nargs="*", default=None,
@@ -253,16 +252,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dist", help="distance between two signatures")
     p.add_argument("sig_a")
     p.add_argument("sig_b")
-    p.add_argument("--metric", default="cosine",
-                   choices=("l1", "l2", "linf", "cosine"))
+    p.add_argument("--metric", default="cosine", choices=[m.value for m in DistanceMetric])
     p.add_argument("--include-intercepts", action="store_true")
     p.set_defaults(func=_cmd_dist)
 
     p = sub.add_parser("select", help="closest stored surrogate to a victim signature")
     p.add_argument("--store", required=True)
     p.add_argument("--victim-sig", required=True)
-    p.add_argument("--metric", default="cosine",
-                   choices=("l1", "l2", "linf", "cosine"))
+    p.add_argument("--metric", default="cosine", choices=[m.value for m in DistanceMetric])
     p.add_argument("--out", default=None, help="write the ranked report CSV")
     p.set_defaults(func=_cmd_select)
 

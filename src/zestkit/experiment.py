@@ -16,14 +16,15 @@ import numpy as np
 
 from .attack import AttackConfig, batch_summary_csv, pgd_many, save_batch, transfer_eval
 from .errors import ConfigError
-from .lime import LimeConfig, SegmentGrid, compute_signature, make_plan, save_plan, save_signature
-from .nn import Dataset, TrainConfig, blob_centers, forward, sample_blobs, save_model, train_many
+from .lime import (LimeConfig, SegmentGrid, compute_signature, correct_by_all, make_plan,
+                   save_plan, save_signature)
+from .nn import Dataset, TrainConfig, blob_centers, sample_blobs, save_model, train_many
 from .oracle import RemoteEndpoint, local_oracle, remote_oracle
-from .util import atomic_write_text, config_hash, csv_text, derived_seed, pearson
+from .util import atomic_write_text, config_hash, csv_text, derived_seed, owned_array, pearson
 from .zest import DistanceMetric, SignatureStore, select_surrogate
-# kept importable here: bench/spans.py patches zestkit.experiment.train and .pgd
+# kept importable here: bench/spans.py patches zestkit.experiment.train, .pgd and .forward
 from .attack import pgd  # noqa: F401
-from .nn import train  # noqa: F401
+from .nn import forward, train  # noqa: F401
 
 log = logging.getLogger(__name__)
 
@@ -46,14 +47,12 @@ class TransferMatrix:
     rates: np.ndarray
 
     def __post_init__(self):
-        r = np.ascontiguousarray(np.asarray(self.rates, dtype=np.float64))
+        r = owned_array(self, "rates", np.float64)
         n = len(self.model_ids)
         if r.shape != (n, n):
             raise ConfigError(f"rates must be {n}x{n}")
         if r.size and (r.min() < 0.0 or r.max() > 1.0):
             raise ConfigError("transfer rates must lie in [0,1]")
-        r.flags.writeable = False
-        object.__setattr__(self, "rates", r)
         object.__setattr__(self, "model_ids", tuple(self.model_ids))
 
     def to_csv(self) -> str:
@@ -64,15 +63,7 @@ class TransferMatrix:
 
 def select_attack_points(models, data: Dataset, count: int) -> Dataset:
     """First `count` points (dataset order) all models classify correctly."""
-    ok = np.ones(len(data), dtype=bool)
-    for model in models:
-        ok &= forward(model, data.points).argmax(axis=1) == data.labels
-    idx = np.flatnonzero(ok)
-    if idx.size < count:
-        raise ConfigError(
-            f"only {idx.size} points are classified correctly by all models; "
-            f"need {count}")
-    return data.subset(idx[:count])
+    return data.subset(correct_by_all(models, data, count)[:count])
 
 
 def compute_transfer_matrix(models, points_data: Dataset, cfg: AttackConfig) -> TransferMatrix:
@@ -89,15 +80,10 @@ def compute_transfer_matrix(models, points_data: Dataset, cfg: AttackConfig) -> 
 
 # --- campaign -------------------------------------------------------------
 
-_DEFAULT_TRAIN = {"batch_size": 32, "learning_rate": 0.1, "epochs": 40}
-
-
 def _train_config(block: dict, seed: int) -> TrainConfig:
-    merged = {**_DEFAULT_TRAIN, **{k: v for k, v in block.items()
-                                   if k in ("hidden", "epochs", "batch_size", "learning_rate")}}
-    return TrainConfig(hidden=tuple(merged["hidden"]), epochs=merged["epochs"],
-                       batch_size=merged["batch_size"],
-                       learning_rate=merged["learning_rate"], rng_seed=seed)
+    return TrainConfig(hidden=tuple(block["hidden"]), epochs=block.get("epochs", 40),
+                       batch_size=block.get("batch_size", 32),
+                       learning_rate=block.get("learning_rate", 0.1), rng_seed=seed)
 
 
 def _portfolio_dataset(data: Dataset, entry: dict, master: int) -> Dataset:

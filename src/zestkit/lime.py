@@ -22,7 +22,8 @@ from .errors import (ComparabilityError, ConfigError, NumericalError, ShapeError
                      TransportError)
 from .nn import forward
 from .oracle import QueryOracle
-from .util import canonical_json, csv_text, derived_seed, read_container, write_container
+from .util import (canonical_json, csv_text, derived_seed, owned_array, read_container,
+                   write_container)
 
 REPLACEMENT_POLICIES = ("segment_mean", "zeros")
 
@@ -35,15 +36,13 @@ class SegmentGrid:
     segment_count: int
 
     def __post_init__(self):
-        a = np.ascontiguousarray(np.asarray(self.assignment, dtype=np.int64))
+        a = owned_array(self, "assignment", np.int64)
         if a.ndim != 1:
             raise ShapeError("segment assignment must be a vector")
         s = int(self.segment_count)
         present = np.unique(a)
         if s < 1 or present.size != s or present[0] != 0 or present[-1] != s - 1:
             raise ConfigError(f"segments must cover 0..{s - 1} contiguously")
-        a.flags.writeable = False
-        object.__setattr__(self, "assignment", a)
         object.__setattr__(self, "segment_count", s)
 
     @property
@@ -100,7 +99,7 @@ class PerturbationPlan:
     _fingerprint: str = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        pts = np.ascontiguousarray(np.asarray(self.points, dtype=np.float64))
+        pts = owned_array(self, "points", np.float64)
         if pts.ndim != 2:
             raise ShapeError("reference points must form a 2-D array")
         if pts.shape[1] != self.grid.n_features:
@@ -108,8 +107,6 @@ class PerturbationPlan:
                 f"points have {pts.shape[1]} features but grid covers {self.grid.n_features}")
         if self.config.perturbations < self.grid.segment_count:
             raise ConfigError("need perturbations >= segment count for a solvable regression")
-        pts.flags.writeable = False
-        object.__setattr__(self, "points", pts)
         object.__setattr__(self, "verified_model_ids", tuple(self.verified_model_ids))
 
     @property
@@ -149,6 +146,21 @@ class PerturbationPlan:
         return self._fingerprint
 
 
+def correct_by_all(models, data, need: int) -> np.ndarray:
+    """Indices, in dataset order, of the rows every model classifies correctly.
+
+    Raises ConfigError when fewer than ``need`` rows qualify.
+    """
+    ok = np.ones(len(data), dtype=bool)
+    for model in models:
+        ok &= forward(model, data.points).argmax(axis=1) == data.labels
+    idx = np.flatnonzero(ok)
+    if idx.size < need:
+        raise ConfigError(f"only {idx.size} points are classified correctly by all "
+                          f"{len(models)} models; need {need}")
+    return idx
+
+
 def make_plan(data, n: int, grid: SegmentGrid, cfg: LimeConfig, seed: int,
               models=None) -> PerturbationPlan:
     """Sample N reference points from training data, deterministically.
@@ -166,14 +178,7 @@ def make_plan(data, n: int, grid: SegmentGrid, cfg: LimeConfig, seed: int,
     eligible = np.arange(len(data))
     verified = ()
     if models:
-        ok = np.ones(len(data), dtype=bool)
-        for model in models:
-            ok &= forward(model, data.points).argmax(axis=1) == data.labels
-        eligible = np.flatnonzero(ok)
-        if eligible.size < n:
-            raise ConfigError(
-                f"only {eligible.size} points are classified correctly by all "
-                f"{len(models)} models; need {n}")
+        eligible = correct_by_all(models, data, n)
         verified = tuple(m.model_id for m in models)
 
     rng = np.random.default_rng(derived_seed(seed, "plan.points"))
@@ -231,16 +236,12 @@ class PointModel:
     intercept: np.ndarray  # (K,)
 
     def __post_init__(self):
-        c = np.ascontiguousarray(np.asarray(self.coef, dtype=np.float64))
-        b = np.ascontiguousarray(np.asarray(self.intercept, dtype=np.float64))
+        c = owned_array(self, "coef", np.float64)
+        b = owned_array(self, "intercept", np.float64)
         if c.ndim != 2 or b.ndim != 1 or b.shape[0] != c.shape[0]:
             raise ShapeError(f"coef {c.shape} / intercept {b.shape} inconsistent")
         if not (np.all(np.isfinite(c)) and np.all(np.isfinite(b))):
             raise NumericalError("point model has non-finite coefficients")
-        c.flags.writeable = False
-        b.flags.writeable = False
-        object.__setattr__(self, "coef", c)
-        object.__setattr__(self, "intercept", b)
 
 
 def _weighted_ridge(masks_f: np.ndarray, targets: np.ndarray, weights: np.ndarray,

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DomainError, ShapeError
-from .util import read_container, run_grouped, write_container
+from .util import owned_array, read_container, run_grouped, write_container
 
 ACTIVATIONS = ("relu", "identity")
 
@@ -37,18 +37,14 @@ class Layer:
     activation: str
 
     def __post_init__(self):
-        w = np.ascontiguousarray(np.asarray(self.weights, dtype=np.float64))
-        b = np.ascontiguousarray(np.asarray(self.bias, dtype=np.float64))
+        w = owned_array(self, "weights", np.float64)
+        b = owned_array(self, "bias", np.float64)
         if w.ndim != 2 or b.ndim != 1 or b.shape[0] != w.shape[1]:
             raise ShapeError(f"layer weights {w.shape} / bias {b.shape} inconsistent")
         if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
             raise DomainError("layer parameters contain non-finite entries")
         if self.activation not in ACTIVATIONS:
             raise ConfigError(f"unknown activation {self.activation!r}")
-        w.flags.writeable = False
-        b.flags.writeable = False
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "bias", b)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 """Small shared helpers: seed derivation, canonical JSON, CSV text, atomic
-binary files, correlation coefficients, and running work in groups of like
-items.
+binary files, correlation coefficients, running work in groups of like
+items, and the read-only arrays of frozen value types.
 
 Every artifact file in the toolkit (models, plans, signatures, adversarial
 batches) uses one container layout so round trips are bit-exact:
@@ -55,6 +55,19 @@ def csv_text(header, rows) -> str:
     w.writerow(header)
     w.writerows(rows)
     return buf.getvalue()
+
+
+def owned_array(obj, name: str, dtype) -> np.ndarray:
+    """Replace field ``name`` of frozen dataclass ``obj`` with a read-only,
+    C-ordered, at-least-1-D ``dtype`` copy, and return that copy.
+
+    Value types own their arrays this way: the caller's array is neither
+    aliased nor made read-only.
+    """
+    arr = np.array(getattr(obj, name), dtype=dtype, order="C", ndmin=1)
+    arr.flags.writeable = False
+    object.__setattr__(obj, name, arr)
+    return arr
 
 
 def run_grouped(items, key, run) -> list:

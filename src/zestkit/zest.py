@@ -60,7 +60,7 @@ def vector_distance(va: np.ndarray, vb: np.ndarray, metric: DistanceMetric) -> f
 def zest_distance(a: Signature, b: Signature, metric: DistanceMetric,
                   include_intercepts: bool = False) -> float:
     """Distance between two signatures built under the same plan."""
-    metric = DistanceMetric.parse(metric) if isinstance(metric, str) else metric
+    metric = DistanceMetric.parse(metric)
     if a.plan_fingerprint != b.plan_fingerprint:
         raise ComparabilityError(
             f"signatures come from different plans "
@@ -186,22 +186,19 @@ def rank_candidates(scored):
     return ordered, tie
 
 
-def select_surrogate(store: SignatureStore, victim: Signature,
-                     metric: DistanceMetric,
-                     include_intercepts: bool = False):
+def select_surrogate(store: SignatureStore, victim: Signature, metric: DistanceMetric):
     """Pick the stored signature closest to the victim's.
 
     Returns (proxy_id, DistanceReport).
     """
-    metric = DistanceMetric.parse(metric) if isinstance(metric, str) else metric
+    metric = DistanceMetric.parse(metric)
     ids = store.list_by_fingerprint(victim.plan_fingerprint)
     if not ids:
         raise ComparabilityError(
             "store holds no signatures under the victim's plan fingerprint")
     scored = []
     for proxy_id in ids:
-        d = zest_distance(store.get_signature(proxy_id), victim, metric,
-                          include_intercepts)
+        d = zest_distance(store.get_signature(proxy_id), victim, metric)
         scored.append((proxy_id, d))
     ordered, tie = rank_candidates(scored)
     report = DistanceReport(

@@ -71,6 +71,30 @@ def test_plan_n_larger_than_dataset(blob_world):
         zk.make_plan(blob_world["train"], 10_000, grid, zk.LimeConfig(), seed=0)
 
 
+@pytest.mark.parametrize("screen", [
+    lambda models, data, need: zk.make_plan(data, need, zk.SegmentGrid.uniform(16, 8),
+                                            zk.LimeConfig(perturbations=64), seed=0,
+                                            models=models).points,
+    lambda models, data, need: zk.select_attack_points(models, data, need).points,
+], ids=["make_plan", "select_attack_points"])
+def test_correct_by_all_shortfall(blob_world, screen):
+    models = [blob_world["victim"], blob_world["proxy"]]
+    data = blob_world["train"]
+    labels = data.labels.copy()
+    labels[:5] = (labels[:5] + 1) % data.class_count
+    data = zk.Dataset(data.points, labels, data.class_count)
+    ok = np.ones(len(data), dtype=bool)
+    for model in models:
+        ok &= zk.forward(model, data.points).argmax(axis=1) == data.labels
+    k = int(ok.sum())
+    assert k < len(data)
+    with pytest.raises(ConfigError) as err:
+        screen(models, data, k + 1)
+    assert str(err.value) == (
+        f"only {k} points are classified correctly by all 2 models; need {k + 1}")
+    assert len(screen(models, data, k)) == k
+
+
 def test_mask_tensor_shape_and_density(small_plan):
     masks = small_plan.mask_tensor()
     assert masks.shape == (6, 120, 8)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import zestkit as zk
 from zestkit.errors import IntegrityError
 from zestkit.util import (atomic_write_bytes, canonical_json, config_hash,
                           container_bytes, csv_text, derived_seed, read_container,
@@ -98,3 +99,41 @@ def test_csv_text_dialect():
                     'a,0.30000000000000004,3\n'
                     '"vic,tim",1e-300,0\n')
     assert csv_text(["only"], []) == "only\n"
+
+
+def _owned_cases():
+    rng = np.random.default_rng(3)
+    grid = zk.SegmentGrid(np.array([0, 0, 1, 1], dtype=np.int64), 2)
+    pts = rng.random((3, 4))
+    return [
+        (zk.nn.Layer, dict(weights=rng.normal(size=(4, 2)), bias=rng.normal(size=2),
+                           activation="relu")),
+        (zk.SegmentGrid, dict(assignment=np.array([0, 1, 1], dtype=np.int64),
+                              segment_count=2)),
+        (zk.PerturbationPlan, dict(points=rng.random((2, 4)), grid=grid,
+                                   config=zk.LimeConfig(perturbations=4), seed=0)),
+        (zk.PointModel, dict(coef=rng.normal(size=(3, 2)), intercept=rng.normal(size=3))),
+        (zk.TransferMatrix, dict(model_ids=("a", "b"), rates=rng.random((2, 2)))),
+        (zk.AdversarialBatch, dict(
+            originals=pts, labels=np.array([0, 1, 2], dtype=np.int64),
+            adversarials=np.clip(pts + 0.01, 0.0, 1.0),
+            local_success=np.array([True, False, True]),
+            achieved_loss=rng.random(3), restart_index=np.array([0, 2, 1], dtype=np.int64),
+            epsilon=0.05, surrogate_id="s")),
+    ]
+
+
+@pytest.mark.parametrize("case", _owned_cases(), ids=lambda case: case[0].__name__)
+def test_value_types_own_read_only_copies(case):
+    cls, kwargs = case
+    obj = cls(**kwargs)
+    for name, caller in kwargs.items():
+        if not isinstance(caller, np.ndarray):
+            continue
+        stored = getattr(obj, name)
+        assert caller.flags.writeable, name
+        assert not stored.flags.writeable, name
+        assert not np.shares_memory(stored, caller), name
+        before = stored.copy()
+        caller[...] = ~caller if caller.dtype == bool else caller + 1
+        assert np.array_equal(stored, before), name

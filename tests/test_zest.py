@@ -168,9 +168,11 @@ def test_store_corruption_detected(store, tmp_path):
     sig_files = [f for f in os.listdir(store.root) if f.endswith(".sig")]
     assert len(sig_files) == 1
     victim_path = os.path.join(store.root, sig_files[0])
-    raw = bytearray(open(victim_path, "rb").read())
+    with open(victim_path, "rb") as f:
+        raw = bytearray(f.read())
     raw[-1] ^= 0xFF
-    open(victim_path, "wb").write(bytes(raw))
+    with open(victim_path, "wb") as f:
+        f.write(bytes(raw))
     with pytest.raises(IntegrityError) as err:
         store.get_signature("target")
     assert sig_files[0] in str(err.value)
