@@ -11,6 +11,10 @@ they came from the same plan (enforced via a fingerprint).
 Query cost per signature: N*P perturbation rows plus N baseline rows (the
 unperturbed reference is sent once per point as the weighting anchor and
 billed under its own ledger purpose, keeping the N*P headline comparable).
+
+Everything that depends on the plan's masks alone (the masks, kernel weights
+and ridge Gram matrices) is built once per plan, as its PlanDesign, and
+reused by every signature taken under it.
 """
 
 import hashlib
@@ -26,6 +30,11 @@ from .util import (canonical_json, csv_text, derived_seed, owned_array, read_con
                    write_container)
 
 REPLACEMENT_POLICIES = ("segment_mean", "zeros")
+# Perturbation rows per signing block: the fastest of 1000-32768 rows at
+# N=128, P=1000, S=16. Blocks batch the local work only; the oracle is still
+# called per point, because its output bits may depend on how many rows one
+# call carries.
+BLOCK_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -97,6 +106,7 @@ class PerturbationPlan:
     seed: int
     verified_model_ids: "tuple[str, ...]" = ()  # models that classified all points correctly
     _fingerprint: str = field(default=None, init=False, repr=False, compare=False)
+    _design: "PlanDesign" = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = owned_array(self, "points", np.float64)
@@ -122,9 +132,25 @@ class PerturbationPlan:
         return self.grid.segment_count
 
     def mask_tensor(self) -> np.ndarray:
-        """(N, P, S) binary masks; reproducible from (seed, N, P, S) alone."""
+        """(N, P, S) binary masks, read-only; reproducible from (seed, N, P, S) alone."""
+        return self.design().masks
+
+    def design(self) -> "PlanDesign":
+        """The plan's PlanDesign, built on first use and kept on the plan."""
+        if self._design is None:
+            object.__setattr__(self, "_design", _build_design(self._draw_masks(),
+                                                              self.config))
+        return self._design
+
+    def _draw_masks(self) -> np.ndarray:
+        # one point at a time from one stream: the same bits as a single
+        # rng.random((N, P, S)) < 0.5, without its N*P*S float64 transient
         rng = np.random.default_rng(derived_seed(self.seed, "plan.masks"))
-        return rng.random((self.n, self.p, self.s)) < 0.5
+        masks = np.empty((self.n, self.p, self.s), dtype=bool)
+        draws = np.empty((self.p, self.s))
+        for point_masks in masks:
+            np.less(rng.random(out=draws), 0.5, out=point_masks)
+        return masks
 
     def fingerprint(self) -> str:
         """Hash pinning everything that shapes the queries and regression."""
@@ -210,20 +236,28 @@ def _replacement_values(x: np.ndarray, grid: SegmentGrid, policy: str) -> np.nda
 
 def masked_batch(x: np.ndarray, masks: np.ndarray, grid: SegmentGrid,
                  policy: str) -> np.ndarray:
-    """All masked variants of one point at once; masks is (P, S) boolean."""
-    repl = _replacement_values(x, grid, policy)
-    keep = masks[:, grid.assignment]            # (P, d)
-    fill = repl[grid.assignment]                # (d,)
-    return np.where(keep, x[None, :], fill[None, :])
+    """All masked variants of one point, or of a stack of points, at once.
+
+    x is (d,) with boolean masks (P, S), giving (P, d), or (B, d) with masks
+    (B, P, S), giving (B, P, d).
+    """
+    repl = np.stack([_replacement_values(r, grid, policy)
+                     for r in x.reshape(-1, grid.n_features)])
+    fill = repl[:, grid.assignment].reshape(x.shape)
+    keep = masks[..., grid.assignment]
+    return np.where(keep, x[..., None, :], fill[..., None, :])
 
 
 def mask_kernel_weights(masks: np.ndarray, kernel_width: float) -> np.ndarray:
-    """exp(-d^2 / width^2) with d = cosine distance from the all-ones mask."""
+    """exp(-d^2 / width^2) with d = cosine distance from the all-ones mask.
+
+    masks is (..., S); the weights have its leading shape.
+    """
     m = masks.astype(np.float64)
-    s = m.shape[1]
-    norms = np.sqrt((m * m).sum(axis=1)) * np.sqrt(s)
+    s = m.shape[-1]
+    norms = np.sqrt((m * m).sum(axis=-1)) * np.sqrt(s)
     with np.errstate(invalid="ignore", divide="ignore"):
-        cos = np.where(norms > 0, m.sum(axis=1) / norms, 0.0)
+        cos = np.where(norms > 0, m.sum(axis=-1) / norms, 0.0)
     d = 1.0 - cos
     return np.exp(-(d * d) / (kernel_width * kernel_width))
 
@@ -244,28 +278,94 @@ class PointModel:
             raise NumericalError("point model has non-finite coefficients")
 
 
-def _weighted_ridge(masks_f: np.ndarray, targets: np.ndarray, weights: np.ndarray,
-                    ridge: float):
-    """Solve the kernel-weighted ridge normal equations for all classes.
+@dataclass(frozen=True)
+class PlanDesign:
+    """What signing needs from a plan alone, for B points (read-only arrays).
 
-    Design matrix is [masks | 1]; the intercept column is unpenalized.
-    Returns (coef (K, S), intercept (K,)).
+    The regression's design matrix is [masks | 1]; the intercept column is
+    unpenalized.
     """
-    p, s = masks_f.shape
-    x = np.hstack([masks_f, np.ones((p, 1))])
-    xw = x * weights[:, None]
-    a = x.T @ xw
-    a[np.arange(s), np.arange(s)] += ridge
-    b = xw.T @ targets
+
+    masks: np.ndarray    # (B, P, S) bool
+    weights: np.ndarray  # (B, P) kernel weights
+    grams: np.ndarray    # (B, S+1, S+1) [masks|1]^T W [masks|1], ridge on the mask diagonal
+
+    def __post_init__(self):
+        owned_array(self, "masks", bool)
+        owned_array(self, "weights", np.float64)
+        owned_array(self, "grams", np.float64)
+
+
+def _point_blocks(n: int, p: int):
+    """Slices of consecutive points holding about BLOCK_ROWS perturbation rows."""
+    step = max(1, BLOCK_ROWS // p)
+    return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
+
+
+def _design_rows(masks: np.ndarray) -> np.ndarray:
+    """[masks | 1] as float64: (B, P, S) -> (B, P, S+1)."""
+    x = np.ones(masks.shape[:-1] + (masks.shape[-1] + 1,))
+    x[..., :-1] = masks
+    return x
+
+
+def _ridge_solve(grams: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """np.linalg.solve over a stack of Grams, with the toolkit's errors."""
     try:
-        beta = np.linalg.solve(a, b)
+        beta = np.linalg.solve(grams, rhs)
     except np.linalg.LinAlgError as e:
         raise NumericalError(
             "weighted ridge system is singular; set ridge > 0") from e
     if not np.all(np.isfinite(beta)):
         raise NumericalError("weighted ridge solve produced non-finite values; "
                              "set ridge > 0")
-    return beta[:s].T, beta[s]
+    return beta
+
+
+def _build_design(masks: np.ndarray, cfg: LimeConfig) -> PlanDesign:
+    """PlanDesign of B points under masks (B, P, S).
+
+    Raises NumericalError for a singular Gram here, before any query is sent.
+    """
+    b, p, s = masks.shape
+    width = cfg.resolved_kernel_width(s)
+    weights = np.empty((b, p))
+    grams = np.empty((b, s + 1, s + 1))
+    for blk in _point_blocks(b, p):
+        weights[blk] = mask_kernel_weights(masks[blk], width)
+        x = _design_rows(masks[blk])
+        grams[blk] = np.swapaxes(x, 1, 2) @ (x * weights[blk, :, None])
+    grams[:, np.arange(s), np.arange(s)] += cfg.ridge
+    _ridge_solve(grams, np.zeros((b, s + 1, 1)))
+    return PlanDesign(masks, weights, grams)
+
+
+def _sign_points(oracle: QueryOracle, points: np.ndarray, design: PlanDesign,
+                 grid: SegmentGrid, policy: str) -> "list[PointModel]":
+    """Query and fit points (B, d) in blocks of about BLOCK_ROWS perturbation rows.
+
+    Each block takes one masked_batch call and one stacked ridge solve. The
+    oracle gets, per point and in point order, the baseline row (billed as
+    signature_baseline) and then the P masked rows (billed as signature).
+    """
+    s = design.masks.shape[2]
+    point_models = []
+    for blk in _point_blocks(len(points), design.masks.shape[1]):
+        variants = masked_batch(points[blk], design.masks[blk], grid, policy)
+        targets = []
+        for i, x, rows in zip(range(blk.start, blk.stop), points[blk], variants):
+            try:
+                oracle.predict_proba(x[None, :], purpose="signature_baseline")
+                targets.append(oracle.predict_proba(rows, purpose="signature"))
+            except TransportError as e:
+                e.points_completed = i
+                raise
+        del variants  # the fit's temporaries then reuse its memory: less peak RSS
+        xw = _design_rows(design.masks[blk])
+        xw *= design.weights[blk, :, None]
+        beta = _ridge_solve(design.grams[blk], np.swapaxes(xw, 1, 2) @ np.stack(targets))
+        point_models.extend(map(PointModel, np.swapaxes(beta[:, :s], 1, 2), beta[:, s]))
+    return point_models
 
 
 def fit_point_model(oracle: QueryOracle, x, masks, grid: SegmentGrid,
@@ -284,15 +384,8 @@ def fit_point_model(oracle: QueryOracle, x, masks, grid: SegmentGrid,
         raise ShapeError(f"x must be a vector of length {grid.n_features}")
     if oracle.input_dim != grid.n_features:
         raise ShapeError("oracle input_dim does not match the segment grid")
-
-    oracle.predict_proba(x[None, :], purpose="signature_baseline")
-    variants = masked_batch(x, masks, grid, cfg.replacement)
-    targets = oracle.predict_proba(variants, purpose="signature")
-
-    weights = mask_kernel_weights(masks, cfg.resolved_kernel_width(grid.segment_count))
-    coef, intercept = _weighted_ridge(masks.astype(np.float64), targets, weights,
-                                      cfg.ridge)
-    return PointModel(coef, intercept)
+    return _sign_points(oracle, x[None, :], _build_design(masks[None], cfg), grid,
+                        cfg.replacement)[0]
 
 
 @dataclass(frozen=True)
@@ -341,19 +434,16 @@ class Signature:
 
 
 def compute_signature(oracle: QueryOracle, plan: PerturbationPlan) -> Signature:
-    """Fit all N point models in plan order (ledger: N*P + N rows)."""
+    """Fit all N point models in plan order (ledger: N*P + N rows).
+
+    The oracle sees the same calls as N fit_point_model calls would send; the
+    masks, kernel weights and Grams come from the plan's design.
+    """
     if oracle.input_dim != plan.grid.n_features:
         raise ShapeError(
             f"oracle expects {oracle.input_dim} features, plan has {plan.grid.n_features}")
-    masks = plan.mask_tensor()
-    point_models = []
-    for i in range(plan.n):
-        try:
-            point_models.append(
-                fit_point_model(oracle, plan.points[i], masks[i], plan.grid, plan.config))
-        except TransportError as e:
-            e.points_completed = i
-            raise
+    point_models = _sign_points(oracle, plan.points, plan.design(), plan.grid,
+                                plan.config.replacement)
     return Signature(oracle.oracle_id, plan.fingerprint(), tuple(point_models))
 
 

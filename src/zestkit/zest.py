@@ -27,16 +27,17 @@ class DistanceMetric(str, Enum):
 
     @classmethod
     def parse(cls, name: str) -> "DistanceMetric":
-        try:
-            return cls(name.strip().lower())
-        except ValueError:
-            raise ConfigError(
-                f"unknown metric {name!r}; choose from "
-                f"{[m.value for m in cls]}") from None
+        if isinstance(name, str):
+            try:
+                return cls(name.strip().lower())
+            except ValueError:
+                pass
+        raise ConfigError(f"unknown metric {name!r}; choose from {[m.value for m in cls]}")
 
 
 def vector_distance(va: np.ndarray, vb: np.ndarray, metric: DistanceMetric) -> float:
     """Metric on raw vectors; cosine is 1 - cos(angle), clamped to [0,2]."""
+    metric = DistanceMetric.parse(metric)
     va = np.asarray(va, dtype=np.float64)
     vb = np.asarray(vb, dtype=np.float64)
     if va.shape != vb.shape:

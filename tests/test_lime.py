@@ -4,7 +4,7 @@ import pytest
 import zestkit as zk
 from zestkit.errors import (ComparabilityError, ConfigError, NumericalError,
                             TransportError)
-from zestkit.lime import PointModel, masked_batch, _replacement_values
+from zestkit.lime import BLOCK_ROWS, PointModel, masked_batch, _replacement_values
 from zestkit.oracle import QueryLedger, QueryOracle
 
 from conftest import tiny_net
@@ -101,7 +101,9 @@ def test_mask_tensor_shape_and_density(small_plan):
     assert masks.dtype == bool
     density = masks.mean()
     assert 0.45 < density < 0.55  # i.i.d. Bernoulli(1/2)
-    assert np.array_equal(masks, small_plan.mask_tensor())  # reproducible
+    redrawn = zk.PerturbationPlan(small_plan.points, small_plan.grid, small_plan.config,
+                                  small_plan.seed).mask_tensor()
+    assert redrawn is not masks and np.array_equal(masks, redrawn)  # reproducible
 
 
 def test_fingerprint_sensitivity(blob_world):
@@ -190,6 +192,31 @@ def test_kernel_weights_monotone_in_density():
     w = zk.mask_kernel_weights(masks, kernel_width=0.25 * np.sqrt(s))
     assert (np.diff(w) > 0).all()  # more kept segments -> closer -> heavier
     assert w[0] == pytest.approx(np.exp(-1.0 / (0.25 ** 2 * s)))
+
+
+def _reference_kernel_weights(masks, kernel_width):
+    """The (P, S) formula mask_kernel_weights used before it took any leading shape."""
+    m = masks.astype(np.float64)
+    s = m.shape[1]
+    norms = np.sqrt((m * m).sum(axis=1)) * np.sqrt(s)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        cos = np.where(norms > 0, m.sum(axis=1) / norms, 0.0)
+    d = 1.0 - cos
+    return np.exp(-(d * d) / (kernel_width * kernel_width))
+
+
+def test_kernel_weights_any_leading_shape_bitwise():
+    masks = np.random.default_rng(3).random((3, 4, 50, 7)) < 0.5
+    masks[0, 0, 0] = False  # all-zero row: zero norm, cosine taken as 0
+    masks[2, 3, 9] = True
+    w = zk.mask_kernel_weights(masks, 0.6)
+    ref = _reference_kernel_weights(masks.reshape(-1, 7), 0.6).reshape(3, 4, 50)
+    assert w.shape == (3, 4, 50)
+    assert w.tobytes() == ref.tobytes()
+    assert zk.mask_kernel_weights(masks[1, 2, 5], 0.6) == ref[1, 2, 5]
+    soft = np.random.default_rng(4).random((2, 30, 7))  # non-binary masks keep their meaning
+    assert (zk.mask_kernel_weights(soft, 0.6).tobytes()
+            == _reference_kernel_weights(soft.reshape(-1, 7), 0.6).tobytes())
 
 
 # --- fitting ---------------------------------------------------------------
@@ -339,6 +366,124 @@ def test_flatten_order_point_major():
     assert np.array_equal(flat, expected)
     with_b = sig.flatten(include_intercepts=True)
     assert with_b.shape[0] == flat.shape[0] + 4
+
+
+def _reference_signature(oracle, plan):
+    """Signing as a per-point loop with the masks, kernel weights and ridge
+    solve written out as they were before per-plan designs and blocks."""
+    rng = np.random.default_rng(zk.derived_seed(plan.seed, "plan.masks"))
+    masks = rng.random((plan.n, plan.p, plan.s)) < 0.5
+    width = plan.config.resolved_kernel_width(plan.s)
+    seg = plan.grid.assignment
+    coefs, intercepts = [], []
+    for i in range(plan.n):
+        x = plan.points[i]
+        oracle.predict_proba(x[None, :], purpose="signature_baseline")
+        fill = _replacement_values(x, plan.grid, plan.config.replacement)[seg]
+        targets = oracle.predict_proba(np.where(masks[i][:, seg], x[None, :], fill[None, :]),
+                                       purpose="signature")
+        design = np.hstack([masks[i].astype(np.float64), np.ones((plan.p, 1))])
+        xw = design * _reference_kernel_weights(masks[i], width)[:, None]
+        a = design.T @ xw
+        a[np.arange(plan.s), np.arange(plan.s)] += plan.config.ridge
+        beta = np.linalg.solve(a, xw.T @ targets)
+        coefs.append(beta[:plan.s].T)
+        intercepts.append(beta[plan.s])
+    return masks, np.stack(coefs), np.stack(intercepts)
+
+
+@pytest.mark.parametrize("features,segments,policy,width,ridge,p,n", [
+    (16, 16, "segment_mean", None, 1.0, 1000, 11),  # S = d; blocks of 8 points, 8 + 3
+    (16, 5, "zeros", 0.7, 0.0, 2000, 6),            # S < d; blocks of 4 points, 4 + 2
+    (12, 4, "segment_mean", 0.7, 0.0, 8200, 3),     # P > BLOCK_ROWS: one point per block
+    (12, 4, "zeros", None, 1.0, 120, 70),           # blocks of 68 points, 68 + 2
+])
+def test_blocked_signature_matches_per_point_reference(features, segments, policy, width,
+                                                        ridge, p, n):
+    per_block = max(1, BLOCK_ROWS // p)
+    assert n % per_block != 0 or per_block == 1
+    grid = zk.SegmentGrid.uniform(features, segments)
+    cfg = zk.LimeConfig(perturbations=p, kernel_width=width, ridge=ridge, replacement=policy)
+    points = np.random.default_rng(features + p).random((n, features))
+    plan = zk.PerturbationPlan(points, grid, cfg, seed=p)
+    oracle = zk.local_oracle(tiny_net(4, input_dim=features))
+
+    sig = zk.compute_signature(oracle, plan)
+    masks, coef, intercept = _reference_signature(oracle, plan)
+    assert plan.mask_tensor().tobytes() == masks.tobytes()
+    assert sig.coef_tensor().tobytes() == coef.tobytes()
+    assert sig.intercept_matrix().tobytes() == intercept.tobytes()
+    for i, pm in enumerate(sig.point_models):
+        alone = zk.fit_point_model(oracle, plan.points[i], plan.mask_tensor()[i], grid, cfg)
+        assert alone.coef.tobytes() == pm.coef.tobytes()
+        assert alone.intercept.tobytes() == pm.intercept.tobytes()
+    assert oracle.ledger.breakdown()["signature"] == 3 * n * p
+
+
+def test_signing_queries_point_by_point_in_order():
+    grid = zk.SegmentGrid.uniform(16, 8)
+    p, n = 1000, 11  # two blocks: 8 + 3 points
+    plan = zk.PerturbationPlan(np.random.default_rng(0).random((n, 16)), grid,
+                               zk.LimeConfig(perturbations=p), seed=4)
+    model = tiny_net(2, input_dim=16)
+    calls = []
+
+    class Recording(ArrayOracle):
+        def predict_proba(self, batch, purpose="other"):
+            calls.append((purpose, len(batch), np.array(batch)))
+            return super().predict_proba(batch, purpose)
+
+    zk.compute_signature(Recording(lambda b: zk.forward(model, b), 16, 3), plan)
+    assert [c[:2] for c in calls] == [("signature_baseline", 1), ("signature", p)] * n
+    for i in range(n):
+        assert np.array_equal(calls[2 * i][2], plan.points[i][None, :])
+        alone = masked_batch(plan.points[i], plan.mask_tensor()[i], grid, "segment_mean")
+        assert calls[2 * i + 1][2].tobytes() == alone.tobytes()
+
+
+def test_plan_design_built_once_read_only_and_per_plan(blob_world, monkeypatch):
+    grid = zk.SegmentGrid.uniform(16, 8)
+    cfg = zk.LimeConfig(perturbations=64)
+    plan = zk.make_plan(blob_world["train"], 5, grid, cfg, seed=5)
+    twin = zk.make_plan(blob_world["train"], 5, grid, cfg, seed=5)
+    assert plan.fingerprint() == twin.fingerprint()
+    draws = []
+    draw = zk.PerturbationPlan._draw_masks
+    monkeypatch.setattr(zk.PerturbationPlan, "_draw_masks",
+                        lambda self: draws.append(self) or draw(self))
+
+    oracle = zk.local_oracle(blob_world["victim"])
+    first = zk.compute_signature(oracle, plan)
+    design = plan.design()
+    second = zk.compute_signature(oracle, plan)
+    assert len(draws) == 1
+    assert plan.design() is design and plan.mask_tensor() is design.masks
+    assert np.array_equal(first.flatten(), second.flatten())
+    arrays = (design.masks, design.weights, design.grams)
+    assert not any(a.flags.writeable for a in arrays)
+    with pytest.raises(ValueError):
+        design.masks[0, 0, 0] = not design.masks[0, 0, 0]
+
+    twin_design = twin.design()
+    assert len(draws) == 2
+    for a, b in zip(arrays, (twin_design.masks, twin_design.weights, twin_design.grams)):
+        assert not np.shares_memory(a, b)
+        assert np.array_equal(a, b)
+
+
+def test_singular_gram_fails_before_any_query(blob_world):
+    # P = S masks cannot determine S + 1 coefficients without a ridge
+    grid = zk.SegmentGrid.uniform(16, 4)
+    points = blob_world["train"].points[:3]
+    plan = zk.PerturbationPlan(points, grid, zk.LimeConfig(perturbations=4, ridge=0.0),
+                               seed=0)
+    oracle = zk.local_oracle(blob_world["victim"])
+    with pytest.raises(NumericalError, match="set ridge > 0"):
+        zk.compute_signature(oracle, plan)
+    assert oracle.ledger.total_queries == 0
+    ridged = zk.PerturbationPlan(points, grid, zk.LimeConfig(perturbations=4), seed=0)
+    zk.compute_signature(oracle, ridged)
+    assert oracle.ledger.total_queries == 3 * 4 + 3
 
 
 def test_transport_error_carries_progress(small_plan, blob_world):

@@ -25,6 +25,19 @@ def test_metric_parse():
         zk.DistanceMetric.parse("manhattan")
 
 
+@pytest.mark.parametrize("name", [None, 3, zk.DistanceMetric])
+def test_metric_parse_rejects_non_names(name):
+    with pytest.raises(ConfigError, match="unknown metric"):
+        zk.DistanceMetric.parse(name)
+
+
+def test_vector_distance_rejects_unknown_metric():
+    # an unrecognised name once fell through to the cosine branch
+    with pytest.raises(ConfigError, match="manhattan"):
+        vector_distance([1.0, 0.0], [0.0, 1.0], "manhattan")
+    assert vector_distance([1.0, 0.0], [0.0, 1.0], " L1 ") == 2.0
+
+
 def test_hand_computed_distances():
     a = _sig("a", [1.0, 2.0, 3.0])
     b = _sig("b", [1.0, 0.0, 6.0])
