@@ -145,12 +145,13 @@ def _pgd_group(group, data: Dataset) -> "list[AdversarialBatch]":
         xa = stack_models([np.clip(x0 + rng.uniform(-eps, eps, size=(m, d)), 0.0, 1.0)
                            for rng in rngs])
         for _ in range(cfg0.steps):
-            if not np.all(np.isfinite(xa)):
-                raise DomainError("batch: contains non-finite entries")
             g = loss_input_gradient(weights, biases, activations, xa, targets)
             xa = xa + step * np.sign(g)
             xa = np.clip(xa, lo, hi)
             xa = np.clip(xa, 0.0, 1.0)
+        # NaN survives sign and both clips, so one check covers every step
+        if not np.all(np.isfinite(xa)):
+            raise DomainError("batch: contains non-finite entries")
         xa = xa.reshape(k_count, m, d)
         for k, (model, _) in enumerate(group):
             loss = cross_entropy(model, xa[k], y)

@@ -15,12 +15,15 @@ Errors come back as status 400 with {"error": string}.
 import json
 import logging
 import threading
+import urllib.error
+import urllib.parse
+import urllib.request
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from http.client import HTTPException
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
-import requests
 
 from .errors import ConfigError, ProtocolError, ShapeError, TransportError
 from .nn import MlpModel, as_matrix, forward
@@ -85,9 +88,8 @@ class QueryOracle(ABC):
 class LocalOracle(QueryOracle):
     """Wraps a local model behind the query interface (no network)."""
 
-    def __init__(self, model: MlpModel, oracle_id: str = None):
+    def __init__(self, model: MlpModel):
         self._model = model
-        self._id = oracle_id if oracle_id is not None else model.model_id
         self.ledger = QueryLedger()
 
     @property
@@ -100,7 +102,7 @@ class LocalOracle(QueryOracle):
 
     @property
     def oracle_id(self):
-        return self._id
+        return self._model.model_id
 
     def predict_proba(self, batch, purpose="other"):
         probs = forward(self._model, batch)
@@ -108,8 +110,8 @@ class LocalOracle(QueryOracle):
         return probs
 
 
-def local_oracle(model: MlpModel, oracle_id: str = None) -> LocalOracle:
-    return LocalOracle(model, oracle_id)
+def local_oracle(model: MlpModel) -> LocalOracle:
+    return LocalOracle(model)
 
 
 @dataclass(frozen=True)
@@ -124,6 +126,12 @@ class RemoteEndpoint:
             raise ConfigError("max_batch_rows must be >= 1")
         if self.retries < 0:
             raise ConfigError("retries cannot be negative")
+        try:
+            parts = urllib.parse.urlsplit(self.base_url)
+        except ValueError as e:
+            raise ConfigError(f"malformed oracle URL {self.base_url!r}: {e}") from e
+        if parts.scheme not in ("http", "https") or not parts.hostname:
+            raise ConfigError(f"oracle URL {self.base_url!r} needs an http(s) scheme and a host")
         object.__setattr__(self, "base_url", self.base_url.rstrip("/"))
 
 
@@ -141,18 +149,29 @@ class RemoteOracle(QueryOracle):
         self._info = None
         self._info_lock = threading.Lock()
 
+    def _exchange(self, url: str, body: bytes = None) -> "tuple[int, bytes]":
+        """GET (no body) or JSON POST -> (status, whole response body); failing to
+        connect, send or read the body raises OSError or http.client.HTTPException."""
+        req = urllib.request.Request(url, body, {"Content-Type": "application/json"})
+        try:
+            with urllib.request.urlopen(req, timeout=self.endpoint.timeout) as resp:
+                return resp.status, resp.read()
+        except urllib.error.HTTPError as e:  # a non-2xx status is an answer too
+            with e:
+                return e.code, e.read()
+
     def _fetch_info(self):
         with self._info_lock:
             if self._info is None:
                 url = f"{self.endpoint.base_url}/v1/info"
                 try:
-                    resp = requests.get(url, timeout=self.endpoint.timeout)
-                except requests.RequestException as e:
+                    status, payload = self._exchange(url)
+                except (OSError, HTTPException) as e:
                     raise TransportError(f"cannot reach oracle at {url}: {e}") from e
-                if resp.status_code != 200:
-                    raise ProtocolError(f"{url} returned status {resp.status_code}")
+                if status != 200:
+                    raise ProtocolError(f"{url} returned status {status}")
                 try:
-                    info = resp.json()
+                    info = json.loads(payload)
                     self._info = (int(info["class_count"]), int(info["input_dim"]))
                 except (ValueError, KeyError, TypeError) as e:
                     raise ProtocolError(f"malformed /v1/info response: {e}") from e
@@ -172,27 +191,25 @@ class RemoteOracle(QueryOracle):
 
     def _post_chunk(self, chunk: np.ndarray) -> np.ndarray:
         url = f"{self.endpoint.base_url}/v1/predict"
-        body = json.dumps({"inputs": chunk.tolist()})
+        body = json.dumps({"inputs": chunk.tolist()}).encode("utf-8")
         last_exc = None
         for _ in range(self.endpoint.retries + 1):
             try:
-                resp = requests.post(
-                    url, data=body, timeout=self.endpoint.timeout,
-                    headers={"Content-Type": "application/json"})
-            except requests.RequestException as e:
+                status, payload = self._exchange(url, body)
+            except (OSError, HTTPException) as e:
                 last_exc = e
                 continue
-            if resp.status_code >= 500:
-                last_exc = ProtocolError(f"server error {resp.status_code}")
+            if status >= 500:
+                last_exc = ProtocolError(f"server error {status}")
                 continue
-            if resp.status_code != 200:
+            if status != 200:
                 try:
-                    detail = resp.json().get("error", "")
+                    detail = json.loads(payload).get("error", "")
                 except ValueError:
-                    detail = resp.text[:200]
-                raise ProtocolError(f"oracle rejected request ({resp.status_code}): {detail}")
+                    detail = payload.decode("utf-8", "replace")[:200]
+                raise ProtocolError(f"oracle rejected request ({status}): {detail}")
             try:
-                probs = np.asarray(resp.json()["probs"], dtype=np.float64)
+                probs = np.asarray(json.loads(payload)["probs"], dtype=np.float64)
             except (ValueError, KeyError, TypeError) as e:
                 raise ProtocolError(f"malformed /v1/predict response: {e}") from e
             if probs.ndim != 2 or probs.shape[0] != chunk.shape[0]:
@@ -259,6 +276,8 @@ class _Handler(BaseHTTPRequestHandler):
         model = self.server.model
         try:
             length = int(self.headers.get("Content-Length", "0"))
+            if length < 0:
+                raise ValueError("Content-Length cannot be negative")
             payload = json.loads(self.rfile.read(length).decode("utf-8"))
             inputs = payload["inputs"]
             batch = np.asarray(inputs, dtype=np.float64)

@@ -256,6 +256,8 @@ def _closed_port_url():
 _FAILURES = [
     ("dataset", lambda c: c["dataset"].update(train_size=-1), ValueError),
     ("train", lambda c: c["victim"].update(kind="bogus"), ConfigError),
+    ("train", lambda c: c.update(victim={"kind": "remote", "url": "127.0.0.1:9"}),
+     ConfigError),
     ("plan", lambda c: c["lime"].pop("p"), KeyError),
     ("signatures", lambda c: c.update(victim={"kind": "remote", "url": _closed_port_url()}),
      TransportError),
@@ -266,7 +268,9 @@ _FAILURES = [
 ]
 
 
-@pytest.mark.parametrize("stage, edit, error", _FAILURES, ids=[f[0] for f in _FAILURES])
+@pytest.mark.parametrize("stage, edit, error", _FAILURES,
+                         ids=["dataset", "train", "train-url", "plan", "signatures",
+                              "correlation", "attack"])
 def test_campaign_failure_manifest(tmp_path, stage, edit, error):
     cfg = _tiny_config()
     edit(cfg)

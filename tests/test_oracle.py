@@ -1,6 +1,12 @@
+import http.client
 import json
+import os
+import socket
+import subprocess
+import sys
 import threading
 import urllib.request
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
@@ -142,6 +148,34 @@ def test_server_rejects_malformed_request(served):
     assert "error" in json.loads(err.value.read())
 
 
+def test_server_rejects_negative_content_length(served):
+    _, server = served
+    with socket.create_connection(("127.0.0.1", server.port), timeout=5) as sock:
+        sock.sendall(b"POST /v1/predict HTTP/1.1\r\nHost: localhost\r\n"
+                     b"Content-Type: application/json\r\nContent-Length: -1\r\n\r\n")
+        reply = http.client.HTTPResponse(sock)
+        reply.begin()
+        assert reply.status == 400
+        assert json.loads(reply.read()) == {"error": "Content-Length cannot be negative"}
+
+
+@pytest.mark.parametrize("url", ["127.0.0.1", "", "http://[::1", "http://", "ftp://host/"])
+def test_endpoint_rejects_url_without_http_scheme_and_host(url):
+    with pytest.raises(ConfigError):
+        zk.RemoteEndpoint(url)
+
+
+def test_import_loads_no_third_party_http_client():
+    src = os.path.dirname(os.path.dirname(zk.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, zestkit; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('requests', 'urllib3')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 def test_unreachable_endpoint_transport_error():
     remote = zk.remote_oracle(zk.RemoteEndpoint("http://127.0.0.1:9",
                                                 timeout=0.2, retries=1))
@@ -179,3 +213,105 @@ def test_server_lifecycle_releases_port():
     server2 = ModelServer(model, port=port)
     server2.start()
     server2.stop()
+
+
+# --- remote client contract ------------------------------------------------
+# A scripted server answers each POST with the next action of its script
+# (plain answers once the script runs out), so the client's retry, billing
+# and error paths are checked against exact server behaviour.
+
+def _answer(rows, classes=3):
+    return 200, json.dumps({"probs": [[1.0 / classes] * classes] * rows}).encode()
+
+
+def _drop(rows):
+    return None  # close the connection without a reply
+
+
+class _ScriptedHandler(BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"
+
+    def log_message(self, fmt, *args):
+        pass
+
+    def _send(self, status, body):
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def do_GET(self):
+        self._send(200, json.dumps({"class_count": 3, "input_dim": 2}).encode())
+
+    def do_POST(self):
+        rows = len(json.loads(self.rfile.read(int(self.headers["Content-Length"])))["inputs"])
+        self.server.posts.append(rows)
+        action = self.server.script.pop(0) if self.server.script else _answer
+        reply = action(rows)
+        if reply is None:
+            self.close_connection = True
+            return
+        self._send(*reply)
+
+
+@pytest.fixture
+def scripted():
+    httpd = ThreadingHTTPServer(("127.0.0.1", 0), _ScriptedHandler)
+    httpd.daemon_threads = True
+    httpd.script, httpd.posts = [], []
+    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+    thread.start()
+    yield httpd
+    httpd.shutdown()
+    httpd.server_close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+def _scripted_client(httpd, **kw):
+    host, port = httpd.server_address[:2]
+    return zk.remote_oracle(zk.RemoteEndpoint(f"http://{host}:{port}", timeout=5, **kw))
+
+
+def test_remote_retries_server_error_and_bills_once(scripted):
+    scripted.script[:] = [lambda rows: (500, b'{"error": "busy"}')]
+    remote = _scripted_client(scripted)
+    out = remote.predict_proba(np.zeros((4, 2)), purpose="signature")
+    assert out.shape == (4, 3)
+    assert scripted.posts == [4, 4]
+    assert remote.ledger.snapshot() == {"signature": 4, "signature_baseline": 0,
+                                        "attack_eval": 0, "other": 0, "total": 4}
+
+
+def test_remote_client_error_carries_server_text(scripted):
+    scripted.script[:] = [lambda rows: (400, b'{"error": "inputs must be rows of 2 numbers"}')]
+    remote = _scripted_client(scripted)
+    with pytest.raises(ProtocolError, match=r"\(400\): inputs must be rows of 2 numbers$"):
+        remote.predict_proba(np.zeros((4, 2)))
+    assert scripted.posts == [4]
+    assert remote.ledger.total_queries == 0
+
+
+@pytest.mark.parametrize("reply, message", [
+    (lambda rows: (200, b'{"probs": [[0.5,'), "malformed /v1/predict response"),
+    (lambda rows: _answer(rows - 1), "oracle returned 3 rows for 4 inputs"),
+    (lambda rows: _answer(rows, classes=4), "oracle returned 4 classes, expected 3"),
+], ids=["malformed-json", "row-count", "class-count"])
+def test_remote_rejects_bad_answers(scripted, reply, message):
+    scripted.script[:] = [reply]
+    remote = _scripted_client(scripted)
+    with pytest.raises(ProtocolError, match=message):
+        remote.predict_proba(np.zeros((4, 2)))
+    assert scripted.posts == [4]
+    assert remote.ledger.total_queries == 0
+
+
+def test_remote_dropped_connection_bills_answered_chunks(scripted):
+    scripted.script[:] = [_answer, _drop, _drop, _drop]
+    remote = _scripted_client(scripted, max_batch_rows=3, retries=2)
+    with pytest.raises(TransportError) as err:
+        remote.predict_proba(np.zeros((6, 2)), purpose="signature")
+    assert err.value.rows_counted == 3
+    assert remote.ledger.total_queries == 3
+    assert scripted.posts == [3, 3, 3, 3]
