@@ -240,12 +240,20 @@ def masked_batch(x: np.ndarray, masks: np.ndarray, grid: SegmentGrid,
 
     x is (d,) with boolean masks (P, S), giving (P, d), or (B, d) with masks
     (B, P, S), giving (B, P, d).
+
+    Each output word is picked by a bit select on the float64 bit patterns,
+    fill ^ ((x ^ fill) & -keep): exact for every pattern, -0.0 included, so
+    the result is bitwise that of np.where(keep, x, fill).
     """
+    x = np.asarray(x, dtype=np.float64)
+    masks = np.asarray(masks, dtype=bool)
     repl = np.stack([_replacement_values(r, grid, policy)
                      for r in x.reshape(-1, grid.n_features)])
-    fill = repl[:, grid.assignment].reshape(x.shape)
-    keep = masks[..., grid.assignment]
-    return np.where(keep, x[..., None, :], fill[..., None, :])
+    fill = repl[:, grid.assignment].reshape(x.shape).view(np.uint64)[..., None, :]
+    out = np.negative(masks.view(np.uint8)[..., grid.assignment], dtype=np.uint64)
+    out &= x.view(np.uint64)[..., None, :] ^ fill
+    out ^= fill
+    return out.view(np.float64)
 
 
 def mask_kernel_weights(masks: np.ndarray, kernel_width: float) -> np.ndarray:

@@ -9,7 +9,8 @@ Wire protocol (shared by the serve mode and the remote client):
     POST /v1/predict   {"inputs": [[f64,...],...]} -> {"probs": [[f64,...],...]}
     GET  /v1/info      -> {"class_count": u, "input_dim": u}
 
-Errors come back as status 400 with {"error": string}.
+Errors come back as {"error": string}: status 400 for a malformed request,
+500 when the model itself fails.
 """
 
 import json
@@ -204,9 +205,11 @@ class RemoteOracle(QueryOracle):
                 continue
             if status != 200:
                 try:
-                    detail = json.loads(payload).get("error", "")
+                    answer = json.loads(payload)
                 except ValueError:
-                    detail = payload.decode("utf-8", "replace")[:200]
+                    answer = None
+                detail = (answer.get("error", "") if isinstance(answer, dict)
+                          else payload.decode("utf-8", "replace")[:200])
                 raise ProtocolError(f"oracle rejected request ({status}): {detail}")
             try:
                 probs = np.asarray(json.loads(payload)["probs"], dtype=np.float64)
@@ -289,7 +292,12 @@ class _Handler(BaseHTTPRequestHandler):
         except Exception as e:  # malformed request -> 400, never a crash
             self._reply(400, {"error": str(e)})
             return
-        probs = forward(model, batch)
+        try:
+            probs = forward(model, batch)
+        except Exception as e:  # a failing model -> 500, not a dropped connection
+            log.exception("oracle server: forward failed")
+            self._reply(500, {"error": f"{type(e).__name__}: {e}"})
+            return
         self._reply(200, {"probs": probs.tolist()})
 
 

@@ -176,6 +176,38 @@ def test_masked_batch_matches_apply_mask():
                                                       "segment_mean"))
 
 
+def _masked_batch_where(x, masks, grid, policy):
+    """masked_batch as a broadcast np.where: the reference for the bit select."""
+    repl = np.stack([_replacement_values(r, grid, policy)
+                     for r in x.reshape(-1, grid.n_features)])
+    fill = repl[:, grid.assignment].reshape(x.shape)
+    return np.where(masks[..., grid.assignment], x[..., None, :], fill[..., None, :])
+
+
+@pytest.mark.parametrize("policy", ["segment_mean", "zeros"])
+@pytest.mark.parametrize("segments", [4, 8], ids=["S<d", "S=d"])
+@pytest.mark.parametrize("stacked", [False, True], ids=["point", "stack"])
+@pytest.mark.parametrize("contiguous", [True, False], ids=["contig", "strided"])
+def test_masked_batch_bitwise_matches_where(policy, segments, stacked, contiguous):
+    grid = zk.SegmentGrid.uniform(8, segments)
+    rng = np.random.default_rng(segments)
+    xs = rng.random((3, 16))
+    xs[:, :6] = [-0.0, -0.0, 0.0, -0.0, 1.0, 0.0]  # signed zeros differ from a 0.0 fill
+    bits = rng.random((3, 40, 2 * segments)) < 0.5
+    if contiguous:
+        xs, bits = xs[:, :8].copy(), bits[..., :segments].copy()
+    else:
+        xs, bits = xs[:, ::2], bits[..., ::2]
+    if not stacked:
+        xs, bits = xs[1], bits[1]
+    assert xs.flags.c_contiguous == bits.flags.c_contiguous == contiguous
+    got = masked_batch(xs, bits, grid, policy)
+    want = _masked_batch_where(xs, bits, grid, policy)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+    assert np.signbit(got).any()  # some -0.0 was kept, bit for bit
+
+
 # --- kernel weights --------------------------------------------------------
 
 def test_kernel_weight_all_ones_is_unit():

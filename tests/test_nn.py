@@ -78,6 +78,73 @@ def test_forward_dim_mismatch():
         zk.forward(model, np.zeros((1, 5)))
 
 
+def _softmax_reduce(z):
+    """softmax with the row max as an axis reduce: the reference for the fold."""
+    z = np.asarray(z, dtype=np.float64)
+    shifted = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _extreme_rows(k):
+    """Rows with tied maxima (signed zeros among them) and +-700 logits."""
+    rows = [np.full(k, 700.0), np.full(k, -700.0), np.zeros(k), np.full(k, -3.0)]
+    rows[0][-1] = -700.0
+    rows[1][0] = 700.0
+    rows[2][::2] = -0.0
+    rows[3][[0, -1]] = 2.5
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("shape", [(1, 3), (32, 3), (4, 32, 3), (1000, 3), (1000, 4),
+                                   (1000, 5), (200, 100)])
+def test_softmax_bitwise_matches_reduce(shape):
+    rng = np.random.default_rng(shape[-1])
+    z = rng.normal(0.0, 20.0, size=shape)
+    z[rng.random(shape) < 0.05] = 700.0
+    z[rng.random(shape) < 0.05] = -700.0
+    flat = z.reshape(-1, shape[-1])
+    extremes = _extreme_rows(shape[-1])
+    flat[:len(extremes)] = extremes[:len(flat)]
+    got = zk.softmax(z)
+    want = _softmax_reduce(z)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("k", [3, 4, 100])
+def test_softmax_non_finite_rows_match_reduce(k):
+    z = np.random.default_rng(k).normal(0.0, 5.0, size=(6, k))
+    z[1, 0] = np.inf
+    z[2, -1] = -np.inf
+    z[3, 1] = np.nan
+    z[4, :] = -np.inf
+    with np.errstate(all="ignore"):
+        got = zk.softmax(z)
+        want = _softmax_reduce(z)
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    assert np.isnan(got[[1, 3, 4]]).all() and not np.isnan(got[[0, 2, 5]]).any()
+    assert got[~np.isnan(got)].tobytes() == want[~np.isnan(want)].tobytes()
+
+
+@pytest.mark.parametrize("hidden", [(), (6,), (6, 5)])
+def test_logits_and_forward_leave_read_only_batch_untouched(hidden):
+    model = tiny_net(5, hidden=hidden)
+    x = np.random.default_rng(2).normal(size=(9, model.input_dim))
+    before = x.copy()
+    x.flags.writeable = False
+    z = zk.nn.logits(model, x)
+    probs = zk.forward(model, x)
+    assert x.tobytes() == before.tobytes()
+    want = before
+    for layer in model.layers:
+        want = want @ layer.weights + layer.bias
+        if layer.activation == "relu":
+            want = np.maximum(want, 0.0)
+    assert z.tobytes() == want.tobytes()
+    assert probs.tobytes() == _softmax_reduce(want).tobytes()
+
+
 # --- gradients -------------------------------------------------------------
 
 def test_input_gradient_linear_closed_form():

@@ -1,10 +1,12 @@
 import http.client
 import json
+import logging
 import os
 import socket
 import subprocess
 import sys
 import threading
+import urllib.error
 import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -12,6 +14,7 @@ import numpy as np
 import pytest
 
 import zestkit as zk
+import zestkit.oracle as oracle_mod
 from zestkit.errors import ConfigError, DomainError, ProtocolError, ShapeError, TransportError
 from zestkit.oracle import ModelServer, QueryLedger
 
@@ -293,6 +296,19 @@ def test_remote_client_error_carries_server_text(scripted):
     assert remote.ledger.total_queries == 0
 
 
+@pytest.mark.parametrize("body", [b'["no"]', b'"x"', b"null", b"7",
+                                  json.dumps(["y" * 300]).encode()],
+                         ids=["list", "string", "null", "number", "long-list"])
+def test_remote_client_error_non_object_json(scripted, body):
+    scripted.script[:] = [lambda rows: (400, body)]
+    remote = _scripted_client(scripted)
+    with pytest.raises(ProtocolError) as err:
+        remote.predict_proba(np.zeros((4, 2)))
+    assert str(err.value) == f"oracle rejected request (400): {body.decode()[:200]}"
+    assert scripted.posts == [4]
+    assert remote.ledger.total_queries == 0
+
+
 @pytest.mark.parametrize("reply, message", [
     (lambda rows: (200, b'{"probs": [[0.5,'), "malformed /v1/predict response"),
     (lambda rows: _answer(rows - 1), "oracle returned 3 rows for 4 inputs"),
@@ -315,3 +331,35 @@ def test_remote_dropped_connection_bills_answered_chunks(scripted):
     assert err.value.rows_counted == 3
     assert remote.ledger.total_queries == 3
     assert scripted.posts == [3, 3, 3, 3]
+
+
+def test_server_answers_500_when_forward_raises(monkeypatch, caplog):
+    model = tiny_net(2, input_dim=2, class_count=3)
+    real_forward, calls = oracle_mod.forward, []
+
+    def failing_forward(m, batch):
+        calls.append(len(batch))
+        if len(calls) > 1:
+            raise RuntimeError("model exploded")
+        return real_forward(m, batch)
+
+    monkeypatch.setattr(oracle_mod, "forward", failing_forward)
+    with ModelServer(model, port=0) as server, \
+            caplog.at_level(logging.ERROR, logger=oracle_mod.log.name):
+        remote = zk.remote_oracle(zk.RemoteEndpoint(server.base_url, timeout=5,
+                                                    max_batch_rows=3, retries=1))
+        with pytest.raises(TransportError, match="server error 500") as err:
+            remote.predict_proba(np.zeros((6, 2)), purpose="signature")
+        req = urllib.request.Request(f"{server.base_url}/v1/predict",
+                                     json.dumps({"inputs": [[0.0, 0.0]]}).encode(),
+                                     {"Content-Type": "application/json"})
+        with pytest.raises(urllib.error.HTTPError) as http_err:
+            urllib.request.urlopen(req, timeout=5)
+        with http_err.value as answer:
+            assert answer.code == 500
+            assert json.loads(answer.read()) == {"error": "RuntimeError: model exploded"}
+    assert err.value.rows_counted == 3
+    assert remote.ledger.breakdown()["signature"] == 3
+    assert calls == [3, 3, 3, 1]
+    failures = [r for r in caplog.records if r.exc_info and r.exc_info[0] is RuntimeError]
+    assert len(failures) == 3
