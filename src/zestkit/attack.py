@@ -104,9 +104,10 @@ def pgd_many(jobs, data: Dataset) -> "list[AdversarialBatch]":
 
     Jobs whose models share layer shapes and activations, and whose configs
     share epsilon, step size, steps and restarts, step in lockstep on weights
-    stacked along a leading model axis. Each job keeps its own "pgd.init"
-    stream, restart choice and quantization, so each batch is bitwise the
-    one its job would craft alone.
+    stacked along a leading model axis. All restarts run in one pass: each
+    model's batch holds them as consecutive row blocks. Each job keeps its
+    own "pgd.init" stream, restart choice and quantization, so each batch is
+    bitwise the one its job would craft alone.
     """
     jobs = list(jobs)
     for model, _ in jobs:
@@ -132,33 +133,41 @@ def _pgd_group(group, data: Dataset) -> "list[AdversarialBatch]":
     biases = [stack_models([model.layers[i].bias[None, :] for model, _ in group])
               for i in range(len(model0.layers))]
     activations = [layer.activation for layer in model0.layers]
-    targets = one_hot(y, model0.class_count)
 
-    rngs = [np.random.default_rng(derived_seed(cfg.rng_seed, "pgd.init")) for _, cfg in group]
+    # every restart starts up front, in restart order, as consecutive (m, d)
+    # row blocks of one (restarts * m, d) batch per model
+    restarts = cfg0.restarts
+    starts = []
+    for _, cfg in group:
+        rng = np.random.default_rng(derived_seed(cfg.rng_seed, "pgd.init"))
+        noise = rng.uniform(-eps, eps, size=(restarts * m, d))
+        starts.append(np.clip(np.tile(x0, (restarts, 1)) + noise, 0.0, 1.0))
+    xa = stack_models(starts)
+    lo, hi = np.tile(x0 - eps, (restarts, 1)), np.tile(x0 + eps, (restarts, 1))
+    targets = np.tile(one_hot(y, model0.class_count), (restarts, 1))
+    for _ in range(cfg0.steps):
+        g = loss_input_gradient(weights, biases, activations, xa, targets)
+        np.sign(g, out=g)
+        g *= step
+        xa += g
+        np.clip(xa, lo, hi, out=xa)
+        np.clip(xa, 0.0, 1.0, out=xa)
+    # NaN survives sign and both clips, so one check covers every step
+    if not np.all(np.isfinite(xa)):
+        raise DomainError("batch: contains non-finite entries")
+    xa = xa.reshape(k_count, restarts, m, d)
+
     best_loss = np.full((k_count, m), -np.inf)
     best_adv = np.repeat(x0[None], k_count, axis=0)
     best_flip = np.zeros((k_count, m), dtype=bool)
     best_restart = np.zeros((k_count, m), dtype=np.int64)
-
-    lo, hi = x0 - eps, x0 + eps
-    for r in range(cfg0.restarts):
-        xa = stack_models([np.clip(x0 + rng.uniform(-eps, eps, size=(m, d)), 0.0, 1.0)
-                           for rng in rngs])
-        for _ in range(cfg0.steps):
-            g = loss_input_gradient(weights, biases, activations, xa, targets)
-            xa = xa + step * np.sign(g)
-            xa = np.clip(xa, lo, hi)
-            xa = np.clip(xa, 0.0, 1.0)
-        # NaN survives sign and both clips, so one check covers every step
-        if not np.all(np.isfinite(xa)):
-            raise DomainError("batch: contains non-finite entries")
-        xa = xa.reshape(k_count, m, d)
+    for r in range(restarts):
         for k, (model, _) in enumerate(group):
-            loss = cross_entropy(model, xa[k], y)
-            flip = forward(model, xa[k]).argmax(axis=1) != y
+            loss = cross_entropy(model, xa[k, r], y)
+            flip = forward(model, xa[k, r]).argmax(axis=1) != y
             # flips beat non-flips; within the same class, higher loss wins
             better = (flip & ~best_flip[k]) | ((flip == best_flip[k]) & (loss > best_loss[k]))
-            best_adv[k][better] = xa[k][better]
+            best_adv[k][better] = xa[k, r][better]
             best_loss[k][better] = loss[better]
             best_flip[k][better] = flip[better]
             best_restart[k][better] = r

@@ -135,7 +135,7 @@ def softmax(z: np.ndarray) -> np.ndarray:
         np.maximum(top, z[..., j], out=top)
     shifted = z - top[..., None]
     np.exp(shifted, out=shifted)
-    shifted /= shifted.sum(axis=-1, keepdims=True)
+    shifted /= np.add.reduce(shifted, axis=-1, keepdims=True)
     return shifted
 
 
@@ -201,14 +201,16 @@ def loss_input_gradient(weights, biases, activations, x, targets) -> np.ndarray:
     """
     pre = []
     for w, b, act in zip(weights, biases, activations):
-        z = x @ w + b
+        z = x @ w
+        z += b
         pre.append(z)
         x = np.maximum(z, 0.0) if act == "relu" else z
-    delta = softmax(pre[-1]) - targets
+    delta = softmax(pre[-1])
+    delta -= targets
     for i in range(len(weights) - 1, -1, -1):
-        delta = delta @ np.swapaxes(weights[i], -1, -2)
+        delta = delta @ weights[i].swapaxes(-1, -2)
         if i > 0 and activations[i - 1] == "relu":
-            delta = delta * (pre[i - 1] > 0.0)
+            delta *= pre[i - 1] > 0.0
     return delta
 
 
@@ -228,12 +230,11 @@ def train(data: Dataset, cfg: TrainConfig, model_id: str = "model") -> MlpModel:
 def train_many(jobs) -> "list[MlpModel]":
     """Train one model per ``(data, cfg, model_id)`` job, in input order.
 
-    Jobs that agree on input width, hidden widths, class count, row count,
-    batch size and epochs run one SGD loop together, on parameters stacked
-    along a leading model axis; learning rate and seed may differ. numpy's
-    stacked matmul makes one gemm call per model and every other op is
-    elementwise or reduces within a model in the same order, so each model
-    is bitwise the one this job would train alone.
+    Jobs that agree on input width, class count, row count, batch size and
+    epochs run one SGD loop together, whatever their hidden widths; learning
+    rate and seed may differ. Every op of that loop is a matmul per model,
+    elementwise, or a reduction within one model in the same order, so each
+    model is bitwise the one its job would train alone.
     """
     jobs = list(jobs)
     for data, _, _ in jobs:
@@ -241,9 +242,9 @@ def train_many(jobs) -> "list[MlpModel]":
             raise ShapeError("cannot train on an empty dataset")
         if np.unique(data.labels).size < 2:
             warnings.warn("training data contains a single class", RuntimeWarning, stacklevel=2)
-    params = run_grouped(jobs, lambda job: (job[0].points.shape[1], job[1].hidden,
-                                            job[0].class_count, len(job[0]),
-                                            job[1].batch_size, job[1].epochs), _sgd)
+    params = run_grouped(jobs, lambda job: (job[0].points.shape[1], job[0].class_count,
+                                            len(job[0]), job[1].batch_size, job[1].epochs),
+                         _sgd)
     models = []
     for (data, cfg, model_id), (ws, bs) in zip(jobs, params):
         last = len(ws) - 1
@@ -275,49 +276,115 @@ def stack_models(arrays) -> np.ndarray:
 
 
 def _sgd(group):
-    """SGD for same-shape jobs; returns each job's (weights, biases)."""
+    """One SGD loop for jobs that share a data shape; returns each job's
+    (weights, biases).
+
+    Each architecture runs its own matmuls, stacked over its models, and its
+    own hidden-layer bias and relu. The output matmuls write into one
+    (models, batch, classes) logits buffer, architecture by architecture,
+    so output bias, softmax, loss gradient and output-bias gradient each run
+    once for the whole group. Every parameter is a view into one flat buffer
+    and every gradient a view into a matching one, so the update of a step
+    is two calls.
+    """
     data0, cfg0, _ = group[0]
-    k_count = len(group)
+    n, size, dim, classes = len(data0), cfg0.batch_size, data0.points.shape[1], data0.class_count
+    by_arch = {}
+    for j, (_, cfg, _) in enumerate(group):
+        by_arch.setdefault(cfg.hidden, []).append(j)
+    slots = [j for idx in by_arch.values() for j in idx]  # output slot -> job
     rngs = [np.random.default_rng(cfg.rng_seed) for _, cfg, _ in group]
-    widths = [data0.points.shape[1], *cfg0.hidden, data0.class_count]
-    ws, bs = [], []
-    for fan_in, fan_out in zip(widths, widths[1:]):
-        ws.append(stack_models([rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, fan_out))
-                                for rng in rngs]))
-        bs.append(np.zeros(ws[-1].shape[:-2] + (1, fan_out)))
-    lr = np.array([cfg.learning_rate for _, cfg, _ in group]).reshape(ws[0].shape[:-2] + (1, 1))
+
+    def lead(k):
+        return (k,) if k > 1 else ()
+
+    def rows(first, k):
+        """Slots first..first+k-1 of an array with a lead(len(slots)) model axis."""
+        return ... if len(slots) == 1 else first if k == 1 else slice(first, first + k)
+
+    total = sum((fan_in + 1) * fan_out for _, cfg, _ in group
+                for fan_in, fan_out in zip((dim, *cfg.hidden), (*cfg.hidden, classes)))
+    params, grads, lrs = np.zeros(total), np.zeros(total), np.empty(total)
+    offset = 0
+
+    def carve(shape, idx):
+        """(parameter, gradient) views of the next block, for the models of jobs idx."""
+        nonlocal offset
+        end = offset + int(np.prod(shape))
+        lrs[offset:end].reshape(len(idx), -1)[:] = [[group[j][1].learning_rate] for j in idx]
+        views = params[offset:end].reshape(shape), grads[offset:end].reshape(shape)
+        offset = end
+        return views
+
+    archs = []  # (slot selector, [(W, gW)], [(b, gb)] of the hidden layers)
+    first = 0
+    for hidden, idx in by_arch.items():
+        k = len(idx)
+        ws = [carve(lead(k) + (fan_in, fan_out), idx)
+              for fan_in, fan_out in zip((dim, *hidden), (*hidden, classes))]
+        bs = [carve(lead(k) + (1, fan_out), idx) for fan_out in hidden]
+        for w, _ in ws:
+            fan_in, fan_out = w.shape[-2:]
+            for kk, j in enumerate(idx):
+                w.reshape(k, fan_in, fan_out)[kk] = rngs[j].normal(
+                    0.0, np.sqrt(2.0 / fan_in), size=(fan_in, fan_out))
+        archs.append((rows(first, k), ws, bs))
+        first += k
+    out_b, out_gb = carve(lead(len(slots)) + (1, classes), slots)
     onehots = [one_hot(data.labels, data.class_count) for data, _, _ in group]
-    last = len(ws) - 1
 
     # SGD runs on plain mutable arrays; parameters are validated and frozen
     # once at the end. Under w - lr*g a non-finite entry never becomes finite
     # again, so that single check rejects every diverged training.
-    n, size = len(data0), cfg0.batch_size
+    points = np.empty(lead(len(slots)) + (n, dim))
+    targets = np.empty(lead(len(slots)) + (n, classes))
+    # views stay valid: the buffers are updated and refilled in place
+    arch_points = [points[sel] for sel, _, _ in archs]
+    wts = [[w.swapaxes(-1, -2) for w, _ in ws] for _, ws, _ in archs]
     for _ in range(cfg0.epochs):
         orders = [rng.permutation(n) for rng in rngs]
-        points = stack_models([data.points[o] for (data, _, _), o in zip(group, orders)])
-        targets = stack_models([onehot[o] for onehot, o in zip(onehots, orders)])
+        for slot, j in enumerate(slots):
+            np.take(group[j][0].points, orders[j], axis=0, out=points[rows(slot, 1)])
+            np.take(onehots[j], orders[j], axis=0, out=targets[rows(slot, 1)])
         for start in range(0, n, size):
-            x = points[..., start:start + size, :]
-            m = x.shape[-2]
-            pre, acts = [], [x]
-            for i, (w, b) in enumerate(zip(ws, bs)):
-                z = acts[-1] @ w + b
-                pre.append(z)
-                acts.append(z if i == last else np.maximum(z, 0.0))
-            delta = softmax(pre[-1])
-            delta -= targets[..., start:start + size, :]
+            m = min(size, n - start)
+            z = np.empty(lead(len(slots)) + (m, classes))
+            arch_acts = []
+            for (sel, ws, bs), x in zip(archs, arch_points):
+                acts = [x[..., start:start + m, :]]
+                for (w, _), (b, _) in zip(ws, bs):
+                    a = acts[-1] @ w
+                    a += b
+                    np.maximum(a, 0.0, out=a)
+                    acts.append(a)
+                np.matmul(acts[-1], ws[-1][0], out=z[sel])
+                arch_acts.append(acts)
+            z += out_b
+            delta = softmax(z)
+            delta -= targets[..., start:start + m, :]
             delta /= m
-            for i in range(last, -1, -1):
-                gw = np.swapaxes(acts[i], -1, -2) @ delta
-                gb = delta.sum(axis=-2, keepdims=True)
-                if i > 0:
-                    delta = (delta @ np.swapaxes(ws[i], -1, -2)) * (pre[i - 1] > 0.0)
-                ws[i] -= lr * gw
-                bs[i] -= lr * gb
-    ws = [w.reshape((k_count,) + w.shape[-2:]) for w in ws]
-    bs = [b.reshape(k_count, -1) for b in bs]
-    return [([w[k] for w in ws], [b[k] for b in bs]) for k in range(k_count)]
+            np.add.reduce(delta, axis=-2, keepdims=True, out=out_gb)
+            for (sel, ws, bs), acts, wt in zip(archs, arch_acts, wts):
+                d = delta[sel]
+                for i in range(len(ws) - 1, -1, -1):
+                    np.matmul(acts[i].swapaxes(-1, -2), d, out=ws[i][1])
+                    if i < len(bs):
+                        np.add.reduce(d, axis=-2, keepdims=True, out=bs[i][1])
+                    if i > 0:
+                        # the relu output is positive exactly where its input was
+                        d = d @ wt[i]
+                        d *= acts[i] > 0.0
+            grads *= lrs
+            params -= grads
+
+    out = [None] * len(group)
+    out_b = out_b.reshape(len(slots), classes)
+    for (_, ws, bs), idx in zip(archs, by_arch.values()):
+        k = len(idx)
+        for kk, j in enumerate(idx):
+            out[j] = ([w.reshape((k,) + w.shape[-2:])[kk] for w, _ in ws],
+                      [b.reshape(k, -1)[kk] for b, _ in bs] + [out_b[slots.index(j)]])
+    return out
 
 
 def save_model(model: MlpModel, path) -> None:

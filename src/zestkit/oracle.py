@@ -9,8 +9,19 @@ Wire protocol (shared by the serve mode and the remote client):
     POST /v1/predict   {"inputs": [[f64,...],...]} -> {"probs": [[f64,...],...]}
     GET  /v1/info      -> {"class_count": u, "input_dim": u}
 
-Errors come back as {"error": string}: status 400 for a malformed request,
-500 when the model itself fails.
+Errors come back as {"error": string}. The server's statuses:
+
+    200  the answer
+    400  malformed request: bad JSON, wrong width, non-finite input or a
+         negative Content-Length
+    404  unknown path
+    413  Content-Length above MAX_REQUEST_BYTES; the body is never read and
+         the server closes the connection after the answer
+    500  the model itself failed; the server logs the traceback
+
+The client bills nothing for a 4xx and raises ProtocolError with the
+server's reason. It retries a 5xx like a failed connection and, once the
+retries run out, raises TransportError carrying the last reason.
 """
 
 import json
@@ -32,6 +43,7 @@ from .nn import MlpModel, as_matrix, forward
 log = logging.getLogger(__name__)
 
 PURPOSES = ("signature", "signature_baseline", "attack_eval", "other")
+MAX_REQUEST_BYTES = 64 * 1024 * 1024  # largest POST body the server reads
 
 
 class QueryLedger:
@@ -201,16 +213,11 @@ class RemoteOracle(QueryOracle):
                 last_exc = e
                 continue
             if status >= 500:
-                last_exc = ProtocolError(f"server error {status}")
+                last_exc = ProtocolError(f"server error {status}: {_error_detail(payload)}")
                 continue
             if status != 200:
-                try:
-                    answer = json.loads(payload)
-                except ValueError:
-                    answer = None
-                detail = (answer.get("error", "") if isinstance(answer, dict)
-                          else payload.decode("utf-8", "replace")[:200])
-                raise ProtocolError(f"oracle rejected request ({status}): {detail}")
+                raise ProtocolError(
+                    f"oracle rejected request ({status}): {_error_detail(payload)}")
             try:
                 probs = np.asarray(json.loads(payload)["probs"], dtype=np.float64)
             except (ValueError, KeyError, TypeError) as e:
@@ -246,6 +253,16 @@ class RemoteOracle(QueryOracle):
         return np.vstack(parts)
 
 
+def _error_detail(payload: bytes) -> str:
+    """The ``error`` field of a JSON object body, else the body's first 200 characters."""
+    try:
+        answer = json.loads(payload)
+    except ValueError:
+        answer = None
+    return (answer.get("error", "") if isinstance(answer, dict)
+            else payload.decode("utf-8", "replace")[:200])
+
+
 def remote_oracle(endpoint: RemoteEndpoint) -> RemoteOracle:
     return RemoteOracle(endpoint)
 
@@ -254,11 +271,14 @@ class _Handler(BaseHTTPRequestHandler):
     server_version = "zestkit-oracle/1"
     protocol_version = "HTTP/1.1"
 
-    def _reply(self, status: int, payload: dict):
+    def _reply(self, status: int, payload: dict, close: bool = False):
         body = json.dumps(payload).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if close:
+            self.send_header("Connection", "close")
+            self.close_connection = True
         self.end_headers()
         self.wfile.write(body)
 
@@ -281,6 +301,12 @@ class _Handler(BaseHTTPRequestHandler):
             length = int(self.headers.get("Content-Length", "0"))
             if length < 0:
                 raise ValueError("Content-Length cannot be negative")
+            if length > MAX_REQUEST_BYTES:
+                # the unread body would be parsed as the next request on this
+                # keep-alive connection, so the connection ends with the answer
+                self._reply(413, {"error": f"request body of {length} bytes exceeds "
+                                           f"{MAX_REQUEST_BYTES}"}, close=True)
+                return
             payload = json.loads(self.rfile.read(length).decode("utf-8"))
             inputs = payload["inputs"]
             batch = np.asarray(inputs, dtype=np.float64)

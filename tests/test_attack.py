@@ -205,6 +205,28 @@ def test_pgd_many_matches_per_model_reference_bitwise(blob_world, pgd_jobs):
         _assert_matches_reference(batch, _reference_pgd(model, data, cfg))
 
 
+@pytest.mark.parametrize("points, restarts, job_index", [
+    (30, 1, None),  # one restart: the restart blocks collapse to the points
+    (1, 3, None),   # a single attack point, one row per restart
+    (30, 4, 1),     # the (24, 16) model alone in its group, several restarts
+])
+def test_pgd_many_edge_shapes_match_solo_bitwise(blob_world, pgd_jobs, points, restarts,
+                                                 job_index):
+    data = _attack_points(blob_world, points)
+    jobs = [(model, replace(cfg, restarts=restarts)) for model, cfg in pgd_jobs]
+    if job_index is not None:
+        jobs = [jobs[job_index]]
+    batches = zk.pgd_many(jobs, data)
+    assert len(batches) == len(jobs)
+    for batch, (model, cfg) in zip(batches, jobs):
+        solo = zk.pgd(model, data, cfg)
+        for name in ("adversarials", "achieved_loss", "local_success", "restart_index"):
+            assert getattr(batch, name).tobytes() == getattr(solo, name).tobytes()
+        assert batch.quantized == solo.quantized == cfg.quantize_8bit
+        if restarts == 1:
+            assert not batch.restart_index.any()
+
+
 def test_pgd_rejects_non_finite_logits(blob_world):
     proxy = blob_world["proxy"]
     huge = zk.MlpModel(tuple(zk.nn.Layer(layer.weights * 1e200, layer.bias, layer.activation)

@@ -351,6 +351,48 @@ def test_train_many_divergence_in_a_group_rejected():
             zk.train_many(jobs)
 
 
+def _mixed_jobs(data, hiddens, **kw):
+    return [(data, zk.TrainConfig(hidden=h, epochs=3, learning_rate=0.1 + 0.01 * i,
+                                  rng_seed=20 + i, **kw), f"m{i}")
+            for i, h in enumerate(hiddens)]
+
+
+@pytest.mark.parametrize("classes, rows, batch_size, hiddens", [
+    # architectures interleaved in job order: output slots differ from job order
+    (3, 96, 32, [(24,), (8,), (24,), (24, 16)]),
+    (3, 96, 32, [(12,), (16, 12, 8), (12,), (8,)]),
+    (2, 96, 32, [(8,), (24,), (8,)]),
+    # 65 rows in batches of 32: every epoch ends on a single-row batch
+    (3, 65, 32, [(24,), (8,), (24, 16), (8,)]),
+    # batch_size above the row count: one short batch per epoch
+    (3, 20, 32, [(24,), (8,), (24,)]),
+])
+def test_train_many_mixed_architectures_match_solo_bitwise(classes, rows, batch_size, hiddens):
+    centers = zk.blob_centers(classes, 10, 5)
+    data = zk.sample_blobs(centers, rows, 0.1, 6)
+    jobs = _mixed_jobs(data, hiddens, batch_size=batch_size)
+    got = zk.train_many(jobs)
+    assert [m.model_id for m in got] == [mid for _, _, mid in jobs]
+    for model, (d, c, mid) in zip(got, jobs):
+        _assert_same_model(model, zk.train(d, c, mid))
+        ref = _reference_train(d, c)
+        for lg, lr in zip(model.layers, ref.layers):
+            assert lg.weights.tobytes() == lr.weights.tobytes()
+            assert lg.bias.tobytes() == lr.bias.tobytes()
+
+
+def test_train_many_divergence_in_a_mixed_group_rejected():
+    centers = zk.blob_centers(3, 6, 1)
+    data = zk.sample_blobs(centers, 64, 0.1, 2)
+    jobs = [(data, zk.TrainConfig(hidden=(8,), epochs=3), "ok"),
+            (data, zk.TrainConfig(hidden=(24, 16), epochs=3, learning_rate=1e300), "diverges"),
+            (data, zk.TrainConfig(hidden=(24,), epochs=3), "ok-wide")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(DomainError, match="^layer parameters contain non-finite entries$"):
+            zk.train_many(jobs)
+
+
 def test_train_single_class_warns():
     pts = np.random.default_rng(0).random((40, 4))
     data = zk.Dataset(pts, np.zeros(40, dtype=np.int64), 2)

@@ -162,6 +162,28 @@ def test_server_rejects_negative_content_length(served):
         assert json.loads(reply.read()) == {"error": "Content-Length cannot be negative"}
 
 
+def test_server_answers_413_above_request_cap(served):
+    model, server = served
+    conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=5)
+    try:
+        # only the header goes out: the server must answer without reading a body
+        conn.putrequest("POST", "/v1/predict")
+        conn.putheader("Content-Type", "application/json")
+        conn.putheader("Content-Length", str(oracle_mod.MAX_REQUEST_BYTES + 1))
+        conn.endheaders()
+        reply = conn.getresponse()
+        assert reply.status == 413
+        assert reply.getheader("Connection") == "close"
+        assert json.loads(reply.read()) == {
+            "error": f"request body of {oracle_mod.MAX_REQUEST_BYTES + 1} bytes exceeds "
+                     f"{oracle_mod.MAX_REQUEST_BYTES}"}
+        assert reply.will_close
+    finally:
+        conn.close()
+    remote = zk.remote_oracle(zk.RemoteEndpoint(server.base_url))
+    assert remote.predict_proba(np.zeros((2, model.input_dim))).shape == (2, 3)
+
+
 @pytest.mark.parametrize("url", ["127.0.0.1", "", "http://[::1", "http://", "ftp://host/"])
 def test_endpoint_rejects_url_without_http_scheme_and_host(url):
     with pytest.raises(ConfigError):
@@ -296,6 +318,30 @@ def test_remote_client_error_carries_server_text(scripted):
     assert remote.ledger.total_queries == 0
 
 
+def test_remote_client_error_413_bills_nothing(scripted):
+    scripted.script[:] = [lambda rows: (413, b'{"error": "request body too large"}')]
+    remote = _scripted_client(scripted)
+    with pytest.raises(ProtocolError, match=r"\(413\): request body too large$"):
+        remote.predict_proba(np.zeros((4, 2)))
+    assert scripted.posts == [4]
+    assert remote.ledger.total_queries == 0
+
+
+@pytest.mark.parametrize("body, reason", [
+    (b'{"error": "RuntimeError: busy"}', "RuntimeError: busy"),
+    (b"<html>" + b"x" * 300, ("<html>" + "x" * 300)[:200]),
+], ids=["json-error", "raw-body"])
+def test_remote_server_error_reason_reaches_transport_error(scripted, body, reason):
+    scripted.script[:] = [lambda rows: (503, body)] * 3
+    remote = _scripted_client(scripted, retries=2)
+    with pytest.raises(TransportError) as err:
+        remote.predict_proba(np.zeros((4, 2)), purpose="signature")
+    assert str(err.value).endswith(f"failed after 3 attempts: server error 503: {reason}")
+    assert err.value.rows_counted == 0
+    assert remote.ledger.total_queries == 0
+    assert scripted.posts == [4, 4, 4]
+
+
 @pytest.mark.parametrize("body", [b'["no"]', b'"x"', b"null", b"7",
                                   json.dumps(["y" * 300]).encode()],
                          ids=["list", "string", "null", "number", "long-list"])
@@ -348,8 +394,10 @@ def test_server_answers_500_when_forward_raises(monkeypatch, caplog):
             caplog.at_level(logging.ERROR, logger=oracle_mod.log.name):
         remote = zk.remote_oracle(zk.RemoteEndpoint(server.base_url, timeout=5,
                                                     max_batch_rows=3, retries=1))
-        with pytest.raises(TransportError, match="server error 500") as err:
+        with pytest.raises(TransportError) as err:
             remote.predict_proba(np.zeros((6, 2)), purpose="signature")
+        assert str(err.value).endswith(
+            "failed after 2 attempts: server error 500: RuntimeError: model exploded")
         req = urllib.request.Request(f"{server.base_url}/v1/predict",
                                      json.dumps({"inputs": [[0.0, 0.0]]}).encode(),
                                      {"Content-Type": "application/json"})
