@@ -16,7 +16,7 @@ from .fixtures import (ReferenceFixture, ReplayReport, StabilityReport,
 from .lime import (LimeConfig, PerturbationPlan, PointModel, SegmentGrid, Signature,
                    apply_mask, compute_signature, fit_point_model, load_plan,
                    load_signature, make_plan, mask_kernel_weights, save_plan,
-                   save_signature, signature_summary_csv)
+                   save_signature, sign_many, signature_summary_csv)
 from .nn import (Dataset, MlpModel, TrainConfig, blob_centers, cross_entropy, forward,
                  input_gradient, input_gradient_batch, load_dataset, load_model,
                  sample_blobs, save_dataset, save_model, softmax, train, train_many)
@@ -24,6 +24,6 @@ from .oracle import (LocalOracle, ModelServer, QueryLedger, QueryOracle, RemoteE
                      RemoteOracle, local_oracle, remote_oracle, serve)
 from .util import canonical_json, config_hash, derived_seed, pearson, spearman
 from .zest import (DistanceMetric, DistanceReport, SignatureStore, rank_candidates,
-                   select_surrogate, vector_distance, zest_distance)
+                   rank_signatures, select_surrogate, vector_distance, zest_distance)
 
 __version__ = "0.1.0"

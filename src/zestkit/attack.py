@@ -18,10 +18,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, DomainError, ShapeError
-from .nn import (Dataset, MlpModel, _check_labels, as_matrix, cross_entropy, forward,
-                 loss_input_gradient, one_hot, stack_models)
-# kept importable here: bench/spans.py patches zestkit.attack.input_gradient_batch
-from .nn import input_gradient_batch  # noqa: F401
+from .nn import (Dataset, MlpModel, _check_labels, as_matrix, logit_cross_entropy, logits,
+                 loss_input_gradient, one_hot, softmax, stack_models)
+# kept importable here: bench/spans.py patches zestkit.attack.input_gradient_batch,
+# .cross_entropy and .forward
+from .nn import cross_entropy, forward, input_gradient_batch  # noqa: F401
 from .oracle import QueryOracle
 from .util import (csv_text, derived_seed, owned_array, read_container, run_grouped,
                    write_container)
@@ -163,8 +164,10 @@ def _pgd_group(group, data: Dataset) -> "list[AdversarialBatch]":
     best_restart = np.zeros((k_count, m), dtype=np.int64)
     for r in range(restarts):
         for k, (model, _) in enumerate(group):
-            loss = cross_entropy(model, xa[k, r], y)
-            flip = forward(model, xa[k, r]).argmax(axis=1) != y
+            # one forward pass gives the loss and the prediction
+            z = logits(model, xa[k, r])
+            loss = logit_cross_entropy(z, y)
+            flip = softmax(z).argmax(axis=1) != y
             # flips beat non-flips; within the same class, higher loss wins
             better = (flip & ~best_flip[k]) | ((flip == best_flip[k]) & (loss > best_loss[k]))
             best_adv[k][better] = xa[k, r][better]

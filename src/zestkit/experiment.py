@@ -16,15 +16,18 @@ import numpy as np
 
 from .attack import AttackConfig, batch_summary_csv, pgd_many, save_batch, transfer_eval
 from .errors import ConfigError
-from .lime import (LimeConfig, SegmentGrid, compute_signature, correct_by_all, make_plan,
-                   save_plan, save_signature)
+from .lime import (LimeConfig, SegmentGrid, correct_by_all, make_plan, save_plan,
+                   save_signature, sign_many)
 from .nn import Dataset, TrainConfig, blob_centers, sample_blobs, save_model, train_many
 from .oracle import RemoteEndpoint, local_oracle, remote_oracle
 from .util import atomic_write_text, config_hash, csv_text, derived_seed, owned_array, pearson
-from .zest import DistanceMetric, SignatureStore, select_surrogate
-# kept importable here: bench/spans.py patches zestkit.experiment.train, .pgd and .forward
+from .zest import DistanceMetric, SignatureStore, rank_signatures
+# kept importable here: bench/spans.py patches zestkit.experiment.train, .pgd, .forward,
+# .compute_signature and .select_surrogate
 from .attack import pgd  # noqa: F401
+from .lime import compute_signature  # noqa: F401
 from .nn import forward, train  # noqa: F401
+from .zest import select_surrogate  # noqa: F401
 
 log = logging.getLogger(__name__)
 
@@ -197,17 +200,18 @@ def run_campaign(config: dict, out_dir) -> CampaignResult:
 
         stage = "signatures"
         store = SignatureStore(os.path.join(out_dir, "signatures"))
-        for model in proxies:
-            store.put_signature(compute_signature(local_oracle(model), plan))
-        victim_sig = compute_signature(victim, plan)
+        *proxy_sigs, victim_sig = sign_many([*map(local_oracle, proxies), victim], plan)
+        for sig in proxy_sigs:
+            store.put_signature(sig)
         save_signature(victim_sig, os.path.join(out_dir, "victim.sig"))
         signature_cost = victim.ledger.breakdown()
 
         stage = "distances"
+        # only this run's portfolio: a reused out_dir's store may hold others
         selected = {}
         distances = {}
         for metric in metrics:
-            proxy_id, report = select_surrogate(store, victim_sig, metric)
+            proxy_id, report = rank_signatures(proxy_sigs, victim_sig, metric)
             selected[metric.value] = proxy_id
             distances[metric.value] = dict(report.entries)
             write_stamped(f"distances_{metric.value}.csv", report.to_csv())

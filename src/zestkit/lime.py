@@ -348,32 +348,46 @@ def _build_design(masks: np.ndarray, cfg: LimeConfig) -> PlanDesign:
     return PlanDesign(masks, weights, grams)
 
 
-def _sign_points(oracle: QueryOracle, points: np.ndarray, design: PlanDesign,
-                 grid: SegmentGrid, policy: str) -> "list[PointModel]":
-    """Query and fit points (B, d) in blocks of about BLOCK_ROWS perturbation rows.
+def _sign_points(oracles, points: np.ndarray, design: PlanDesign, grid: SegmentGrid,
+                 policy: str) -> "tuple[list[np.ndarray], list[np.ndarray]]":
+    """Query and fit points (B, d) for each oracle, in blocks of about BLOCK_ROWS
+    perturbation rows. Returns per-oracle coef (B, K, S) and intercept (B, K).
 
-    Each block takes one masked_batch call and one stacked ridge solve. The
-    oracle gets, per point and in point order, the baseline row (billed as
+    Each block takes one masked_batch call, then each oracle in turn gets,
+    per point and in point order, the baseline row (billed as
     signature_baseline) and then the P masked rows (billed as signature).
+    One weighted design serves every oracle's fit; each fit is one matmul
+    and one stacked ridge solve, written into that oracle's arrays.
     """
-    s = design.masks.shape[2]
-    point_models = []
-    for blk in _point_blocks(len(points), design.masks.shape[1]):
+    b, p, s = design.masks.shape
+    coefs, intercepts = [None] * len(oracles), [None] * len(oracles)
+    for blk in _point_blocks(b, p):
         variants = masked_batch(points[blk], design.masks[blk], grid, policy)
         targets = []
-        for i, x, rows in zip(range(blk.start, blk.stop), points[blk], variants):
-            try:
-                oracle.predict_proba(x[None, :], purpose="signature_baseline")
-                targets.append(oracle.predict_proba(rows, purpose="signature"))
-            except TransportError as e:
-                e.points_completed = i
-                raise
+        for oracle in oracles:
+            answers = []
+            for i, x, rows in zip(range(blk.start, blk.stop), points[blk], variants):
+                try:
+                    oracle.predict_proba(x[None, :], purpose="signature_baseline")
+                    answers.append(oracle.predict_proba(rows, purpose="signature"))
+                except TransportError as e:
+                    e.points_completed = i
+                    raise
+            targets.append(np.stack(answers))
         del variants  # the fit's temporaries then reuse its memory: less peak RSS
         xw = _design_rows(design.masks[blk])
         xw *= design.weights[blk, :, None]
-        beta = _ridge_solve(design.grams[blk], np.swapaxes(xw, 1, 2) @ np.stack(targets))
-        point_models.extend(map(PointModel, np.swapaxes(beta[:, :s], 1, 2), beta[:, s]))
-    return point_models
+        xwt = np.swapaxes(xw, 1, 2)
+        for j, answers in enumerate(targets):
+            beta = _ridge_solve(design.grams[blk], xwt @ answers)
+            if coefs[j] is None:
+                coefs[j] = np.empty((b, beta.shape[2], s))
+                intercepts[j] = np.empty((b, beta.shape[2]))
+            elif beta.shape[2] != coefs[j].shape[1]:
+                raise ShapeError("oracle answered with a different class count")
+            coefs[j][blk] = np.swapaxes(beta[:, :s], 1, 2)
+            intercepts[j][blk] = beta[:, s]
+    return coefs, intercepts
 
 
 def fit_point_model(oracle: QueryOracle, x, masks, grid: SegmentGrid,
@@ -392,53 +406,105 @@ def fit_point_model(oracle: QueryOracle, x, masks, grid: SegmentGrid,
         raise ShapeError(f"x must be a vector of length {grid.n_features}")
     if oracle.input_dim != grid.n_features:
         raise ShapeError("oracle input_dim does not match the segment grid")
-    return _sign_points(oracle, x[None, :], _build_design(masks[None], cfg), grid,
-                        cfg.replacement)[0]
+    (coef,), (intercept,) = _sign_points([oracle], x[None, :],
+                                         _build_design(masks[None], cfg), grid,
+                                         cfg.replacement)
+    return PointModel(coef[0], intercept[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Signature:
-    """Ordered LIME point models for one classifier under one plan."""
+    """The N local linear models of one classifier under one plan, as arrays.
+
+    coef is (N, K, S) and intercept (N, K), read-only: the on-disk layout.
+    Signature(model_id, plan_fingerprint, point_models) stacks per-point
+    models; from_arrays wraps arrays as they are, which is how signing and
+    load_signature build one.
+    """
 
     model_id: str
     plan_fingerprint: str
-    point_models: "tuple[PointModel, ...]"
+    coef: np.ndarray       # (N, K, S)
+    intercept: np.ndarray  # (N, K)
 
-    def __post_init__(self):
-        pms = tuple(self.point_models)
+    def __init__(self, model_id: str, plan_fingerprint: str,
+                 point_models: "tuple[PointModel, ...]"):
+        pms = tuple(point_models)
         if not pms:
             raise ShapeError("signature needs at least one point model")
-        k, s = pms[0].coef.shape
-        for pm in pms:
-            if pm.coef.shape != (k, s):
-                raise ShapeError("point models disagree on (classes, segments)")
-        object.__setattr__(self, "point_models", pms)
+        if len({pm.coef.shape for pm in pms}) != 1:
+            raise ShapeError("point models disagree on (classes, segments)")
+        self._own(model_id, plan_fingerprint, np.stack([pm.coef for pm in pms]),
+                  np.stack([pm.intercept for pm in pms]))
+
+    @classmethod
+    def from_arrays(cls, model_id: str, plan_fingerprint: str, coef,
+                    intercept) -> "Signature":
+        """A signature over read-only copies of coef (N, K, S) and intercept (N, K)."""
+        sig = object.__new__(cls)
+        sig._own(model_id, plan_fingerprint, coef, intercept)
+        return sig
+
+    def _own(self, model_id, plan_fingerprint, coef, intercept):
+        object.__setattr__(self, "model_id", model_id)
+        object.__setattr__(self, "plan_fingerprint", plan_fingerprint)
+        object.__setattr__(self, "coef", coef)
+        object.__setattr__(self, "intercept", intercept)
+        c = owned_array(self, "coef", np.float64)
+        b = owned_array(self, "intercept", np.float64)
+        if c.ndim != 3 or c.shape[0] == 0 or b.shape != c.shape[:2]:
+            raise ShapeError(f"signature coef {c.shape} / intercept {b.shape} must be "
+                             "(N, K, S) / (N, K) with N >= 1")
+        if not (np.all(np.isfinite(c)) and np.all(np.isfinite(b))):
+            raise NumericalError("signature has non-finite coefficients")
 
     @property
     def n(self) -> int:
-        return len(self.point_models)
+        return self.coef.shape[0]
 
     @property
     def class_count(self) -> int:
-        return self.point_models[0].coef.shape[0]
+        return self.coef.shape[1]
 
     @property
     def segment_count(self) -> int:
-        return self.point_models[0].coef.shape[1]
+        return self.coef.shape[2]
+
+    @property
+    def point_models(self) -> "tuple[PointModel, ...]":
+        return tuple(map(PointModel, self.coef, self.intercept))
 
     def coef_tensor(self) -> np.ndarray:
-        return np.stack([pm.coef for pm in self.point_models])
+        return self.coef
 
     def intercept_matrix(self) -> np.ndarray:
-        return np.stack([pm.intercept for pm in self.point_models])
+        return self.intercept
 
     def flatten(self, include_intercepts: bool = False) -> np.ndarray:
         """Point-major, then class, then segment; any fixed order works for
         the supported metrics, this one is pinned for reproducibility."""
-        v = self.coef_tensor().reshape(-1)
+        v = self.coef.reshape(-1)
         if include_intercepts:
-            v = np.concatenate([v, self.intercept_matrix().reshape(-1)])
+            v = np.concatenate([v, self.intercept.reshape(-1)])
         return v
+
+
+def sign_many(oracles, plan: PerturbationPlan) -> "list[Signature]":
+    """One signature per oracle, in input order, in one pass over the plan.
+
+    Each block's masked rows are built once and sent to every oracle in
+    turn; each oracle sees exactly the calls compute_signature would send it
+    (ledger: N*P + N rows each), so each signature is bitwise its solo one.
+    """
+    oracles = list(oracles)
+    for oracle in oracles:
+        if oracle.input_dim != plan.grid.n_features:
+            raise ShapeError(f"oracle expects {oracle.input_dim} features, "
+                             f"plan has {plan.grid.n_features}")
+    coefs, intercepts = _sign_points(oracles, plan.points, plan.design(), plan.grid,
+                                     plan.config.replacement)
+    return [Signature.from_arrays(oracle.oracle_id, plan.fingerprint(), coef, intercept)
+            for oracle, coef, intercept in zip(oracles, coefs, intercepts)]
 
 
 def compute_signature(oracle: QueryOracle, plan: PerturbationPlan) -> Signature:
@@ -447,12 +513,7 @@ def compute_signature(oracle: QueryOracle, plan: PerturbationPlan) -> Signature:
     The oracle sees the same calls as N fit_point_model calls would send; the
     masks, kernel weights and Grams come from the plan's design.
     """
-    if oracle.input_dim != plan.grid.n_features:
-        raise ShapeError(
-            f"oracle expects {oracle.input_dim} features, plan has {plan.grid.n_features}")
-    point_models = _sign_points(oracle, plan.points, plan.design(), plan.grid,
-                                plan.config.replacement)
-    return Signature(oracle.oracle_id, plan.fingerprint(), tuple(point_models))
+    return sign_many([oracle], plan)[0]
 
 
 def save_plan(plan: PerturbationPlan, path) -> None:
@@ -491,20 +552,19 @@ def save_signature(sig: Signature, path) -> None:
         "class_count": sig.class_count,
         "segment_count": sig.segment_count,
     }
-    arrays = {"coef": sig.coef_tensor(), "intercept": sig.intercept_matrix()}
+    arrays = {"coef": sig.coef, "intercept": sig.intercept}
     write_container(path, "lime-signature", meta, arrays)
 
 
 def load_signature(path) -> Signature:
     meta, arrays = read_container(path, "lime-signature")
-    pms = tuple(PointModel(arrays["coef"][i], arrays["intercept"][i])
-                for i in range(meta["n"]))
-    return Signature(meta["model_id"], meta["plan_fingerprint"], pms)
+    return Signature.from_arrays(meta["model_id"], meta["plan_fingerprint"],
+                                 arrays["coef"], arrays["intercept"])
 
 
 def signature_summary_csv(sig: Signature) -> str:
     """Per-point coefficient norms, the human-readable companion file."""
-    coefs = [pm.coef.reshape(-1) for pm in sig.point_models]
+    coefs = sig.coef.reshape(sig.n, -1)
     return csv_text(["point", "coef_l1", "coef_l2", "coef_linf"],
                     ([i, repr(float(np.abs(c).sum())), repr(float(np.sqrt((c * c).sum()))),
                       repr(float(np.abs(c).max()))] for i, c in enumerate(coefs)))

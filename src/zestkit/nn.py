@@ -127,15 +127,25 @@ def softmax(z: np.ndarray) -> np.ndarray:
 
     The row max is an np.maximum fold over the class columns, far cheaper
     than a reduce along a short class axis; a max is exact in any order, so
-    the result is bitwise that of z.max(axis=-1).
+    the result is bitwise that of z.max(axis=-1). Below 8 classes the row sum
+    is a column fold too: np.add.reduce adds fewer than 8 terms left to
+    right, so the fold is bitwise the reduce (tests pin this); from 8 terms
+    on it sums pairwise, so the reduce stays.
     """
     z = np.asarray(z, dtype=np.float64)
+    k = z.shape[-1]
     top = z[..., 0].copy()
-    for j in range(1, z.shape[-1]):
+    for j in range(1, k):
         np.maximum(top, z[..., j], out=top)
     shifted = z - top[..., None]
     np.exp(shifted, out=shifted)
-    shifted /= np.add.reduce(shifted, axis=-1, keepdims=True)
+    if k < 8:
+        total = shifted[..., 0].copy()
+        for j in range(1, k):
+            total += shifted[..., j]
+        shifted /= total[..., None]
+    else:
+        shifted /= np.add.reduce(shifted, axis=-1, keepdims=True)
     return shifted
 
 
@@ -164,7 +174,11 @@ def _check_labels(labels, class_count):
 def cross_entropy(model: MlpModel, batch, labels) -> np.ndarray:
     """Per-row cross-entropy of softmax(logits) against integer labels."""
     z = logits(model, batch)
-    y = _check_labels(labels, model.class_count)
+    return logit_cross_entropy(z, _check_labels(labels, model.class_count))
+
+
+def logit_cross_entropy(z: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-row cross-entropy of softmax(z) against checked integer labels y."""
     zmax = z.max(axis=1)
     lse = zmax + np.log(np.exp(z - zmax[:, None]).sum(axis=1))
     return lse - z[np.arange(z.shape[0]), y]

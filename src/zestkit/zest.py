@@ -187,20 +187,18 @@ def rank_candidates(scored):
     return ordered, tie
 
 
-def select_surrogate(store: SignatureStore, victim: Signature, metric: DistanceMetric):
-    """Pick the stored signature closest to the victim's.
+def rank_signatures(candidates, victim: Signature, metric: DistanceMetric):
+    """Pick the candidate signature closest to the victim's.
 
-    Returns (proxy_id, DistanceReport).
+    Every candidate must come from the victim's plan, and candidate ids must
+    be unique. Returns (proxy_id, DistanceReport).
     """
     metric = DistanceMetric.parse(metric)
-    ids = store.list_by_fingerprint(victim.plan_fingerprint)
-    if not ids:
-        raise ComparabilityError(
-            "store holds no signatures under the victim's plan fingerprint")
-    scored = []
-    for proxy_id in ids:
-        d = zest_distance(store.get_signature(proxy_id), victim, metric)
-        scored.append((proxy_id, d))
+    scored = [(sig.model_id, zest_distance(sig, victim, metric)) for sig in candidates]
+    if not scored:
+        raise ComparabilityError("no candidate signatures to rank")
+    if len({proxy_id for proxy_id, _ in scored}) != len(scored):
+        raise ConfigError("candidate signatures must have unique model ids")
     ordered, tie = rank_candidates(scored)
     report = DistanceReport(
         victim_id=victim.model_id,
@@ -210,3 +208,17 @@ def select_surrogate(store: SignatureStore, victim: Signature, metric: DistanceM
         tie_flagged=tie,
     )
     return ordered[0][0], report
+
+
+def select_surrogate(store: SignatureStore, victim: Signature, metric: DistanceMetric):
+    """Pick the stored signature closest to the victim's, among those stored
+    under the victim's plan fingerprint.
+
+    Returns (proxy_id, DistanceReport).
+    """
+    metric = DistanceMetric.parse(metric)
+    ids = store.list_by_fingerprint(victim.plan_fingerprint)
+    if not ids:
+        raise ComparabilityError(
+            "store holds no signatures under the victim's plan fingerprint")
+    return rank_signatures(map(store.get_signature, ids), victim, metric)

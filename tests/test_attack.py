@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import zestkit as zk
+import zestkit.attack as attack
 from zestkit.attack import QUANT_SLACK, AdversarialBatch, batch_summary_csv
 from zestkit.errors import ConfigError, DomainError, ShapeError
 from zestkit.nn import Dataset
@@ -225,6 +226,21 @@ def test_pgd_many_edge_shapes_match_solo_bitwise(blob_world, pgd_jobs, points, r
         assert batch.quantized == solo.quantized == cfg.quantize_8bit
         if restarts == 1:
             assert not batch.restart_index.any()
+
+
+def test_pgd_scores_each_restart_with_one_forward_pass(blob_world, pgd_jobs, monkeypatch):
+    data = _attack_points(blob_world, 30)
+    want = [zk.pgd(model, data, cfg) for model, cfg in pgd_jobs]
+    calls = []
+    logits = attack.logits
+    monkeypatch.setattr(attack, "logits", lambda model, x: calls.append(1) or logits(model, x))
+    for name in ("cross_entropy", "forward"):
+        monkeypatch.setattr(attack, name, None)  # scoring no longer goes through them
+    batches = zk.pgd_many(pgd_jobs, data)
+    assert len(calls) == len(pgd_jobs) * pgd_jobs[0][1].restarts
+    for batch, solo in zip(batches, want):
+        assert batch.achieved_loss.tobytes() == solo.achieved_loss.tobytes()
+        assert batch.local_success.tobytes() == solo.local_success.tobytes()
 
 
 def test_pgd_rejects_non_finite_logits(blob_world):

@@ -238,6 +238,26 @@ def test_campaign_rerun_byte_identical(tmp_path):
     assert mismatches == []
 
 
+def test_campaign_rerun_into_used_out_dir_ranks_only_its_portfolio(tmp_path):
+    cfg = _tiny_config(master=35)
+    used = tmp_path / "used"
+    first = zk.run_campaign(cfg, used)
+    dropped = first.selected["cosine"]
+    smaller = dict(cfg, portfolio=[e for e in cfg["portfolio"] if e["model_id"] != dropped])
+    kept = {e["model_id"] for e in smaller["portfolio"]}
+
+    rerun = zk.run_campaign(smaller, used)
+    fresh = zk.run_campaign(smaller, tmp_path / "fresh")
+    # the earlier run's signature of the dropped model is still in the store
+    assert dropped in zk.SignatureStore(used / "signatures").model_ids()
+    assert rerun.selected == fresh.selected and dropped not in rerun.selected.values()
+    assert rerun.distances == fresh.distances
+    assert all(set(d) == kept for d in rerun.distances.values())
+    for name in ("distances_cosine.csv", "distances_linf.csv", "transfer.csv",
+                 "selected.adv", "manifest.json"):
+        assert (used / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes(), name
+
+
 def test_campaign_different_seed_differs(tmp_path):
     r1 = zk.run_campaign(_tiny_config(master=33), tmp_path / "x")
     r2 = zk.run_campaign(_tiny_config(master=34), tmp_path / "y")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import zestkit as zk
-from zestkit.errors import (ComparabilityError, ConfigError, NumericalError,
+from zestkit.errors import (ComparabilityError, ConfigError, NumericalError, ShapeError,
                             TransportError)
 from zestkit.lime import BLOCK_ROWS, PointModel, masked_batch, _replacement_values
 from zestkit.oracle import QueryLedger, QueryOracle
@@ -471,6 +471,112 @@ def test_signing_queries_point_by_point_in_order():
         assert np.array_equal(calls[2 * i][2], plan.points[i][None, :])
         alone = masked_batch(plan.points[i], plan.mask_tensor()[i], grid, "segment_mean")
         assert calls[2 * i + 1][2].tobytes() == alone.tobytes()
+
+
+def _recording(fn, features, classes, oracle_id, calls):
+    class Recording(ArrayOracle):
+        def predict_proba(self, batch, purpose="other"):
+            calls.append((purpose, np.array(batch)))
+            return super().predict_proba(batch, purpose)
+    return Recording(fn, features, classes, oracle_id)
+
+
+@pytest.mark.parametrize("p,n", [(1000, 11), (120, 5)])  # two blocks (8 + 3), one block
+def test_sign_many_matches_compute_signature_bitwise(p, n):
+    grid = zk.SegmentGrid.uniform(16, 8)
+    plan = zk.PerturbationPlan(np.random.default_rng(n).random((n, 16)), grid,
+                               zk.LimeConfig(perturbations=p), seed=p)
+    models = [tiny_net(seed, input_dim=16, class_count=k) for seed, k in
+              ((1, 3), (2, 2), (3, 5), (4, 3))]
+    many_calls, solo_calls = [[] for _ in models], [[] for _ in models]
+    sigs = zk.sign_many([_recording(lambda b, m=m: zk.forward(m, b), 16, m.class_count,
+                                    m.model_id, calls)
+                         for m, calls in zip(models, many_calls)], plan)
+    assert [sig.model_id for sig in sigs] == [m.model_id for m in models]
+    for sig, model, many, solo in zip(sigs, models, many_calls, solo_calls):
+        alone = zk.compute_signature(
+            _recording(lambda b: zk.forward(model, b), 16, model.class_count,
+                       model.model_id, solo), plan)
+        assert sig.coef.shape == (n, model.class_count, 8)
+        assert sig.plan_fingerprint == alone.plan_fingerprint == plan.fingerprint()
+        assert sig.coef.tobytes() == alone.coef.tobytes()
+        assert sig.intercept.tobytes() == alone.intercept.tobytes()
+        # the same calls, with the same rows, in the same order
+        assert len(many) == len(solo) == 2 * n
+        for (pa, ra), (pb, rb) in zip(many, solo):
+            assert pa == pb and ra.tobytes() == rb.tobytes()
+
+
+def test_sign_many_transport_error_names_the_failing_oracles_progress(small_plan,
+                                                                      blob_world):
+    inner = zk.local_oracle(blob_world["victim"])
+
+    class FailsAtPoint3(ArrayOracle):
+        def predict_proba(self, batch, purpose="other"):
+            if purpose == "signature" and self.ledger.breakdown()["signature"] == 3 * 120:
+                raise TransportError("connection dropped", rows_counted=0)
+            return super().predict_proba(batch, purpose)
+
+    failing = FailsAtPoint3(inner.predict_proba, 16, 3, "flaky")
+    with pytest.raises(TransportError) as err:
+        zk.sign_many([inner, failing], small_plan)
+    assert err.value.points_completed == 3
+    assert failing.ledger.breakdown()["signature_baseline"] == 4
+
+
+def test_sign_many_rejects_an_oracle_whose_class_count_changes():
+    grid = zk.SegmentGrid.uniform(16, 8)
+    plan = zk.PerturbationPlan(np.random.default_rng(1).random((11, 16)), grid,
+                               zk.LimeConfig(perturbations=1000), seed=1)  # blocks 8 + 3
+    answers = []
+
+    def shrinking(b):  # 3 classes in the first block, 1 in the second
+        answers.append(len(b))
+        return np.full((len(b), 3 if len(answers) <= 16 else 1), 0.5)
+
+    with pytest.raises(ShapeError, match="class count"):
+        zk.sign_many([ArrayOracle(shrinking, 16, 3)], plan)
+
+
+def test_signature_from_point_models_equals_from_arrays(tmp_path):
+    rng = np.random.default_rng(9)
+    coef, intercept = rng.normal(size=(4, 3, 5)), rng.normal(size=(4, 3))
+    stacked = zk.Signature("m", "fp", tuple(map(PointModel, coef, intercept)))
+    wrapped = zk.Signature.from_arrays("m", "fp", coef, intercept)
+    for sig in (stacked, wrapped):
+        assert (sig.n, sig.class_count, sig.segment_count) == (4, 3, 5)
+        assert sig.coef.tobytes() == coef.tobytes()
+        assert sig.intercept.tobytes() == intercept.tobytes()
+        assert sig.coef_tensor() is sig.coef and sig.intercept_matrix() is sig.intercept
+        assert not (sig.coef.flags.writeable or sig.intercept.flags.writeable)
+        for pm, c, b in zip(sig.point_models, coef, intercept):
+            assert pm.coef.tobytes() == c.tobytes()
+            assert pm.intercept.tobytes() == b.tobytes()
+    paths = [tmp_path / "stacked.sig", tmp_path / "wrapped.sig"]
+    for sig, path in zip((stacked, wrapped), paths):
+        zk.save_signature(sig, path)
+        back = zk.load_signature(path)
+        assert back.coef.tobytes() == coef.tobytes()
+        assert back.intercept.tobytes() == intercept.tobytes()
+        assert (back.model_id, back.plan_fingerprint) == ("m", "fp")
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_signature_array_checks():
+    coef, intercept = np.zeros((2, 3, 4)), np.zeros((2, 3))
+    for c, b in [(np.zeros((0, 3, 4)), np.zeros((0, 3))), (coef[0], intercept),
+                 (coef, intercept[:, :2]), (coef, intercept[0])]:
+        with pytest.raises(ShapeError):
+            zk.Signature.from_arrays("m", "fp", c, b)
+    bad = coef.copy()
+    bad[1, 2, 3] = np.nan
+    with pytest.raises(NumericalError):
+        zk.Signature.from_arrays("m", "fp", bad, intercept)
+    with pytest.raises(ShapeError):
+        zk.Signature("m", "fp", ())
+    with pytest.raises(ShapeError):
+        zk.Signature("m", "fp", (PointModel(coef[0], intercept[0]),
+                                 PointModel(np.zeros((2, 4)), np.zeros(2))))
 
 
 def test_plan_design_built_once_read_only_and_per_plan(blob_world, monkeypatch):

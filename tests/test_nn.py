@@ -5,7 +5,7 @@ import pytest
 
 import zestkit as zk
 from zestkit.errors import ConfigError, DomainError, ShapeError
-from zestkit.nn import as_matrix, cross_entropy
+from zestkit.nn import as_matrix, cross_entropy, logit_cross_entropy
 
 from conftest import linear_net, tiny_net
 
@@ -110,6 +110,25 @@ def test_softmax_bitwise_matches_reduce(shape):
     want = _softmax_reduce(z)
     assert got.shape == want.shape and got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_softmax_row_sum_bitwise_matches_reduce_for_1_to_12_classes(k):
+    # below 8 classes the row sum is a column fold: a numpy whose add.reduce
+    # order differs there fails here
+    rng = np.random.default_rng(100 + k)
+    for lead in [(1,), (2,), (7,), (75,), (1000,), (3, 25), (2, 1, 4)]:
+        for scale in (0.1, 5.0, 50.0):
+            z = rng.normal(0.0, scale, size=lead + (k,))
+            assert zk.softmax(z).tobytes() == _softmax_reduce(z).tobytes(), (lead, scale)
+
+
+def test_logit_cross_entropy_is_cross_entropy_bitwise():
+    model = tiny_net(5, input_dim=6, class_count=4)
+    rng = np.random.default_rng(5)
+    x, y = rng.random((75, 6)), rng.integers(0, 4, size=75)
+    got = logit_cross_entropy(zk.nn.logits(model, x), y)
+    assert got.tobytes() == cross_entropy(model, x, y).tobytes()
 
 
 @pytest.mark.parametrize("k", [3, 4, 100])

@@ -258,6 +258,28 @@ def test_select_empty_store_errors(store):
         zk.select_surrogate(store, victim, "l2")
 
 
+def test_rank_signatures_matches_store_selection(store):
+    rng = np.random.default_rng(12)
+    victim = _sig("victim", rng.normal(size=(3, 8)))
+    candidates = [_sig(mid, rng.normal(size=(3, 8))) for mid in ("c", "a", "b")]
+    for sig in candidates:
+        store.put_signature(sig)
+    for metric in ("l1", "l2", "linf", "cosine"):
+        chosen, report = zk.rank_signatures(candidates, victim, metric)
+        assert (chosen, report) == zk.select_surrogate(store, victim, metric)
+        assert sorted(proxy for proxy, _ in report.entries) == ["a", "b", "c"]
+
+
+def test_rank_signatures_rejects_bad_candidates():
+    victim = _sig("v", [1.0, 2.0])
+    with pytest.raises(ComparabilityError):
+        zk.rank_signatures([], victim, "l2")
+    with pytest.raises(ComparabilityError):
+        zk.rank_signatures([_sig("a", [1.0, 2.0], fingerprint="other")], victim, "l2")
+    with pytest.raises(ConfigError):
+        zk.rank_signatures([_sig("a", [1.0, 2.0]), _sig("a", [2.0, 1.0])], victim, "l2")
+
+
 def test_distance_report_csv():
     report = zk.DistanceReport(
         victim_id="v", metric=zk.DistanceMetric.COSINE, plan_fingerprint="fp",
