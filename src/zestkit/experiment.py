@@ -151,6 +151,9 @@ def run_campaign(config: dict, out_dir) -> CampaignResult:
         metrics = [DistanceMetric.parse(m) for m in config.get("metrics", ["cosine"])]
         if not portfolio_cfg:
             raise ConfigError("portfolio must list at least one surrogate")
+        portfolio_ids = [entry["model_id"] for entry in portfolio_cfg]
+        if len(set(portfolio_ids)) != len(portfolio_ids):
+            raise ConfigError(f"portfolio model ids must be unique: {portfolio_ids}")
         if ds_cfg.get("kind", "blobs") != "blobs":
             raise ConfigError(f"unknown dataset kind {ds_cfg.get('kind')!r}")
 

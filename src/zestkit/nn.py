@@ -127,25 +127,15 @@ def softmax(z: np.ndarray) -> np.ndarray:
 
     The row max is an np.maximum fold over the class columns, far cheaper
     than a reduce along a short class axis; a max is exact in any order, so
-    the result is bitwise that of z.max(axis=-1). Below 8 classes the row sum
-    is a column fold too: np.add.reduce adds fewer than 8 terms left to
-    right, so the fold is bitwise the reduce (tests pin this); from 8 terms
-    on it sums pairwise, so the reduce stays.
+    the result is bitwise that of z.max(axis=-1).
     """
     z = np.asarray(z, dtype=np.float64)
-    k = z.shape[-1]
     top = z[..., 0].copy()
-    for j in range(1, k):
+    for j in range(1, z.shape[-1]):
         np.maximum(top, z[..., j], out=top)
     shifted = z - top[..., None]
     np.exp(shifted, out=shifted)
-    if k < 8:
-        total = shifted[..., 0].copy()
-        for j in range(1, k):
-            total += shifted[..., j]
-        shifted /= total[..., None]
-    else:
-        shifted /= np.add.reduce(shifted, axis=-1, keepdims=True)
+    shifted /= np.add.reduce(shifted, axis=-1, keepdims=True)
     return shifted
 
 

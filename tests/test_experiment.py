@@ -248,8 +248,6 @@ def test_campaign_rerun_into_used_out_dir_ranks_only_its_portfolio(tmp_path):
 
     rerun = zk.run_campaign(smaller, used)
     fresh = zk.run_campaign(smaller, tmp_path / "fresh")
-    # the earlier run's signature of the dropped model is still in the store
-    assert dropped in zk.SignatureStore(used / "signatures").model_ids()
     assert rerun.selected == fresh.selected and dropped not in rerun.selected.values()
     assert rerun.distances == fresh.distances
     assert all(set(d) == kept for d in rerun.distances.values())
@@ -316,6 +314,17 @@ def test_campaign_rejects_bad_config(tmp_path):
     cfg2["portfolio"] = []
     with pytest.raises(ConfigError):
         zk.run_campaign(cfg2, tmp_path / "bad2")
+
+
+def test_campaign_rejects_repeated_portfolio_id_before_training(tmp_path):
+    cfg = _tiny_config()
+    cfg["portfolio"][2]["model_id"] = "sur-a"
+    out = tmp_path / "dup"
+    with pytest.raises(ConfigError, match="unique"):
+        zk.run_campaign(cfg, out)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["stage"] == "parse"
+    assert not (out / "models").exists()
 
 
 def test_campaign_portfolio_degradation_weakens_model(tmp_path):

@@ -112,17 +112,6 @@ def test_softmax_bitwise_matches_reduce(shape):
     assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("k", range(1, 13))
-def test_softmax_row_sum_bitwise_matches_reduce_for_1_to_12_classes(k):
-    # below 8 classes the row sum is a column fold: a numpy whose add.reduce
-    # order differs there fails here
-    rng = np.random.default_rng(100 + k)
-    for lead in [(1,), (2,), (7,), (75,), (1000,), (3, 25), (2, 1, 4)]:
-        for scale in (0.1, 5.0, 50.0):
-            z = rng.normal(0.0, scale, size=lead + (k,))
-            assert zk.softmax(z).tobytes() == _softmax_reduce(z).tobytes(), (lead, scale)
-
-
 def test_logit_cross_entropy_is_cross_entropy_bitwise():
     model = tiny_net(5, input_dim=6, class_count=4)
     rng = np.random.default_rng(5)
