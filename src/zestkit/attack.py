@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, ShapeError
 from .nn import (Dataset, MlpModel, _check_labels, as_matrix, logit_cross_entropy, logits,
-                 loss_input_gradient, one_hot, softmax, stack_models)
+                 loss_input_gradient, one_hot, softmax)
 # kept importable here: bench/spans.py patches zestkit.attack.input_gradient_batch,
 # .cross_entropy and .forward
 from .nn import cross_entropy, forward, input_gradient_batch  # noqa: F401
@@ -122,16 +122,16 @@ def pgd_many(jobs, data: Dataset) -> "list[AdversarialBatch]":
 
 
 def _pgd_group(group, data: Dataset) -> "list[AdversarialBatch]":
-    """PGD for K jobs whose models have the same layer shapes and activations."""
+    """PGD for K jobs of one layer shape and activation, stacked on a model axis."""
     model0, cfg0 = group[0]
     x0 = as_matrix(data.points, cols=model0.input_dim, name="attack points")
     y = _check_labels(data.labels, model0.class_count)
     m, d = x0.shape
     k_count = len(group)
     eps, step = cfg0.epsilon, cfg0.step_size
-    weights = [stack_models([model.layers[i].weights for model, _ in group])
+    weights = [np.stack([model.layers[i].weights for model, _ in group])
                for i in range(len(model0.layers))]
-    biases = [stack_models([model.layers[i].bias[None, :] for model, _ in group])
+    biases = [np.stack([model.layers[i].bias[None, :] for model, _ in group])
               for i in range(len(model0.layers))]
     activations = [layer.activation for layer in model0.layers]
 
@@ -143,7 +143,7 @@ def _pgd_group(group, data: Dataset) -> "list[AdversarialBatch]":
         rng = np.random.default_rng(derived_seed(cfg.rng_seed, "pgd.init"))
         noise = rng.uniform(-eps, eps, size=(restarts * m, d))
         starts.append(np.clip(np.tile(x0, (restarts, 1)) + noise, 0.0, 1.0))
-    xa = stack_models(starts)
+    xa = np.stack(starts)
     lo, hi = np.tile(x0 - eps, (restarts, 1)), np.tile(x0 + eps, (restarts, 1))
     targets = np.tile(one_hot(y, model0.class_count), (restarts, 1))
     for _ in range(cfg0.steps):
@@ -249,7 +249,7 @@ def save_batch(batch: AdversarialBatch, path) -> None:
         "originals": batch.originals,
         "labels": batch.labels,
         "adversarials": batch.adversarials,
-        "local_success": batch.local_success.astype(np.uint8),
+        "local_success": batch.local_success,
         "achieved_loss": batch.achieved_loss,
         "restart_index": batch.restart_index,
     }
@@ -262,7 +262,7 @@ def load_batch(path) -> AdversarialBatch:
         originals=arrays["originals"],
         labels=arrays["labels"],
         adversarials=arrays["adversarials"],
-        local_success=arrays["local_success"].astype(bool),
+        local_success=arrays["local_success"],
         achieved_loss=arrays["achieved_loss"],
         restart_index=arrays["restart_index"],
         epsilon=meta["epsilon"],
@@ -277,6 +277,6 @@ def batch_summary_csv(batch: AdversarialBatch) -> str:
     return csv_text(
         ["point", "label", "linf_distortion", "local_success", "restart_index",
          "achieved_loss"],
-        ([i, int(batch.labels[i]), repr(float(dist[i])), int(batch.local_success[i]),
-          int(batch.restart_index[i]), repr(float(batch.achieved_loss[i]))]
+        ([i, batch.labels[i], dist[i], int(batch.local_success[i]), batch.restart_index[i],
+          batch.achieved_loss[i]]
          for i in range(len(batch))))

@@ -21,7 +21,7 @@ from .lime import (REPLACEMENT_POLICIES, LimeConfig, SegmentGrid, compute_signat
                    load_plan, load_signature, make_plan, save_plan, save_signature)
 from .nn import (TrainConfig, blob_centers, load_dataset, load_model, sample_blobs,
                  save_dataset, save_model, train)
-from .oracle import RemoteEndpoint, local_oracle, remote_oracle, serve
+from .oracle import PURPOSES, RemoteEndpoint, local_oracle, remote_oracle, serve
 from .util import atomic_write_text, csv_text, derived_seed
 from .zest import DistanceMetric, SignatureStore, select_surrogate, zest_distance
 
@@ -44,8 +44,7 @@ def _oracle_from(locator: str):
 
 def _ledger_line(snap: dict) -> str:
     """One-line victim bill from a ledger snapshot."""
-    parts = ", ".join(f"{k}={snap[k]}"
-                      for k in ("signature", "signature_baseline", "attack_eval", "other"))
+    parts = ", ".join(f"{k}={snap[k]}" for k in PURPOSES)
     return f"victim queries: total={snap['total']} ({parts})"
 
 
@@ -149,7 +148,7 @@ def _cmd_transfer(args) -> CommandOutcome:
             ["victim_id", "surrogate_id", "total_points", "valid_points", "success_count",
              "success_rate", "raw_success_rate", "already_misclassified", "queries_used"],
             [[res.victim_id, res.surrogate_id, res.total_points, res.valid_points,
-              res.success_count, repr(res.success_rate), repr(res.raw_success_rate),
+              res.success_count, res.success_rate, res.raw_success_rate,
               res.already_misclassified, res.queries_used]]))
         lines.append(f"report -> {args.out}")
     return CommandOutcome(0, "\n".join(lines))
@@ -310,10 +309,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         outcome = args.func(args)
-    except ZestError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except (OSError, json.JSONDecodeError) as e:
+    except (ZestError, OSError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     if outcome.summary:

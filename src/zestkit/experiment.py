@@ -60,7 +60,7 @@ class TransferMatrix:
 
     def to_csv(self) -> str:
         return csv_text(["surrogate\\victim", *self.model_ids],
-                        ([mid, *[repr(float(v)) for v in row]]
+                        ([mid, *row]
                          for mid, row in zip(self.model_ids, self.rates)))
 
 
@@ -225,7 +225,6 @@ def run_campaign(config: dict, out_dir) -> CampaignResult:
             step_size=float(attack_cfg_block.get("step_size", 0.02)),
             steps=int(attack_cfg_block.get("steps", 40)),
             restarts=int(attack_cfg_block.get("restarts", 5)),
-            rng_seed=derived_seed(master, "attack"),
             quantize_8bit=bool(attack_cfg_block.get("quantize_8bit", False)))
         points = select_attack_points(proxies, test_data,
                                       int(attack_cfg_block.get("points", 100)))
@@ -245,10 +244,9 @@ def run_campaign(config: dict, out_dir) -> CampaignResult:
         for entry in portfolio_cfg:
             mid = entry["model_id"]
             res = results[mid]
-            rows.append([mid, repr(batches[mid].local_success_rate), res.valid_points,
-                         res.already_misclassified, res.success_count,
-                         repr(res.success_rate), repr(res.raw_success_rate),
-                         *[repr(distances[m.value][mid]) for m in metrics]])
+            rows.append([mid, batches[mid].local_success_rate, res.valid_points,
+                         res.already_misclassified, res.success_count, res.success_rate,
+                         res.raw_success_rate, *[distances[m.value][mid] for m in metrics]])
         write_stamped("transfer.csv", csv_text(
             ["proxy_id", "local_success_rate", "valid_points", "already_misclassified",
              "success_count", "success_rate", "raw_success_rate",
@@ -264,12 +262,12 @@ def run_campaign(config: dict, out_dir) -> CampaignResult:
             records.append(CorrelationRecord(
                 victim_id=victim.oracle_id, metric=metric, n_references=plan.n,
                 epsilon=acfg.epsilon, r=r, sample_count=len(xs)))
-            plot_rows += [[metric.value, e["model_id"], repr(x), repr(y), repr(acfg.epsilon)]
+            plot_rows += [[metric.value, e["model_id"], x, y, acfg.epsilon]
                           for e, x, y in zip(portfolio_cfg, xs, ys)]
         write_stamped("correlations.csv", csv_text(
             ["victim_id", "metric", "n_references", "epsilon", "pearson_r", "sample_count"],
-            ([rec.victim_id, rec.metric.value, rec.n_references, repr(rec.epsilon),
-              repr(rec.r), rec.sample_count] for rec in records)))
+            ([rec.victim_id, rec.metric.value, rec.n_references, rec.epsilon, rec.r,
+              rec.sample_count] for rec in records)))
         write_stamped("plotdata.csv", csv_text(
             ["metric", "proxy_id", "distance", "transfer_rate", "epsilon"], plot_rows))
 

@@ -148,8 +148,8 @@ class ReplayReport:
     def to_csv(self) -> str:
         return csv_text(["target", "expected", "chosen", "matrix_distance",
                          "published_distance", "matched", "tie_flagged", "family_match"],
-                        ([r.target, r.expected, r.chosen, repr(r.matrix_distance),
-                          repr(r.published_distance), int(r.matched),
+                        ([r.target, r.expected, r.chosen, r.matrix_distance,
+                          r.published_distance, int(r.matched),
                           int(r.tie_flagged), int(r.family_match)] for r in self.rows))
 
 
@@ -208,7 +208,7 @@ class StabilityReport:
 
     def to_csv(self) -> str:
         return csv_text(["victim", "spearman_n128_vs_n64", "spearman_n128_vs_n32"],
-                        ([r.victim, repr(r.rho_full_vs_half), repr(r.rho_full_vs_quarter)]
+                        ([r.victim, r.rho_full_vs_half, r.rho_full_vs_quarter]
                          for r in self.rows))
 
 

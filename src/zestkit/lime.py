@@ -566,5 +566,5 @@ def signature_summary_csv(sig: Signature) -> str:
     """Per-point coefficient norms, the human-readable companion file."""
     coefs = sig.coef.reshape(sig.n, -1)
     return csv_text(["point", "coef_l1", "coef_l2", "coef_linf"],
-                    ([i, repr(float(np.abs(c).sum())), repr(float(np.sqrt((c * c).sum()))),
-                      repr(float(np.abs(c).max()))] for i, c in enumerate(coefs)))
+                    ([i, np.abs(c).sum(), np.sqrt((c * c).sum()), np.abs(c).max()]
+                     for i, c in enumerate(coefs)))

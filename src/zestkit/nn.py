@@ -270,15 +270,6 @@ def train_many(jobs) -> "list[MlpModel]":
     return models
 
 
-def stack_models(arrays) -> np.ndarray:
-    """Arrays stacked along a new leading model axis; one array stays as it is.
-
-    A single model runs on plain arrays, because numpy's stacked ops cost
-    more per call than the 2-D ones on matrices this small.
-    """
-    return np.stack(arrays) if len(arrays) > 1 else arrays[0]
-
-
 def _sgd(group):
     """One SGD loop for jobs that share a data shape; returns each job's
     (weights, biases).
@@ -300,6 +291,8 @@ def _sgd(group):
     rngs = [np.random.default_rng(cfg.rng_seed) for _, cfg, _ in group]
 
     def lead(k):
+        """Model axis for k models; none for one: a length-1 axis measured +7% on a solo
+        train and +9-12% on the bundled campaign's train_many (2-vCPU x86_64, numpy 2.4)."""
         return (k,) if k > 1 else ()
 
     def rows(first, k):

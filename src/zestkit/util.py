@@ -16,6 +16,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import struct
 import tempfile
@@ -28,7 +29,7 @@ _MAGIC = b"ZSTK"
 _VERSION = 1
 
 # dtypes allowed in containers; bools are widened to u1 on disk
-_DTYPES = {"<f8": np.float64, "<i8": np.int64, "|u1": np.uint8}
+_DTYPES = ("<f8", "<i8", "|u1")
 
 
 def derived_seed(master: int, label: str) -> int:
@@ -48,8 +49,9 @@ def config_hash(obj) -> str:
 
 def csv_text(header, rows) -> str:
     """Header plus rows in the toolkit's one CSV dialect: comma-separated,
-    ``\\n`` line ends, a field quoted only where it needs it. Callers pass
-    floats as ``repr`` strings so they round-trip exactly."""
+    ``\\n`` line ends, a field quoted only where it needs it. Writers pass
+    values: ``csv`` writes a float or numpy float64 as ``repr(float(x))``,
+    which round-trips exactly, and a bool as ``True``/``False``."""
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(header)
@@ -206,13 +208,16 @@ def read_container(path, kind: str):
     arrays = {}
     offset = 0
     for entry in header["arrays"]:
-        dt = _DTYPES[entry["dtype"]]
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = count * np.dtype(dt).itemsize
+        dtype, shape = entry["dtype"], entry["shape"]
+        if dtype not in _DTYPES or not (isinstance(shape, list)
+                                        and all(type(n) is int and n >= 0 for n in shape)):
+            raise IntegrityError(f"{path}: array {entry['name']!r} has unsupported dtype "
+                                 f"{dtype!r} or shape {shape!r}")
+        count = math.prod(shape)
+        nbytes = count * np.dtype(dtype).itemsize
         if offset + nbytes > len(payload):
             raise IntegrityError(f"{path}: truncated payload for array {entry['name']!r}")
-        arr = np.frombuffer(payload, dtype=entry["dtype"], count=count, offset=offset)
+        arr = np.frombuffer(payload, dtype=dtype, count=count, offset=offset)
         arrays[entry["name"]] = arr.reshape(shape).copy()
         offset += nbytes
     return header["meta"], arrays

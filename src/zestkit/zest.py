@@ -82,7 +82,7 @@ class DistanceReport:
 
     def to_csv(self) -> str:
         return csv_text(["victim_id", "proxy_id", "metric", "distance", "rank"],
-                        ([self.victim_id, proxy, self.metric.value, repr(dist), rank]
+                        ([self.victim_id, proxy, self.metric.value, dist, rank]
                          for rank, (proxy, dist) in enumerate(self.entries, start=1)))
 
 
@@ -133,6 +133,8 @@ class SignatureStore:
 
     def put_signature(self, sig: Signature) -> str:
         """Store (or overwrite) a signature; also writes the summary CSV."""
+        if any(c in sig.model_id for c in "\t\r\n"):
+            raise ConfigError(f"{self.INDEX} cannot index {sig.model_id!r}: tab or line break")
         filename = _safe_filename(sig.model_id)
         path = os.path.join(self.root, filename)
         save_signature(sig, path)

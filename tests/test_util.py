@@ -1,3 +1,6 @@
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 
@@ -68,6 +71,19 @@ def test_container_not_a_container(tmp_path):
         read_container(path, "kind-a")
 
 
+@pytest.mark.parametrize("dtype, shape", [("<f4", [2]), (["<f8"], [2]), ("<f8", [-1]),
+                                          ("<f8", 2)])
+def test_container_rejects_bad_array_entry(tmp_path, dtype, shape):
+    payload = np.zeros(2).tobytes()
+    header = canonical_json({"magic_kind": "kind-a", "format_version": 1, "meta": {},
+                             "arrays": [{"name": "a", "dtype": dtype, "shape": shape}],
+                             "payload_sha256": hashlib.sha256(payload).hexdigest()})
+    path = tmp_path / "x.bin"
+    path.write_bytes(b"ZSTK" + struct.pack("<I", len(header)) + header.encode() + payload)
+    with pytest.raises(IntegrityError, match="'a' has"):
+        read_container(path, "kind-a")
+
+
 def test_container_truncated(tmp_path):
     path = tmp_path / "x.bin"
     write_container(path, "kind-a", {}, {"a": np.zeros(64)})
@@ -99,6 +115,13 @@ def test_csv_text_dialect():
                     'a,0.30000000000000004,3\n'
                     '"vic,tim",1e-300,0\n')
     assert csv_text(["only"], []) == "only\n"
+    # writers pass raw values: floats and numpy float64 must come out as repr(float(x))
+    floats = [0.1 + 0.2, -0.0, 5e-324, 1e16, 1e-05, float("inf"), float("nan")]
+    text = ["0.30000000000000004", "-0.0", "5e-324", "1e+16", "1e-05", "inf", "nan"]
+    assert text == [repr(float(x)) for x in floats]
+    cells = floats + [np.float64(x) for x in floats] + [np.int64(7)]
+    assert csv_text(["x"] * len(cells), [cells]).splitlines()[1].split(",") == (
+        text * 2 + ["7"])
 
 
 def _owned_cases():

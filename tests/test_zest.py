@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -220,6 +222,16 @@ def test_store_overwrite_same_id(store):
     store.put_signature(_sig("m", [9.0, 9.0]))
     assert store.model_ids() == ["m"]
     assert np.array_equal(store.get_signature("m").flatten(), [9.0, 9.0])
+
+
+@pytest.mark.parametrize("model_id", ["sur\tb", "sur\rb", "sur\nb"])
+def test_store_rejects_ids_that_break_the_index(store, model_id):
+    store.put_signature(_sig("m", [1.0]))
+    files = sorted(os.listdir(store.root))
+    with pytest.raises(ConfigError, match="tab or line break"):
+        store.put_signature(_sig(model_id, [2.0]))
+    assert sorted(os.listdir(store.root)) == files
+    assert zk.SignatureStore(store.root).model_ids() == ["m"]
 
 
 # --- selection -------------------------------------------------------------
