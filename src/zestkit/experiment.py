@@ -154,6 +154,10 @@ def run_campaign(config: dict, out_dir) -> CampaignResult:
         portfolio_ids = [entry["model_id"] for entry in portfolio_cfg]
         if len(set(portfolio_ids)) != len(portfolio_ids):
             raise ConfigError(f"portfolio model ids must be unique: {portfolio_ids}")
+        # the signature store's index.tsv cannot hold them, and they name model files
+        if any(c in mid for mid in portfolio_ids for c in "\t\r\n"):
+            raise ConfigError(f"portfolio model ids cannot hold a tab or line break: "
+                              f"{portfolio_ids}")
         if ds_cfg.get("kind", "blobs") != "blobs":
             raise ConfigError(f"unknown dataset kind {ds_cfg.get('kind')!r}")
 

@@ -205,9 +205,14 @@ def read_container(path, kind: str):
     payload = blob[8 + hlen:]
     if hashlib.sha256(payload).hexdigest() != header.get("payload_sha256"):
         raise IntegrityError(f"{path}: payload checksum mismatch")
+    directory = header.get("arrays")
+    if not isinstance(directory, list):
+        raise IntegrityError(f"{path}: header has no array list")
     arrays = {}
     offset = 0
-    for entry in header["arrays"]:
+    for entry in directory:
+        if not (isinstance(entry, dict) and {"name", "dtype", "shape"} <= entry.keys()):
+            raise IntegrityError(f"{path}: array entry {entry!r} lacks a name, dtype or shape")
         dtype, shape = entry["dtype"], entry["shape"]
         if dtype not in _DTYPES or not (isinstance(shape, list)
                                         and all(type(n) is int and n >= 0 for n in shape)):

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,24 @@ def linear_net(w, b, model_id="linear"):
     return zk.MlpModel((zk.nn.Layer(np.asarray(w, dtype=np.float64),
                                     np.asarray(b, dtype=np.float64),
                                     "identity"),), model_id=model_id)
+
+
+def use_cpus(monkeypatch, count):
+    """Make ``count`` CPUs this process's affinity set, as ``train_many`` sees it."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def count_forks(monkeypatch):
+    """The list that every later ``os.fork`` call appends to, in this process."""
+    forks = []
+    fork = os.fork
+
+    def counted():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
 
 
 @pytest.fixture(scope="session")

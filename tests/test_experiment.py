@@ -1,6 +1,9 @@
 import filecmp
+import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -12,7 +15,7 @@ from zestkit.nn import Dataset
 from zestkit.oracle import ModelServer
 from zestkit.util import config_hash
 
-from conftest import tiny_net
+from conftest import count_forks, tiny_net, use_cpus
 
 
 # --- correlation -----------------------------------------------------------
@@ -325,6 +328,56 @@ def test_campaign_rejects_repeated_portfolio_id_before_training(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["stage"] == "parse"
     assert not (out / "models").exists()
+
+
+@pytest.mark.parametrize("mid", ["sur\tb", "sur\rb", "sur\nb"], ids=["tab", "cr", "lf"])
+def test_campaign_rejects_portfolio_id_with_tab_or_line_break_before_training(
+        tmp_path, monkeypatch, mid):
+    oracles = []
+    make_oracle = zk.experiment.local_oracle
+    monkeypatch.setattr(zk.experiment, "local_oracle",
+                        lambda model: oracles.append(make_oracle(model)) or oracles[-1])
+    cfg = _tiny_config()
+    cfg["portfolio"][1]["model_id"] = mid
+    out = tmp_path / "bad-id"
+    with pytest.raises(ConfigError, match="tab or line break"):
+        zk.run_campaign(cfg, out)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["stage"] == "parse"
+    assert not (out / "models").exists()
+    assert sum(o.ledger.snapshot()["total"] for o in oracles) == 0
+
+
+def _tree_digest(root):
+    h = hashlib.sha256()
+    for dirpath, dirnames, filenames in os.walk(root):
+        dirnames.sort()
+        for name in sorted(filenames):
+            path = os.path.join(dirpath, name)
+            h.update(os.path.relpath(path, root).encode() + b"\0")
+            with open(path, "rb") as f:
+                h.update(hashlib.sha256(f.read()).digest())
+    return h.hexdigest()
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+def test_bundled_campaign_same_tree_on_one_cpu_and_two_lanes(tmp_path, monkeypatch):
+    src = os.path.dirname(os.path.dirname(zk.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    cpu = min(os.sched_getaffinity(0))
+    code = ("import os, sys, zestkit as zk; print(len(os.sched_getaffinity(0))); "
+            "zk.run_campaign(zk.bundled_campaign_config(), sys.argv[1])")
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "one-cpu")], env=env,
+                          preexec_fn=lambda: os.sched_setaffinity(0, {cpu}),
+                          capture_output=True, text=True, timeout=300, check=True)
+    assert proc.stdout.split() == ["1"]
+
+    use_cpus(monkeypatch, 2)
+    forks = count_forks(monkeypatch)
+    zk.run_campaign(zk.bundled_campaign_config(), tmp_path / "two-lanes")
+    assert forks == [1]
+    assert _tree_digest(tmp_path / "one-cpu") == _tree_digest(tmp_path / "two-lanes")
 
 
 def test_campaign_portfolio_degradation_weakens_model(tmp_path):

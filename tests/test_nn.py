@@ -1,3 +1,6 @@
+import os
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -7,7 +10,7 @@ import zestkit as zk
 from zestkit.errors import ConfigError, DomainError, ShapeError
 from zestkit.nn import as_matrix, cross_entropy, logit_cross_entropy
 
-from conftest import linear_net, tiny_net
+from conftest import count_forks, linear_net, tiny_net, use_cpus
 
 
 # --- validation ------------------------------------------------------------
@@ -389,16 +392,191 @@ def test_train_many_mixed_architectures_match_solo_bitwise(classes, rows, batch_
             assert lg.bias.tobytes() == lr.bias.tobytes()
 
 
-def test_train_many_divergence_in_a_mixed_group_rejected():
+def test_train_many_divergence_in_a_mixed_group_rejected(monkeypatch):
     centers = zk.blob_centers(3, 6, 1)
     data = zk.sample_blobs(centers, 64, 0.1, 2)
     jobs = [(data, zk.TrainConfig(hidden=(8,), epochs=3), "ok"),
             (data, zk.TrainConfig(hidden=(24, 16), epochs=3, learning_rate=1e300), "diverges"),
             (data, zk.TrainConfig(hidden=(24,), epochs=3), "ok-wide")]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        with pytest.raises(DomainError, match="^layer parameters contain non-finite entries$"):
-            zk.train_many(jobs)
+    forks = count_forks(monkeypatch)
+    for cpus in (1, 2):
+        use_cpus(monkeypatch, cpus)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(DomainError,
+                               match="^layer parameters contain non-finite entries$"):
+                zk.train_many(jobs)
+    assert len(forks) == 1
+
+
+# --- training lanes --------------------------------------------------------
+
+def _assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _bundled_jobs(master):
+    """The jobs ``run_campaign`` trains for the bundled config at ``master``."""
+    cfg = zk.bundled_campaign_config()
+    ds = cfg["dataset"]
+    centers = zk.blob_centers(ds["classes"], ds["features"],
+                              zk.derived_seed(master, "data.centers"))
+    data = zk.sample_blobs(centers, ds["train_size"], ds["noise"],
+                           zk.derived_seed(master, "data.train"))
+    entries = [*cfg["portfolio"], cfg["victim"]]
+    return [(zk.experiment._portfolio_dataset(data, e, master),
+             zk.experiment._train_config(e, zk.derived_seed(master, f"train.{e['model_id']}")),
+             e["model_id"]) for e in entries]
+
+
+@pytest.mark.parametrize("master", [202, 303])
+def test_train_many_same_bytes_on_one_two_and_three_lanes(monkeypatch, master):
+    jobs = _bundled_jobs(master)
+    forks = count_forks(monkeypatch)
+    runs = []
+    for cpus in (1, 2, 3):
+        use_cpus(monkeypatch, cpus)
+        before = len(forks)
+        runs.append(zk.train_many(jobs))
+        assert len(forks) - before == cpus - 1
+        _assert_no_children()
+    for one, two, three in zip(*runs):
+        _assert_same_model(two, one)
+        _assert_same_model(three, one)
+
+
+def _three_unit_jobs(diverging=None):
+    """Three architectures: on three CPUs, one lane each, (24, 16) in this process."""
+    centers = zk.blob_centers(3, 6, 1)
+    data = zk.sample_blobs(centers, 64, 0.1, 2)
+    return [(data, zk.TrainConfig(hidden=h, epochs=3, rng_seed=i,
+                                  learning_rate=1e300 if h == diverging else 0.1), f"m{i}")
+            for i, h in enumerate([(24, 16), (8,), (24,)])]
+
+
+def test_train_many_retrains_a_failed_child_lane_in_process(monkeypatch):
+    jobs = _three_unit_jobs()
+    want = [zk.train(*job) for job in jobs]
+    use_cpus(monkeypatch, 3)
+    forks = count_forks(monkeypatch)
+    parent, sgd = os.getpid(), zk.nn._sgd
+    calls = []
+
+    def fails_in_children(group):
+        if os.getpid() != parent:
+            raise RuntimeError("child")
+        calls.append(1)
+        return sgd(group)
+
+    monkeypatch.setattr(zk.nn, "_sgd", fails_in_children)
+    for got, model in zip(zk.train_many(jobs), want):
+        _assert_same_model(got, model)
+    assert len(forks) == 2 and len(calls) == 3  # lane 0, then both failed lanes
+    _assert_no_children()
+
+    calls.clear()
+
+    def fails_everywhere_but_lane_0(group):
+        calls.append(1)
+        if os.getpid() != parent or len(calls) > 1:
+            raise RuntimeError("serial")
+        return sgd(group)
+
+    monkeypatch.setattr(zk.nn, "_sgd", fails_everywhere_but_lane_0)
+    with pytest.raises(RuntimeError, match="^serial$"):  # retraining lane 1 in process
+        zk.train_many(jobs)
+    assert len(forks) == 4
+    _assert_no_children()  # lane 2's child was killed and reaped
+
+    # all bytes sent, but a non-zero exit: the parent trains the lane again
+    calls.clear()
+    monkeypatch.setattr(zk.nn, "_sgd", lambda group: calls.append(1) or sgd(group))
+    exit_ = os._exit
+    monkeypatch.setattr(os, "_exit", lambda status: exit_(3))
+    for got, model in zip(zk.train_many(jobs), want):
+        _assert_same_model(got, model)
+    assert len(calls) == 3
+    _assert_no_children()
+
+
+def test_train_many_child_warning_surfaces_under_callers_filters(monkeypatch):
+    jobs = _three_unit_jobs(diverging=(8,))  # in the child of lane 1
+    forks = count_forks(monkeypatch)
+    seen = []
+    for cpus in (1, 3):
+        use_cpus(monkeypatch, cpus)
+        with warnings.catch_warnings(record=True) as shown:
+            warnings.simplefilter("always", RuntimeWarning)
+            with pytest.raises(DomainError,
+                               match="^layer parameters contain non-finite entries$"):
+                zk.train_many(jobs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(RuntimeWarning) as info:
+                zk.train_many(jobs)
+        seen.append(([str(w.message) for w in shown], str(info.value)))
+    assert seen[0] == seen[1] and "overflow" in seen[0][1]
+    assert len(forks) == 4
+    _assert_no_children()
+
+
+def test_train_many_trains_a_lane_it_cannot_fork_in_process(monkeypatch):
+    jobs = _three_unit_jobs()
+    want = [zk.train(*job) for job in jobs]
+    use_cpus(monkeypatch, 3)
+
+    def no_fork():
+        raise BlockingIOError("no process left")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    for got, model in zip(zk.train_many(jobs), want):
+        _assert_same_model(got, model)
+
+
+def test_train_many_kills_and_reaps_children_when_its_own_lane_raises(monkeypatch):
+    use_cpus(monkeypatch, 3)
+    forks = count_forks(monkeypatch)
+    parent, sgd = os.getpid(), zk.nn._sgd
+
+    def fails_in_parent(group):
+        if os.getpid() == parent:
+            raise RuntimeError("lane 0")
+        time.sleep(60)  # still training when the parent gives up
+        return sgd(group)
+
+    monkeypatch.setattr(zk.nn, "_sgd", fails_in_parent)
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match="^lane 0$"):
+        zk.train_many(_three_unit_jobs())
+    assert time.monotonic() - start < 30  # killed, not waited for
+    assert len(forks) == 2
+    _assert_no_children()
+
+
+def test_train_many_does_not_fork_while_another_thread_is_alive(monkeypatch):
+    jobs = _three_unit_jobs()
+    want = [zk.train(*job) for job in jobs]
+    use_cpus(monkeypatch, 3)
+    forks = []
+
+    def no_fork():
+        forks.append(1)
+        raise AssertionError("forked with a live thread")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait, args=(60,))
+    thread.start()
+    try:
+        got = zk.train_many(jobs)
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert forks == []
+    for model, ref in zip(got, want):
+        _assert_same_model(model, ref)
 
 
 def test_train_single_class_warns():

@@ -71,17 +71,31 @@ def test_container_not_a_container(tmp_path):
         read_container(path, "kind-a")
 
 
+def _hand_built_container(path, **header):
+    payload = np.zeros(2).tobytes()
+    text = canonical_json({"magic_kind": "kind-a", "format_version": 1, "meta": {},
+                           "payload_sha256": hashlib.sha256(payload).hexdigest(), **header})
+    path.write_bytes(b"ZSTK" + struct.pack("<I", len(text)) + text.encode() + payload)
+    return path
+
+
 @pytest.mark.parametrize("dtype, shape", [("<f4", [2]), (["<f8"], [2]), ("<f8", [-1]),
                                           ("<f8", 2)])
 def test_container_rejects_bad_array_entry(tmp_path, dtype, shape):
-    payload = np.zeros(2).tobytes()
-    header = canonical_json({"magic_kind": "kind-a", "format_version": 1, "meta": {},
-                             "arrays": [{"name": "a", "dtype": dtype, "shape": shape}],
-                             "payload_sha256": hashlib.sha256(payload).hexdigest()})
-    path = tmp_path / "x.bin"
-    path.write_bytes(b"ZSTK" + struct.pack("<I", len(header)) + header.encode() + payload)
+    path = _hand_built_container(tmp_path / "x.bin",
+                                 arrays=[{"name": "a", "dtype": dtype, "shape": shape}])
     with pytest.raises(IntegrityError, match="'a' has"):
         read_container(path, "kind-a")
+
+
+# a separate test, so the four ids above stay as they were
+@pytest.mark.parametrize("lacks", ["arrays", "name", "dtype", "shape"])
+def test_container_rejects_header_without_array_fields(tmp_path, lacks):
+    entry = {"name": "a", "dtype": "<f8", "shape": [2]}
+    entry.pop(lacks, None)
+    header = {} if lacks == "arrays" else {"arrays": [entry]}
+    with pytest.raises(IntegrityError, match="array list" if lacks == "arrays" else "lacks"):
+        read_container(_hand_built_container(tmp_path / "x.bin", **header), "kind-a")
 
 
 def test_container_truncated(tmp_path):
