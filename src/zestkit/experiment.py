@@ -14,13 +14,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .attack import AttackConfig, batch_summary_csv, pgd_many, save_batch, transfer_eval
+from .attack import (AdversarialBatch, AttackConfig, batch_summary_csv, pgd_many, save_batch,
+                     transfer_eval)
 from .errors import ConfigError
 from .lime import (LimeConfig, SegmentGrid, correct_by_all, make_plan, save_plan,
                    save_signature, sign_many)
 from .nn import Dataset, TrainConfig, blob_centers, sample_blobs, save_model, train_many
 from .oracle import RemoteEndpoint, local_oracle, remote_oracle
-from .util import atomic_write_text, config_hash, csv_text, derived_seed, owned_array, pearson
+from .util import (ForkLanes, atomic_write_text, config_hash, csv_text, derived_seed,
+                   owned_array, pearson)
 from .zest import DistanceMetric, SignatureStore, rank_signatures
 # kept importable here: bench/spans.py patches zestkit.experiment.train, .pgd, .forward,
 # .compute_signature and .select_surrogate
@@ -67,6 +69,22 @@ class TransferMatrix:
 def select_attack_points(models, data: Dataset, count: int) -> Dataset:
     """First `count` points (dataset order) all models classify correctly."""
     return data.subset(correct_by_all(models, data, count)[:count])
+
+
+def _craft(proxies, test_data: Dataset, block: dict, master: int):
+    """The campaign's attack config, attack points and PGD from every proxy, as
+    plain data: the epsilon, and each batch's fields in proxy order."""
+    acfg = AttackConfig(
+        epsilon=float(block.get("epsilon", 0.1)),
+        step_size=float(block.get("step_size", 0.02)),
+        steps=int(block.get("steps", 40)),
+        restarts=int(block.get("restarts", 5)),
+        quantize_8bit=bool(block.get("quantize_8bit", False)))
+    points = select_attack_points(proxies, test_data, int(block.get("points", 100)))
+    crafted = pgd_many(
+        [(model, replace(acfg, rng_seed=derived_seed(master, f"pgd.{model.model_id}")))
+         for model in proxies], points)
+    return acfg.epsilon, [vars(batch) for batch in crafted]
 
 
 def compute_transfer_matrix(models, points_data: Dataset, cfg: AttackConfig) -> TransferMatrix:
@@ -132,7 +150,17 @@ def _write_manifest(out_dir, payload):
 
 
 def run_campaign(config: dict, out_dir) -> CampaignResult:
-    """Execute the full pipeline described by `config` into `out_dir`."""
+    """Execute the full pipeline described by `config` into `out_dir`.
+
+    Where this process may use more than one CPU (``util.lane_count``), the
+    stages "signatures" and "distances" overlap the attack's PGD: a forked
+    lane picks the attack points and crafts every proxy's batch while this
+    process signs, stores, ranks and writes, and hands the batches over at
+    stage "attack". A lane that fails is redone in process there, so an error
+    surfaces at the stage, and with the message, of a run on one CPU.
+    Training runs in lanes too (``nn.train_many``). No artifact depends on
+    the CPU count.
+    """
     out_dir = os.fspath(out_dir)
     os.makedirs(out_dir, exist_ok=True)
     chash = config_hash(config)
@@ -206,36 +234,29 @@ def run_campaign(config: dict, out_dir) -> CampaignResult:
         save_plan(plan, os.path.join(out_dir, "shared.plan"))
 
         stage = "signatures"
-        store = SignatureStore(os.path.join(out_dir, "signatures"))
-        *proxy_sigs, victim_sig = sign_many([*map(local_oracle, proxies), victim], plan)
-        for sig in proxy_sigs:
-            store.put_signature(sig)
-        save_signature(victim_sig, os.path.join(out_dir, "victim.sig"))
-        signature_cost = victim.ledger.breakdown()
+        with ForkLanes() as lanes:
+            # PGD needs only the proxies, so a forked lane crafts while this process signs
+            crafted = lanes.run(_craft, proxies, test_data, attack_cfg_block, master)
+            store = SignatureStore(os.path.join(out_dir, "signatures"))
+            *proxy_sigs, victim_sig = sign_many([*map(local_oracle, proxies), victim], plan)
+            for sig in proxy_sigs:
+                store.put_signature(sig)
+            save_signature(victim_sig, os.path.join(out_dir, "victim.sig"))
+            signature_cost = victim.ledger.breakdown()
 
-        stage = "distances"
-        # only this run's portfolio: a reused out_dir's store may hold others
-        selected = {}
-        distances = {}
-        for metric in metrics:
-            proxy_id, report = rank_signatures(proxy_sigs, victim_sig, metric)
-            selected[metric.value] = proxy_id
-            distances[metric.value] = dict(report.entries)
-            write_stamped(f"distances_{metric.value}.csv", report.to_csv())
+            stage = "distances"
+            # only this run's portfolio: a reused out_dir's store may hold others
+            selected = {}
+            distances = {}
+            for metric in metrics:
+                proxy_id, report = rank_signatures(proxy_sigs, victim_sig, metric)
+                selected[metric.value] = proxy_id
+                distances[metric.value] = dict(report.entries)
+                write_stamped(f"distances_{metric.value}.csv", report.to_csv())
 
-        stage = "attack"
-        acfg = AttackConfig(
-            epsilon=float(attack_cfg_block.get("epsilon", 0.1)),
-            step_size=float(attack_cfg_block.get("step_size", 0.02)),
-            steps=int(attack_cfg_block.get("steps", 40)),
-            restarts=int(attack_cfg_block.get("restarts", 5)),
-            quantize_8bit=bool(attack_cfg_block.get("quantize_8bit", False)))
-        points = select_attack_points(proxies, test_data,
-                                      int(attack_cfg_block.get("points", 100)))
-        crafted = pgd_many(
-            [(model, replace(acfg, rng_seed=derived_seed(master, f"pgd.{model.model_id}")))
-             for model in proxies], points)
-        batches = {batch.surrogate_id: batch for batch in crafted}
+            stage = "attack"
+            epsilon, fields = crafted()
+        batches = {f["surrogate_id"]: AdversarialBatch(**f) for f in fields}
         results = {mid: transfer_eval(victim, batch) for mid, batch in batches.items()}
 
         primary = metrics[0].value
@@ -265,8 +286,8 @@ def run_campaign(config: dict, out_dir) -> CampaignResult:
             r = pearson(xs, ys)
             records.append(CorrelationRecord(
                 victim_id=victim.oracle_id, metric=metric, n_references=plan.n,
-                epsilon=acfg.epsilon, r=r, sample_count=len(xs)))
-            plot_rows += [[metric.value, e["model_id"], x, y, acfg.epsilon]
+                epsilon=epsilon, r=r, sample_count=len(xs)))
+            plot_rows += [[metric.value, e["model_id"], x, y, epsilon]
                           for e, x, y in zip(portfolio_cfg, xs, ys)]
         write_stamped("correlations.csv", csv_text(
             ["victim_id", "metric", "n_references", "epsilon", "pearson_r", "sample_count"],

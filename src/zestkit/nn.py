@@ -8,15 +8,14 @@ serialize to a single self-describing file, bit-exact on round trip.
 """
 
 import math
-import os
-import threading
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, DomainError, ShapeError
-from .util import owned_array, read_container, run_grouped, write_container
+from .util import (ForkLanes, lane_count, owned_array, read_container, run_grouped,
+                   write_container)
 
 ACTIVATIONS = ("relu", "identity")
 
@@ -288,10 +287,8 @@ def _lanes(jobs) -> "list[list[int]]":
     the work of each call with its models. On the bundled portfolio (2-vCPU
     x86_64) this puts the slower of two lanes at 0.136 s, against 0.168 s when
     the models are left out (each lane timed alone). Units go longest first
-    onto the least-loaded lane. There is one lane per CPU in this process's
-    affinity set, at most one per unit, and a single lane when this platform
-    cannot fork or another Python thread is alive: a lock that thread holds at
-    the fork would stay held in the child.
+    onto the least-loaded lane. There are ``lane_count()`` lanes, at most one
+    per unit.
     """
     units = {}
     for i, job in enumerate(jobs):
@@ -302,9 +299,7 @@ def _lanes(jobs) -> "list[list[int]]":
         steps = cfg.epochs * math.ceil(len(data) / cfg.batch_size)
         return steps * (len(cfg.hidden) + 1) * (len(idx) + 1)
 
-    can_fork = (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-                and threading.active_count() == 1)
-    count = max(1, min(len(os.sched_getaffinity(0)) if can_fork else 1, len(units)))
+    count = max(1, min(lane_count(), len(units)))
     lanes, loads = [[] for _ in range(count)], [0] * count
     for idx in sorted(units.values(), key=cost, reverse=True):
         k = loads.index(min(loads))
@@ -315,87 +310,17 @@ def _lanes(jobs) -> "list[list[int]]":
 
 def _train_lanes(jobs) -> list:
     """``run_grouped(jobs, _shape, _sgd)``, lane by lane: lane 0 in this process,
-    each other lane in a forked child that sends its parameters back.
-
-    A lane whose child could not be forked, sent fewer or more bytes than its
-    parameters hold, or exited non-zero is trained here, so a deterministic
-    error or warning surfaces as the in-process loop raises it, under the
-    caller's filters. When this process raises, every child still running is
-    killed and reaped.
-    """
+    each other lane in a ``ForkLanes`` child, trained here again if it fails."""
     lanes = _lanes(jobs)
+    lane_jobs = [[jobs[i] for i in lane] for lane in lanes]
+    with ForkLanes() as forked:
+        later = [forked.run(run_grouped, js, _shape, _sgd) for js in lane_jobs[1:]]
+        got = [run_grouped(lane_jobs[0], _shape, _sgd), *(take() for take in later)]
     params = [None] * len(jobs)
-    children = {}  # lane number -> (pid, read end of its pipe)
-    try:
-        for k in range(1, len(lanes)):
-            child = _fork_lane([jobs[i] for i in lanes[k]])
-            if child is not None:
-                children[k] = child
-        for k, lane in enumerate(lanes):
-            lane_jobs = [jobs[i] for i in lane]
-            got = _receive(*children.pop(k), lane_jobs) if k in children else None
-            if got is None:
-                got = run_grouped(lane_jobs, _shape, _sgd)
-            for i, p in zip(lane, got):
-                params[i] = p
-    finally:
-        if children:
-            from signal import SIGKILL  # only here: import zestkit does not load signal
-            for pid, fd in children.values():
-                os.close(fd)
-                os.kill(pid, SIGKILL)
-                os.waitpid(pid, 0)
+    for lane, lane_params in zip(lanes, got):
+        for i, p in zip(lane, lane_params):
+            params[i] = p
     return params
-
-
-def _fork_lane(lane_jobs):
-    """(pid, read end) of a forked child that trains ``lane_jobs`` and writes
-    their raw float64 parameters to the pipe; None when fork fails.
-
-    The child only trains, under an "error" warnings filter, and leaves
-    through ``os._exit``: it never returns into the caller's stack.
-    """
-    r, w = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        return None
-    if pid:
-        os.close(w)
-        return pid, r
-    status = 1
-    try:
-        os.close(r)
-        warnings.simplefilter("error")
-        with open(w, "wb") as f:
-            for ws, bs in run_grouped(lane_jobs, _shape, _sgd):
-                for a in (*ws, *bs):
-                    f.write(a.tobytes())
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _receive(pid, fd, lane_jobs):
-    """Read and reap a ``_fork_lane`` child: each job's (weights, biases), or
-    None unless it sent exactly their bytes and exited 0."""
-    try:
-        blob = b"".join(iter(lambda: os.read(fd, 1 << 16), b""))
-    finally:
-        os.close(fd)
-        _, status = os.waitpid(pid, 0)
-    shapes = []  # each job's weight shapes and bias shapes, as _sgd returns them
-    for data, cfg, _ in lane_jobs:
-        widths = (data.points.shape[1], *cfg.hidden, data.class_count)
-        shapes.append((list(zip(widths, widths[1:])), [(n,) for n in widths[1:]]))
-    sizes = [math.prod(s) for ws, bs in shapes for s in ws + bs]
-    if status != 0 or len(blob) != 8 * sum(sizes):
-        return None
-    arrays = iter(np.split(np.frombuffer(blob, dtype=np.float64), np.cumsum(sizes)[:-1]))
-    return [([next(arrays).reshape(s) for s in ws], [next(arrays).reshape(s) for s in bs])
-            for ws, bs in shapes]
 
 
 def _sgd(group):

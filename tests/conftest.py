@@ -44,6 +44,12 @@ def count_forks(monkeypatch):
     return forks
 
 
+def assert_no_children():
+    """No child process of this one is left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.fixture(scope="session")
 def blob_world():
     """Shared well-separated blobs plus a trained model pair."""

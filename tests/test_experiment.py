@@ -4,6 +4,8 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from zestkit.nn import Dataset
 from zestkit.oracle import ModelServer
 from zestkit.util import config_hash
 
-from conftest import count_forks, tiny_net, use_cpus
+from conftest import assert_no_children, count_forks, tiny_net, use_cpus
 
 
 # --- correlation -----------------------------------------------------------
@@ -376,8 +378,98 @@ def test_bundled_campaign_same_tree_on_one_cpu_and_two_lanes(tmp_path, monkeypat
     use_cpus(monkeypatch, 2)
     forks = count_forks(monkeypatch)
     zk.run_campaign(zk.bundled_campaign_config(), tmp_path / "two-lanes")
-    assert forks == [1]
+    assert forks == [1, 1]  # one training lane, then the PGD lane
     assert _tree_digest(tmp_path / "one-cpu") == _tree_digest(tmp_path / "two-lanes")
+
+
+# --- the PGD lane ----------------------------------------------------------
+
+def _pgd_failing(monkeypatch, where):
+    """Make the campaign's pgd_many raise RuntimeError("pgd") in a forked child, or
+    everywhere."""
+    parent, pgd_many = os.getpid(), zk.experiment.pgd_many
+
+    def pgd(jobs, data):
+        if where == "everywhere" or os.getpid() != parent:
+            raise RuntimeError("pgd")
+        return pgd_many(jobs, data)
+
+    monkeypatch.setattr(zk.experiment, "pgd_many", pgd)
+
+
+def test_campaign_redoes_a_failed_pgd_lane_in_process(tmp_path, monkeypatch):
+    use_cpus(monkeypatch, 1)
+    zk.run_campaign(_tiny_config(), tmp_path / "serial")
+    use_cpus(monkeypatch, 2)
+    _pgd_failing(monkeypatch, "child")
+    forks = count_forks(monkeypatch)
+    zk.run_campaign(_tiny_config(), tmp_path / "lanes")
+    assert forks == [1, 1]
+    assert _tree_digest(tmp_path / "lanes") == _tree_digest(tmp_path / "serial")
+    assert_no_children()
+
+
+def test_campaign_pgd_failing_everywhere_raises_the_serial_error_at_attack(
+        tmp_path, monkeypatch):
+    _pgd_failing(monkeypatch, "everywhere")
+    forks = count_forks(monkeypatch)
+    manifests = []
+    for cpus in (1, 2):
+        use_cpus(monkeypatch, cpus)
+        out = tmp_path / f"cpus-{cpus}"
+        with pytest.raises(RuntimeError, match="^pgd$"):
+            zk.run_campaign(_tiny_config(), out)
+        manifests.append(json.loads((out / "manifest.json").read_text()))
+    assert manifests[0] == manifests[1]
+    assert manifests[0]["stage"] == "attack" and manifests[0]["error"] == "RuntimeError: pgd"
+    assert forks == [1, 1]  # the training lane, then the PGD lane, both at 2 CPUs
+    assert_no_children()
+
+
+def test_campaign_failing_at_signatures_kills_the_pgd_lane(tmp_path, monkeypatch):
+    use_cpus(monkeypatch, 2)
+    parent, pgd_many = os.getpid(), zk.experiment.pgd_many
+
+    def slow_in_child(jobs, data):
+        if os.getpid() != parent:
+            time.sleep(60)  # still crafting when the parent fails
+        return pgd_many(jobs, data)
+
+    monkeypatch.setattr(zk.experiment, "pgd_many", slow_in_child)
+    cfg = _tiny_config()
+    cfg["victim"] = {"kind": "remote", "url": _closed_port_url()}
+    forks = count_forks(monkeypatch)
+    start = time.monotonic()
+    with pytest.raises(TransportError):
+        zk.run_campaign(cfg, tmp_path / "fail")
+    assert time.monotonic() - start < 30  # killed, not waited for
+    assert json.loads((tmp_path / "fail" / "manifest.json").read_text())["stage"] == "signatures"
+    assert forks == [1, 1]
+    assert_no_children()
+
+
+def test_campaign_does_not_fork_while_another_thread_is_alive(tmp_path, monkeypatch):
+    use_cpus(monkeypatch, 1)
+    zk.run_campaign(_tiny_config(), tmp_path / "serial")
+    use_cpus(monkeypatch, 2)
+    forks = []
+
+    def no_fork():
+        forks.append(1)
+        raise AssertionError("forked with a live thread")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait, args=(60,))
+    thread.start()
+    try:
+        zk.run_campaign(_tiny_config(), tmp_path / "threaded")
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert forks == []
+    assert _tree_digest(tmp_path / "threaded") == _tree_digest(tmp_path / "serial")
 
 
 def test_campaign_portfolio_degradation_weakens_model(tmp_path):

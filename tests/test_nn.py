@@ -10,7 +10,7 @@ import zestkit as zk
 from zestkit.errors import ConfigError, DomainError, ShapeError
 from zestkit.nn import as_matrix, cross_entropy, logit_cross_entropy
 
-from conftest import count_forks, linear_net, tiny_net, use_cpus
+from conftest import assert_no_children, count_forks, linear_net, tiny_net, use_cpus
 
 
 # --- validation ------------------------------------------------------------
@@ -411,11 +411,6 @@ def test_train_many_divergence_in_a_mixed_group_rejected(monkeypatch):
 
 # --- training lanes --------------------------------------------------------
 
-def _assert_no_children():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def _bundled_jobs(master):
     """The jobs ``run_campaign`` trains for the bundled config at ``master``."""
     cfg = zk.bundled_campaign_config()
@@ -440,7 +435,7 @@ def test_train_many_same_bytes_on_one_two_and_three_lanes(monkeypatch, master):
         before = len(forks)
         runs.append(zk.train_many(jobs))
         assert len(forks) - before == cpus - 1
-        _assert_no_children()
+        assert_no_children()
     for one, two, three in zip(*runs):
         _assert_same_model(two, one)
         _assert_same_model(three, one)
@@ -473,7 +468,7 @@ def test_train_many_retrains_a_failed_child_lane_in_process(monkeypatch):
     for got, model in zip(zk.train_many(jobs), want):
         _assert_same_model(got, model)
     assert len(forks) == 2 and len(calls) == 3  # lane 0, then both failed lanes
-    _assert_no_children()
+    assert_no_children()
 
     calls.clear()
 
@@ -487,7 +482,7 @@ def test_train_many_retrains_a_failed_child_lane_in_process(monkeypatch):
     with pytest.raises(RuntimeError, match="^serial$"):  # retraining lane 1 in process
         zk.train_many(jobs)
     assert len(forks) == 4
-    _assert_no_children()  # lane 2's child was killed and reaped
+    assert_no_children()  # lane 2's child was killed and reaped
 
     # all bytes sent, but a non-zero exit: the parent trains the lane again
     calls.clear()
@@ -497,7 +492,7 @@ def test_train_many_retrains_a_failed_child_lane_in_process(monkeypatch):
     for got, model in zip(zk.train_many(jobs), want):
         _assert_same_model(got, model)
     assert len(calls) == 3
-    _assert_no_children()
+    assert_no_children()
 
 
 def test_train_many_child_warning_surfaces_under_callers_filters(monkeypatch):
@@ -518,7 +513,7 @@ def test_train_many_child_warning_surfaces_under_callers_filters(monkeypatch):
         seen.append(([str(w.message) for w in shown], str(info.value)))
     assert seen[0] == seen[1] and "overflow" in seen[0][1]
     assert len(forks) == 4
-    _assert_no_children()
+    assert_no_children()
 
 
 def test_train_many_trains_a_lane_it_cannot_fork_in_process(monkeypatch):
@@ -551,7 +546,7 @@ def test_train_many_kills_and_reaps_children_when_its_own_lane_raises(monkeypatc
         zk.train_many(_three_unit_jobs())
     assert time.monotonic() - start < 30  # killed, not waited for
     assert len(forks) == 2
-    _assert_no_children()
+    assert_no_children()
 
 
 def test_train_many_does_not_fork_while_another_thread_is_alive(monkeypatch):

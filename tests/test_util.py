@@ -1,14 +1,19 @@
 import hashlib
+import os
+import pickle
 import struct
+import time
 
 import numpy as np
 import pytest
 
 import zestkit as zk
 from zestkit.errors import IntegrityError
-from zestkit.util import (atomic_write_bytes, canonical_json, config_hash,
+from zestkit.util import (ForkLanes, atomic_write_bytes, canonical_json, config_hash,
                           container_bytes, csv_text, derived_seed, read_container,
                           sha256_file, write_container)
+
+from conftest import assert_no_children, count_forks, use_cpus
 
 
 def test_derived_seed_deterministic_and_labeled():
@@ -71,10 +76,15 @@ def test_container_not_a_container(tmp_path):
         read_container(path, "kind-a")
 
 
-def _hand_built_container(path, **header):
+def _hand_built_container(path, header=None, **fields):
+    """A container of two float64 zeros: its header is ``header`` when given, else
+    a valid one with ``fields`` put in, or left out where set to None."""
     payload = np.zeros(2).tobytes()
-    text = canonical_json({"magic_kind": "kind-a", "format_version": 1, "meta": {},
-                           "payload_sha256": hashlib.sha256(payload).hexdigest(), **header})
+    if header is None:
+        header = {"magic_kind": "kind-a", "format_version": 1, "meta": {},
+                  "payload_sha256": hashlib.sha256(payload).hexdigest(), **fields}
+        header = {k: v for k, v in header.items() if v is not None}
+    text = canonical_json(header)
     path.write_bytes(b"ZSTK" + struct.pack("<I", len(text)) + text.encode() + payload)
     return path
 
@@ -96,6 +106,15 @@ def test_container_rejects_header_without_array_fields(tmp_path, lacks):
     header = {} if lacks == "arrays" else {"arrays": [entry]}
     with pytest.raises(IntegrityError, match="array list" if lacks == "arrays" else "lacks"):
         read_container(_hand_built_container(tmp_path / "x.bin", **header), "kind-a")
+
+
+@pytest.mark.parametrize("header, match", [(None, "no meta object"),
+                                           ([1, 2], "not a JSON object")],
+                         ids=["no-meta", "list"])
+def test_container_rejects_header_without_meta_or_not_an_object(tmp_path, header, match):
+    path = _hand_built_container(tmp_path / "x.bin", header, meta=None, arrays=[])
+    with pytest.raises(IntegrityError, match=match):
+        read_container(path, "kind-a")
 
 
 def test_container_truncated(tmp_path):
@@ -174,3 +193,91 @@ def test_value_types_own_read_only_copies(case):
         before = stored.copy()
         caller[...] = ~caller if caller.dtype == bool else caller + 1
         assert np.array_equal(stored, before), name
+
+
+# --- forked lanes ----------------------------------------------------------
+
+_PARENT = os.getpid()
+
+
+def _draw(seed, rows):
+    """Plain data, as a lane returns it; ``calls`` counts the draws made in this process."""
+    if os.getpid() == _PARENT:
+        _draw.calls += 1
+    rng = np.random.default_rng(seed)
+    return {"x": rng.normal(size=(rows, 3)), "labels": rng.integers(0, 3, rows), "seed": seed}
+
+
+def _same(got, want):
+    assert got["seed"] == want["seed"]
+    for name in ("x", "labels"):
+        assert got[name].dtype == want[name].dtype
+        assert got[name].tobytes() == want[name].tobytes()
+
+
+@pytest.fixture
+def lanes_on_two_cpus(monkeypatch):
+    """Two CPUs, a fresh draw count, and the list of later forks."""
+    use_cpus(monkeypatch, 2)
+    _draw.calls = 0
+    return count_forks(monkeypatch)
+
+
+def test_fork_lanes_result_equals_an_in_process_call(lanes_on_two_cpus):
+    want = _draw(5, 60000)  # 1.9 MB: more than the pipe holds
+    _draw.calls = 0
+    with ForkLanes() as lanes:
+        take = lanes.run(_draw, 5, 60000)
+        _same(take(), want)
+    assert lanes_on_two_cpus == [1] and _draw.calls == 0
+    assert_no_children()
+
+
+def test_fork_lanes_stay_in_process_on_one_cpu(lanes_on_two_cpus, monkeypatch):
+    use_cpus(monkeypatch, 1)
+    with ForkLanes() as lanes:
+        _same(lanes.run(_draw, 5, 4)(), _draw(5, 4))
+    assert lanes_on_two_cpus == [] and _draw.calls == 2
+
+
+def test_fork_lanes_run_in_process_when_the_fork_fails(lanes_on_two_cpus, monkeypatch):
+    def no_fork():
+        raise BlockingIOError("no process left")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    with ForkLanes() as lanes:
+        take = lanes.run(_draw, 5, 4)
+        assert _draw.calls == 0  # not yet: only when the result is taken
+        _same(take(), _draw(5, 4))
+    assert _draw.calls == 2
+
+
+def test_fork_lanes_rerun_a_child_that_exits_non_zero_after_a_full_pickle(
+        lanes_on_two_cpus, monkeypatch):
+    exit_ = os._exit
+    monkeypatch.setattr(os, "_exit", lambda status: exit_(3))
+    with ForkLanes() as lanes:
+        _same(lanes.run(_draw, 5, 4)(), _draw(5, 4))
+    assert lanes_on_two_cpus == [1] and _draw.calls == 2
+    assert_no_children()
+
+
+def test_fork_lanes_rerun_a_child_that_sends_a_truncated_pickle(lanes_on_two_cpus, monkeypatch):
+    dumps = pickle.dumps
+    monkeypatch.setattr(pickle, "dumps", lambda obj, **kw: dumps(obj, **kw)[:-1])
+    with ForkLanes() as lanes:
+        _same(lanes.run(_draw, 5, 4)(), _draw(5, 4))
+    assert lanes_on_two_cpus == [1] and _draw.calls == 2
+    assert_no_children()
+
+
+def test_fork_lanes_kill_and_reap_children_when_the_parent_raises(lanes_on_two_cpus):
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match="^parent$"):
+        with ForkLanes() as lanes:
+            lanes.run(time.sleep, 60)
+            lanes.run(time.sleep, 60)
+            raise RuntimeError("parent")
+    assert time.monotonic() - start < 30  # killed, not waited for
+    assert lanes_on_two_cpus == [1, 1]
+    assert_no_children()
