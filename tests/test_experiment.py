@@ -307,6 +307,27 @@ def test_campaign_failure_manifest(tmp_path, stage, edit, error):
     assert manifest["config_hash"] == config_hash(cfg)
 
 
+@pytest.mark.parametrize("owner, name, stage", [
+    (zk.experiment, "rank_signatures", "distances"),
+    (zk.experiment, "csv_text", "transfer-report"),
+    (zk.oracle.QueryLedger, "snapshot", "manifest"),
+], ids=["distances", "transfer-report", "manifest"])
+def test_campaign_failure_manifest_names_the_stage_of_the_failing_call(
+        tmp_path, monkeypatch, owner, name, stage):
+    def fail(*args, **kwargs):
+        raise RuntimeError(name)
+
+    monkeypatch.setattr(owner, name, fail)
+    out = tmp_path / "fail"
+    with pytest.raises(RuntimeError, match=f"^{name}$"):
+        zk.run_campaign(_tiny_config(), out)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "failed"
+    assert manifest["stage"] == stage
+    assert manifest["error"] == f"RuntimeError: {name}"
+    assert_no_children()
+
+
 def test_campaign_rejects_bad_config(tmp_path):
     cfg = _tiny_config()
     cfg["dataset"]["kind"] = "images"
