@@ -11,6 +11,7 @@ import json
 import logging
 import os
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -149,183 +150,199 @@ def _write_manifest(out_dir, payload):
                       json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
+def _write_stamped(s, name, text):
+    atomic_write_text(os.path.join(s.out_dir, name), f"# config_hash: {s.chash}\n" + text)
+
+
+# Each stage takes the run's one namespace `s`, reads what earlier stages put
+# there and adds what it makes; _STAGES below gives their order.
+
+def _parse(s):
+    config = s.config
+    s.master = int(config["master_seed"])
+    s.ds_cfg = config["dataset"]
+    s.victim_cfg = config["victim"]
+    s.portfolio_cfg = config["portfolio"]
+    s.lime_cfg = config["lime"]
+    s.attack_cfg_block = config["attack"]
+    s.metrics = [DistanceMetric.parse(m) for m in config.get("metrics", ["cosine"])]
+    if not s.portfolio_cfg:
+        raise ConfigError("portfolio must list at least one surrogate")
+    s.portfolio_ids = [entry["model_id"] for entry in s.portfolio_cfg]
+    if len(set(s.portfolio_ids)) != len(s.portfolio_ids):
+        raise ConfigError(f"portfolio model ids must be unique: {s.portfolio_ids}")
+    # the signature store's index.tsv cannot hold them, and they name model files
+    if any(c in mid for mid in s.portfolio_ids for c in "\t\r\n"):
+        raise ConfigError(f"portfolio model ids cannot hold a tab or line break: "
+                          f"{s.portfolio_ids}")
+    if s.ds_cfg.get("kind", "blobs") != "blobs":
+        raise ConfigError(f"unknown dataset kind {s.ds_cfg.get('kind')!r}")
+
+
+def _dataset(s):
+    ds_cfg, master = s.ds_cfg, s.master
+    centers = blob_centers(int(ds_cfg["classes"]), int(ds_cfg["features"]),
+                           derived_seed(master, "data.centers"))
+    noise = float(ds_cfg.get("noise", 0.08))
+    s.train_data = sample_blobs(centers, int(ds_cfg["train_size"]), noise,
+                                derived_seed(master, "data.train"))
+    s.test_data = sample_blobs(centers, int(ds_cfg["test_size"]), noise,
+                               derived_seed(master, "data.test"))
+
+
+def _train(s):
+    models_dir = os.path.join(s.out_dir, "models")
+    os.makedirs(models_dir, exist_ok=True)
+    jobs = [(_portfolio_dataset(s.train_data, entry, s.master),
+             _train_config(entry, derived_seed(s.master, f"train.{entry['model_id']}")),
+             entry["model_id"]) for entry in s.portfolio_cfg]
+    victim_cfg = s.victim_cfg
+    local_victim = victim_cfg.get("kind", "local") == "local"
+    if local_victim:
+        vid = victim_cfg.get("model_id", "victim")
+        jobs.append((s.train_data,
+                     _train_config(victim_cfg, derived_seed(s.master, f"train.{vid}")), vid))
+    elif victim_cfg["kind"] != "remote":
+        raise ConfigError(f"unknown victim kind {victim_cfg['kind']!r}")
+    models = train_many(jobs)
+    s.proxies = models[:len(s.portfolio_cfg)]
+    for model in models:
+        save_model(model, os.path.join(models_dir, f"{model.model_id}.mlp"))
+        log.info("trained %s: accuracy %.3f", model.model_id,
+                 model.metadata["train_accuracy"])
+    s.victim = (local_oracle(models[-1]) if local_victim
+                else remote_oracle(RemoteEndpoint(victim_cfg["url"])))
+
+
+def _plan(s):
+    lime_cfg = s.lime_cfg
+    grid = SegmentGrid.uniform(int(s.ds_cfg["features"]), int(lime_cfg.get("segments", 16)))
+    lcfg = LimeConfig(perturbations=int(lime_cfg["p"]),
+                      kernel_width=lime_cfg.get("kernel_width"),
+                      ridge=float(lime_cfg.get("ridge", 1.0)),
+                      replacement=lime_cfg.get("replacement", "segment_mean"))
+    s.plan = make_plan(s.train_data, int(lime_cfg["n"]), grid, lcfg,
+                       derived_seed(s.master, "plan"), models=s.proxies)
+    save_plan(s.plan, os.path.join(s.out_dir, "shared.plan"))
+
+
+def _signatures(s):
+    # PGD needs only the proxies, so a forked lane crafts while this process signs
+    s.crafted = s.lanes.run(_craft, s.proxies, s.test_data, s.attack_cfg_block, s.master)
+    store = SignatureStore(os.path.join(s.out_dir, "signatures"))
+    *s.proxy_sigs, s.victim_sig = sign_many([*map(local_oracle, s.proxies), s.victim], s.plan)
+    for sig in s.proxy_sigs:
+        store.put_signature(sig)
+    save_signature(s.victim_sig, os.path.join(s.out_dir, "victim.sig"))
+    s.signature_cost = s.victim.ledger.breakdown()
+
+
+def _distances(s):
+    # only this run's portfolio: a reused out_dir's store may hold others
+    s.selected, s.distances = {}, {}
+    for metric in s.metrics:
+        proxy_id, report = rank_signatures(s.proxy_sigs, s.victim_sig, metric)
+        s.selected[metric.value] = proxy_id
+        s.distances[metric.value] = dict(report.entries)
+        _write_stamped(s, f"distances_{metric.value}.csv", report.to_csv())
+
+
+def _attack(s):
+    s.epsilon, fields = s.crafted()
+    s.batches = {f["surrogate_id"]: AdversarialBatch(**f) for f in fields}
+    s.results = {mid: transfer_eval(s.victim, batch) for mid, batch in s.batches.items()}
+    chosen = s.batches[s.selected[s.metrics[0].value]]
+    save_batch(chosen, os.path.join(s.out_dir, "selected.adv"))
+    _write_stamped(s, "selected_batch.csv", batch_summary_csv(chosen))
+
+
+def _transfer_report(s):
+    rows = []
+    for mid in s.portfolio_ids:
+        res = s.results[mid]
+        rows.append([mid, s.batches[mid].local_success_rate, res.valid_points,
+                     res.already_misclassified, res.success_count, res.success_rate,
+                     res.raw_success_rate, *[s.distances[m.value][mid] for m in s.metrics]])
+    _write_stamped(s, "transfer.csv", csv_text(
+        ["proxy_id", "local_success_rate", "valid_points", "already_misclassified",
+         "success_count", "success_rate", "raw_success_rate",
+         *[f"distance_{m.value}" for m in s.metrics]], rows))
+
+
+def _correlation(s):
+    s.records, plot_rows = [], []
+    for metric in s.metrics:
+        xs = [s.distances[metric.value][mid] for mid in s.portfolio_ids]
+        ys = [s.results[mid].success_rate for mid in s.portfolio_ids]
+        s.records.append(CorrelationRecord(
+            victim_id=s.victim.oracle_id, metric=metric, n_references=s.plan.n,
+            epsilon=s.epsilon, r=pearson(xs, ys), sample_count=len(xs)))
+        plot_rows += [[metric.value, mid, x, y, s.epsilon]
+                      for mid, x, y in zip(s.portfolio_ids, xs, ys)]
+    _write_stamped(s, "correlations.csv", csv_text(
+        ["victim_id", "metric", "n_references", "epsilon", "pearson_r", "sample_count"],
+        ([rec.victim_id, rec.metric.value, rec.n_references, rec.epsilon, rec.r,
+          rec.sample_count] for rec in s.records)))
+    _write_stamped(s, "plotdata.csv", csv_text(
+        ["metric", "proxy_id", "distance", "transfer_rate", "epsilon"], plot_rows))
+
+
+def _manifest(s):
+    s.ledger = s.victim.ledger.snapshot()
+    _write_manifest(s.out_dir, {
+        "status": "ok",
+        "config_hash": s.chash,
+        "victim_id": s.victim.oracle_id,
+        "selected_surrogate": s.selected,
+        "plan_fingerprint": s.plan.fingerprint(),
+        "signature_query_cost": s.signature_cost,
+        "victim_ledger": s.ledger,
+        "correlations": {rec.metric.value: rec.r for rec in s.records},
+    })
+
+
+_STAGES = (("parse", _parse), ("dataset", _dataset), ("train", _train), ("plan", _plan),
+           ("signatures", _signatures), ("distances", _distances), ("attack", _attack),
+           ("transfer-report", _transfer_report), ("correlation", _correlation),
+           ("manifest", _manifest))
+
+
 def run_campaign(config: dict, out_dir) -> CampaignResult:
     """Execute the full pipeline described by `config` into `out_dir`.
+
+    The stages run in this order: parse, dataset, train, plan, signatures,
+    distances, attack, transfer-report, correlation, manifest. When one
+    raises, the run writes a manifest with status "failed" that names the
+    failing stage and the error, then re-raises.
 
     Where this process may use more than one CPU (``util.lane_count``), the
     stages "signatures" and "distances" overlap the attack's PGD: a forked
     lane picks the attack points and crafts every proxy's batch while this
     process signs, stores, ranks and writes, and hands the batches over at
     stage "attack". A lane that fails is redone in process there, so an error
-    surfaces at the stage, and with the message, of a run on one CPU.
+    surfaces at the stage, and with the message, of a run on one CPU; a run
+    that fails earlier kills the lane before it writes its manifest.
     Training runs in lanes too (``nn.train_many``). No artifact depends on
     the CPU count.
     """
     out_dir = os.fspath(out_dir)
     os.makedirs(out_dir, exist_ok=True)
-    chash = config_hash(config)
-
-    def write_stamped(name, text):
-        atomic_write_text(os.path.join(out_dir, name), f"# config_hash: {chash}\n" + text)
-
-    stage = "parse"
+    s = SimpleNamespace(config=config, out_dir=out_dir, chash=config_hash(config))
     try:
-        master = int(config["master_seed"])
-        ds_cfg = config["dataset"]
-        victim_cfg = config["victim"]
-        portfolio_cfg = config["portfolio"]
-        lime_cfg = config["lime"]
-        attack_cfg_block = config["attack"]
-        metrics = [DistanceMetric.parse(m) for m in config.get("metrics", ["cosine"])]
-        if not portfolio_cfg:
-            raise ConfigError("portfolio must list at least one surrogate")
-        portfolio_ids = [entry["model_id"] for entry in portfolio_cfg]
-        if len(set(portfolio_ids)) != len(portfolio_ids):
-            raise ConfigError(f"portfolio model ids must be unique: {portfolio_ids}")
-        # the signature store's index.tsv cannot hold them, and they name model files
-        if any(c in mid for mid in portfolio_ids for c in "\t\r\n"):
-            raise ConfigError(f"portfolio model ids cannot hold a tab or line break: "
-                              f"{portfolio_ids}")
-        if ds_cfg.get("kind", "blobs") != "blobs":
-            raise ConfigError(f"unknown dataset kind {ds_cfg.get('kind')!r}")
-
-        stage = "dataset"
-        centers = blob_centers(int(ds_cfg["classes"]), int(ds_cfg["features"]),
-                               derived_seed(master, "data.centers"))
-        noise = float(ds_cfg.get("noise", 0.08))
-        train_data = sample_blobs(centers, int(ds_cfg["train_size"]), noise,
-                                  derived_seed(master, "data.train"))
-        test_data = sample_blobs(centers, int(ds_cfg["test_size"]), noise,
-                                 derived_seed(master, "data.test"))
-
-        stage = "train"
-        models_dir = os.path.join(out_dir, "models")
-        os.makedirs(models_dir, exist_ok=True)
-        jobs = [(_portfolio_dataset(train_data, entry, master),
-                 _train_config(entry, derived_seed(master, f"train.{entry['model_id']}")),
-                 entry["model_id"]) for entry in portfolio_cfg]
-        local_victim = victim_cfg.get("kind", "local") == "local"
-        if local_victim:
-            vid = victim_cfg.get("model_id", "victim")
-            jobs.append((train_data,
-                         _train_config(victim_cfg, derived_seed(master, f"train.{vid}")), vid))
-        elif victim_cfg["kind"] != "remote":
-            raise ConfigError(f"unknown victim kind {victim_cfg['kind']!r}")
-        models = train_many(jobs)
-        proxies = models[:len(portfolio_cfg)]
-        for model in proxies:
-            save_model(model, os.path.join(models_dir, f"{model.model_id}.mlp"))
-            log.info("trained %s: accuracy %.3f", model.model_id,
-                     model.metadata["train_accuracy"])
-        if local_victim:
-            save_model(models[-1], os.path.join(models_dir, f"{vid}.mlp"))
-            victim = local_oracle(models[-1])
-        else:
-            victim = remote_oracle(RemoteEndpoint(victim_cfg["url"]))
-
-        stage = "plan"
-        grid = SegmentGrid.uniform(int(ds_cfg["features"]), int(lime_cfg.get("segments", 16)))
-        lcfg = LimeConfig(perturbations=int(lime_cfg["p"]),
-                          kernel_width=lime_cfg.get("kernel_width"),
-                          ridge=float(lime_cfg.get("ridge", 1.0)),
-                          replacement=lime_cfg.get("replacement", "segment_mean"))
-        plan = make_plan(train_data, int(lime_cfg["n"]), grid, lcfg,
-                         derived_seed(master, "plan"), models=proxies)
-        save_plan(plan, os.path.join(out_dir, "shared.plan"))
-
-        stage = "signatures"
-        with ForkLanes() as lanes:
-            # PGD needs only the proxies, so a forked lane crafts while this process signs
-            crafted = lanes.run(_craft, proxies, test_data, attack_cfg_block, master)
-            store = SignatureStore(os.path.join(out_dir, "signatures"))
-            *proxy_sigs, victim_sig = sign_many([*map(local_oracle, proxies), victim], plan)
-            for sig in proxy_sigs:
-                store.put_signature(sig)
-            save_signature(victim_sig, os.path.join(out_dir, "victim.sig"))
-            signature_cost = victim.ledger.breakdown()
-
-            stage = "distances"
-            # only this run's portfolio: a reused out_dir's store may hold others
-            selected = {}
-            distances = {}
-            for metric in metrics:
-                proxy_id, report = rank_signatures(proxy_sigs, victim_sig, metric)
-                selected[metric.value] = proxy_id
-                distances[metric.value] = dict(report.entries)
-                write_stamped(f"distances_{metric.value}.csv", report.to_csv())
-
-            stage = "attack"
-            epsilon, fields = crafted()
-        batches = {f["surrogate_id"]: AdversarialBatch(**f) for f in fields}
-        results = {mid: transfer_eval(victim, batch) for mid, batch in batches.items()}
-
-        primary = metrics[0].value
-        chosen = batches[selected[primary]]
-        save_batch(chosen, os.path.join(out_dir, "selected.adv"))
-        write_stamped("selected_batch.csv", batch_summary_csv(chosen))
-
-        stage = "transfer-report"
-        rows = []
-        for entry in portfolio_cfg:
-            mid = entry["model_id"]
-            res = results[mid]
-            rows.append([mid, batches[mid].local_success_rate, res.valid_points,
-                         res.already_misclassified, res.success_count, res.success_rate,
-                         res.raw_success_rate, *[distances[m.value][mid] for m in metrics]])
-        write_stamped("transfer.csv", csv_text(
-            ["proxy_id", "local_success_rate", "valid_points", "already_misclassified",
-             "success_count", "success_rate", "raw_success_rate",
-             *[f"distance_{m.value}" for m in metrics]], rows))
-
-        stage = "correlation"
-        records = []
-        plot_rows = []
-        for metric in metrics:
-            xs = [distances[metric.value][e["model_id"]] for e in portfolio_cfg]
-            ys = [results[e["model_id"]].success_rate for e in portfolio_cfg]
-            r = pearson(xs, ys)
-            records.append(CorrelationRecord(
-                victim_id=victim.oracle_id, metric=metric, n_references=plan.n,
-                epsilon=epsilon, r=r, sample_count=len(xs)))
-            plot_rows += [[metric.value, e["model_id"], x, y, epsilon]
-                          for e, x, y in zip(portfolio_cfg, xs, ys)]
-        write_stamped("correlations.csv", csv_text(
-            ["victim_id", "metric", "n_references", "epsilon", "pearson_r", "sample_count"],
-            ([rec.victim_id, rec.metric.value, rec.n_references, rec.epsilon, rec.r,
-              rec.sample_count] for rec in records)))
-        write_stamped("plotdata.csv", csv_text(
-            ["metric", "proxy_id", "distance", "transfer_rate", "epsilon"], plot_rows))
-
-        stage = "manifest"
-        ledger = victim.ledger.snapshot()
-        manifest = {
-            "status": "ok",
-            "config_hash": chash,
-            "victim_id": victim.oracle_id,
-            "selected_surrogate": selected,
-            "plan_fingerprint": plan.fingerprint(),
-            "signature_query_cost": signature_cost,
-            "victim_ledger": ledger,
-            "correlations": {rec.metric.value: rec.r for rec in records},
-        }
-        _write_manifest(out_dir, manifest)
+        with ForkLanes() as s.lanes:
+            for name, run in _STAGES:
+                run(s)
     except Exception as e:
-        _write_manifest(out_dir, {"status": "failed", "stage": stage,
+        _write_manifest(out_dir, {"status": "failed", "stage": name,
                                   "error": f"{type(e).__name__}: {e}",
-                                  "config_hash": chash})
+                                  "config_hash": s.chash})
         raise
 
     return CampaignResult(
-        config_hash=chash,
-        out_dir=out_dir,
-        victim_id=victim.oracle_id,
-        selected=selected,
-        correlations=records,
-        distances=distances,
-        transfer_rates=results,
-        victim_ledger=ledger,
-        manifest_path=os.path.join(out_dir, "manifest.json"),
-    )
+        config_hash=s.chash, out_dir=out_dir, victim_id=s.victim.oracle_id,
+        selected=s.selected, correlations=s.records, distances=s.distances,
+        transfer_rates=s.results, victim_ledger=s.ledger,
+        manifest_path=os.path.join(out_dir, "manifest.json"))
 
 
 def load_campaign_config(path) -> dict:
