@@ -24,7 +24,7 @@ from .nn import Dataset, TrainConfig, blob_centers, sample_blobs, save_model, tr
 from .oracle import RemoteEndpoint, local_oracle, remote_oracle
 from .util import (ForkLanes, atomic_write_text, config_hash, csv_text, derived_seed,
                    owned_array, pearson)
-from .zest import DistanceMetric, SignatureStore, rank_signatures
+from .zest import DistanceMetric, SignatureStore, check_model_id, rank_signatures
 # kept importable here: bench/spans.py patches zestkit.experiment.train, .pgd, .forward,
 # .compute_signature and .select_surrogate
 from .attack import pgd  # noqa: F401
@@ -166,15 +166,22 @@ def _parse(s):
     s.lime_cfg = config["lime"]
     s.attack_cfg_block = config["attack"]
     s.metrics = [DistanceMetric.parse(m) for m in config.get("metrics", ["cosine"])]
+    if not s.metrics or len(set(s.metrics)) != len(s.metrics):
+        raise ConfigError(f"metrics must name at least one metric, each once: "
+                          f"{[m.value for m in s.metrics]}")
     if not s.portfolio_cfg:
         raise ConfigError("portfolio must list at least one surrogate")
-    s.portfolio_ids = [entry["model_id"] for entry in s.portfolio_cfg]
-    if len(set(s.portfolio_ids)) != len(s.portfolio_ids):
-        raise ConfigError(f"portfolio model ids must be unique: {s.portfolio_ids}")
-    # the signature store's index.tsv cannot hold them, and they name model files
-    if any(c in mid for mid in s.portfolio_ids for c in "\t\r\n"):
-        raise ConfigError(f"portfolio model ids cannot hold a tab or line break: "
-                          f"{s.portfolio_ids}")
+    s.portfolio_ids = [check_model_id(entry["model_id"]) for entry in s.portfolio_cfg]
+    local_victim = s.victim_cfg.get("kind", "local") == "local"
+    s.victim_id = s.victim_cfg.get("model_id", "victim") if local_victim else None
+    # every model trained here is saved as models/<model_id>.mlp
+    file_ids = s.portfolio_ids + ([s.victim_id] if local_victim else [])
+    if len(set(file_ids)) != len(file_ids):
+        raise ConfigError(f"model ids must be unique: {file_ids}")
+    if any(mid in ("", ".", "..") or any(sep and sep in mid for sep in (os.sep, os.altsep))
+           for mid in file_ids):
+        raise ConfigError(f"model ids name files in models/: none may be empty, '.' or "
+                          f"'..', or hold a path separator: {file_ids}")
     if s.ds_cfg.get("kind", "blobs") != "blobs":
         raise ConfigError(f"unknown dataset kind {s.ds_cfg.get('kind')!r}")
 
@@ -196,22 +203,19 @@ def _train(s):
     jobs = [(_portfolio_dataset(s.train_data, entry, s.master),
              _train_config(entry, derived_seed(s.master, f"train.{entry['model_id']}")),
              entry["model_id"]) for entry in s.portfolio_cfg]
-    victim_cfg = s.victim_cfg
-    local_victim = victim_cfg.get("kind", "local") == "local"
-    if local_victim:
-        vid = victim_cfg.get("model_id", "victim")
-        jobs.append((s.train_data,
-                     _train_config(victim_cfg, derived_seed(s.master, f"train.{vid}")), vid))
-    elif victim_cfg["kind"] != "remote":
-        raise ConfigError(f"unknown victim kind {victim_cfg['kind']!r}")
+    if s.victim_id is not None:
+        jobs.append((s.train_data, _train_config(
+            s.victim_cfg, derived_seed(s.master, f"train.{s.victim_id}")), s.victim_id))
+    elif s.victim_cfg["kind"] != "remote":
+        raise ConfigError(f"unknown victim kind {s.victim_cfg['kind']!r}")
     models = train_many(jobs)
     s.proxies = models[:len(s.portfolio_cfg)]
     for model in models:
         save_model(model, os.path.join(models_dir, f"{model.model_id}.mlp"))
         log.info("trained %s: accuracy %.3f", model.model_id,
                  model.metadata["train_accuracy"])
-    s.victim = (local_oracle(models[-1]) if local_victim
-                else remote_oracle(RemoteEndpoint(victim_cfg["url"])))
+    s.victim = (local_oracle(models[-1]) if s.victim_id is not None
+                else remote_oracle(RemoteEndpoint(s.victim_cfg["url"])))
 
 
 def _plan(s):

@@ -92,6 +92,14 @@ def _safe_filename(model_id: str) -> str:
     return f"{stem}-{suffix}.sig"
 
 
+def check_model_id(model_id: str) -> str:
+    """`model_id`, if a SignatureStore can index it: a tab or line break would
+    break its index.tsv line. Raises ConfigError otherwise."""
+    if any(c in model_id for c in "\t\r\n"):
+        raise ConfigError(f"{SignatureStore.INDEX} cannot index {model_id!r}: tab or line break")
+    return model_id
+
+
 class SignatureStore:
     """Directory-backed signature library with an integrity-checked index.
 
@@ -133,9 +141,7 @@ class SignatureStore:
 
     def put_signature(self, sig: Signature) -> str:
         """Store (or overwrite) a signature; also writes the summary CSV."""
-        if any(c in sig.model_id for c in "\t\r\n"):
-            raise ConfigError(f"{self.INDEX} cannot index {sig.model_id!r}: tab or line break")
-        filename = _safe_filename(sig.model_id)
+        filename = _safe_filename(check_model_id(sig.model_id))
         path = os.path.join(self.root, filename)
         save_signature(sig, path)
         atomic_write_text(path + ".summary.csv", signature_summary_csv(sig))

@@ -371,6 +371,46 @@ def test_campaign_rejects_portfolio_id_with_tab_or_line_break_before_training(
     assert sum(o.ledger.snapshot()["total"] for o in oracles) == 0
 
 
+def _set_model_id(index, mid):
+    def edit(cfg):
+        (cfg["victim"] if index is None else cfg["portfolio"][index])["model_id"] = mid
+    return edit
+
+
+_BAD_PARSE = {
+    "no-metrics": lambda c: c.update(metrics=[]),
+    "repeated-metric": lambda c: c.update(metrics=["cosine", "COSINE"]),
+    "portfolio-id-is-victim-id": _set_model_id(1, "victim"),
+    "empty-id": _set_model_id(1, ""),
+    "dot-id": _set_model_id(1, "."),
+    "dot-dot-id": _set_model_id(1, ".."),
+    "id-with-separator": _set_model_id(1, "a/b"),
+    "id-escaping-models": _set_model_id(1, "../escaped"),
+    "victim-id-with-separator": _set_model_id(None, "a/b"),
+    "victim-id-escaping-out-dir": _set_model_id(None, "../../victim"),
+}
+
+
+@pytest.mark.parametrize("edit", _BAD_PARSE.values(), ids=_BAD_PARSE.keys())
+def test_campaign_rejects_bad_metrics_and_model_ids_before_training(
+        tmp_path, monkeypatch, edit):
+    oracles = []
+    make_oracle = zk.experiment.local_oracle
+    monkeypatch.setattr(zk.experiment, "local_oracle",
+                        lambda model: oracles.append(make_oracle(model)) or oracles[-1])
+    cfg = _tiny_config()
+    edit(cfg)
+    out = tmp_path / "nest" / "bad"
+    with pytest.raises(ConfigError):
+        zk.run_campaign(cfg, out)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["stage"] == "parse"
+    assert not (out / "models").exists()
+    assert sorted(os.listdir(tmp_path)) == ["nest"]
+    assert sorted(os.listdir(tmp_path / "nest")) == ["bad"]
+    assert sum(o.ledger.snapshot()["total"] for o in oracles) == 0
+
+
 def _tree_digest(root):
     h = hashlib.sha256()
     for dirpath, dirnames, filenames in os.walk(root):
