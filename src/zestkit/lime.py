@@ -25,9 +25,9 @@ import numpy as np
 from .errors import (ComparabilityError, ConfigError, NumericalError, ShapeError,
                      TransportError)
 from .nn import forward
-from .oracle import QueryOracle
-from .util import (canonical_json, csv_text, derived_seed, owned_array, read_container,
-                   write_container)
+from .oracle import LocalOracle, QueryOracle
+from .util import (ForkLanes, canonical_json, csv_text, derived_seed, lane_count, owned_array,
+                   read_container, write_container)
 
 REPLACEMENT_POLICIES = ("segment_mean", "zeros")
 # Perturbation rows per signing block: the fastest of 1000-32768 rows at
@@ -110,8 +110,8 @@ class PerturbationPlan:
 
     def __post_init__(self):
         pts = owned_array(self, "points", np.float64)
-        if pts.ndim != 2:
-            raise ShapeError("reference points must form a 2-D array")
+        if pts.ndim != 2 or pts.shape[0] == 0:
+            raise ShapeError("reference points must form a 2-D array of at least one row")
         if pts.shape[1] != self.grid.n_features:
             raise ShapeError(
                 f"points have {pts.shape[1]} features but grid covers {self.grid.n_features}")
@@ -349,9 +349,11 @@ def _build_design(masks: np.ndarray, cfg: LimeConfig) -> PlanDesign:
 
 
 def _sign_points(oracles, points: np.ndarray, design: PlanDesign, grid: SegmentGrid,
-                 policy: str) -> "tuple[list[np.ndarray], list[np.ndarray]]":
-    """Query and fit points (B, d) for each oracle, in blocks of about BLOCK_ROWS
-    perturbation rows. Returns per-oracle coef (B, K, S) and intercept (B, K).
+                 policy: str, blocks) -> "tuple[list[np.ndarray], list[np.ndarray]]":
+    """Query and fit, for each oracle, the points of ``blocks``: consecutive
+    slices of points (B, d), as ``_point_blocks`` gives them. Returns
+    per-oracle coef (R, K, S) and intercept (R, K) for the R points the
+    blocks cover, in order.
 
     Each block takes one masked_batch call, then each oracle in turn gets,
     per point and in point order, the baseline row (billed as
@@ -359,9 +361,10 @@ def _sign_points(oracles, points: np.ndarray, design: PlanDesign, grid: SegmentG
     One weighted design serves every oracle's fit; each fit is one matmul
     and one stacked ridge solve, written into that oracle's arrays.
     """
-    b, p, s = design.masks.shape
+    s = design.masks.shape[2]
+    lo = blocks[0].start
     coefs, intercepts = [None] * len(oracles), [None] * len(oracles)
-    for blk in _point_blocks(b, p):
+    for blk in blocks:
         variants = masked_batch(points[blk], design.masks[blk], grid, policy)
         targets = []
         for oracle in oracles:
@@ -381,13 +384,25 @@ def _sign_points(oracles, points: np.ndarray, design: PlanDesign, grid: SegmentG
         for j, answers in enumerate(targets):
             beta = _ridge_solve(design.grams[blk], xwt @ answers)
             if coefs[j] is None:
-                coefs[j] = np.empty((b, beta.shape[2], s))
-                intercepts[j] = np.empty((b, beta.shape[2]))
+                coefs[j] = np.empty((blocks[-1].stop - lo, beta.shape[2], s))
+                intercepts[j] = np.empty(coefs[j].shape[:2])
             elif beta.shape[2] != coefs[j].shape[1]:
                 raise ShapeError("oracle answered with a different class count")
-            coefs[j][blk] = np.swapaxes(beta[:, :s], 1, 2)
-            intercepts[j][blk] = beta[:, s]
+            coefs[j][blk.start - lo:blk.stop - lo] = np.swapaxes(beta[:, :s], 1, 2)
+            intercepts[j][blk.start - lo:blk.stop - lo] = beta[:, s]
+        # the next block's arrays then reuse this block's memory: after a fork,
+        # every page a lane writes first is copied (sign-local: 1650 -> 1390 pages)
+        del targets, xw, xwt
     return coefs, intercepts
+
+
+def _sign_lane(models, points, design, grid, policy, blocks):
+    """``_sign_points`` through private LocalOracles of ``models``, plus each
+    one's ledger breakdown: one lane of ``sign_many``, run in a forked child
+    or, when that fails, in this process."""
+    oracles = [LocalOracle(model) for model in models]
+    coefs, intercepts = _sign_points(oracles, points, design, grid, policy, blocks)
+    return coefs, intercepts, [oracle.ledger.breakdown() for oracle in oracles]
 
 
 def fit_point_model(oracle: QueryOracle, x, masks, grid: SegmentGrid,
@@ -408,7 +423,7 @@ def fit_point_model(oracle: QueryOracle, x, masks, grid: SegmentGrid,
         raise ShapeError("oracle input_dim does not match the segment grid")
     (coef,), (intercept,) = _sign_points([oracle], x[None, :],
                                          _build_design(masks[None], cfg), grid,
-                                         cfg.replacement)
+                                         cfg.replacement, [slice(0, 1)])
     return PointModel(coef[0], intercept[0])
 
 
@@ -495,16 +510,45 @@ def sign_many(oracles, plan: PerturbationPlan) -> "list[Signature]":
     Each block's masked rows are built once and sent to every oracle in
     turn; each oracle sees exactly the calls compute_signature would send it
     (ledger: N*P + N rows each), so each signature is bitwise its solo one.
+
+    When every oracle is exactly a LocalOracle, whose answers depend only on
+    its model and the rows, the plan's blocks are split into one contiguous
+    run per lane, ``min(lane_count(), blocks)`` of them. Run 0 is signed
+    here, every other run in a ``ForkLanes`` child through private
+    LocalOracles of the same models; a failed child's run is signed here
+    again. A run's rows are billed to the caller's oracles when its answers
+    reach this process, so a redone run is billed once and a run that raises
+    bills nothing. The same code fits the same blocks at any lane count, so
+    the signatures do not depend on it. Any other oracle gets all its calls
+    from this process, in the order above.
     """
     oracles = list(oracles)
     for oracle in oracles:
         if oracle.input_dim != plan.grid.n_features:
             raise ShapeError(f"oracle expects {oracle.input_dim} features, "
                              f"plan has {plan.grid.n_features}")
-    coefs, intercepts = _sign_points(oracles, plan.points, plan.design(), plan.grid,
-                                     plan.config.replacement)
-    return [Signature.from_arrays(oracle.oracle_id, plan.fingerprint(), coef, intercept)
-            for oracle, coef, intercept in zip(oracles, coefs, intercepts)]
+    # built before any fork: every lane reads the one design, none copies it
+    args = (plan.points, plan.design(), plan.grid, plan.config.replacement)
+    fingerprint = plan.fingerprint()
+    blocks = _point_blocks(plan.n, plan.p)
+    local = oracles and all(type(oracle) is LocalOracle for oracle in oracles)
+    count = min(lane_count(), len(blocks)) if local else 1
+    runs = [blocks[k * len(blocks) // count:(k + 1) * len(blocks) // count]
+            for k in range(count)]
+    with ForkLanes() as forked:
+        later = [forked.run(_sign_lane, [oracle.model for oracle in oracles], *args, run)
+                 for run in runs[1:]]
+        got = [_sign_points(oracles, *args, runs[0])]
+        for take in later:
+            *lane, bills = take()
+            for oracle, bill in zip(oracles, bills):
+                for purpose, rows in bill.items():
+                    oracle.ledger.add(purpose, rows)
+            got.append(lane)
+    return [Signature.from_arrays(oracle.oracle_id, fingerprint,
+                                  np.concatenate([coefs[j] for coefs, _ in got]),
+                                  np.concatenate([intercepts[j] for _, intercepts in got]))
+            for j, oracle in enumerate(oracles)]
 
 
 def compute_signature(oracle: QueryOracle, plan: PerturbationPlan) -> Signature:

@@ -106,6 +106,10 @@ class LocalOracle(QueryOracle):
         self.ledger = QueryLedger()
 
     @property
+    def model(self) -> MlpModel:
+        return self._model
+
+    @property
     def class_count(self):
         return self._model.class_count
 

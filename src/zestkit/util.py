@@ -103,7 +103,9 @@ def lane_count() -> int:
 
 
 class ForkLanes:
-    """Calls that run in forked children while this process goes on.
+    """Calls that run in forked children while this process goes on: the one
+    lane mechanism of ``nn.train_many``, the campaign's PGD and
+    ``lime.sign_many``.
 
     ``run(fn, *args)`` returns a callable of no arguments that gives
     ``fn(*args)``: the result a child pickled into its pipe, or, when

@@ -1,3 +1,6 @@
+import os
+import time
+
 import numpy as np
 import pytest
 
@@ -7,7 +10,7 @@ from zestkit.errors import (ComparabilityError, ConfigError, NumericalError, Sha
 from zestkit.lime import BLOCK_ROWS, PointModel, masked_batch, _replacement_values
 from zestkit.oracle import QueryLedger, QueryOracle
 
-from conftest import tiny_net
+from conftest import assert_no_children, count_forks, tiny_net, use_cpus
 
 
 class ArrayOracle(QueryOracle):
@@ -63,6 +66,13 @@ def test_plan_requires_p_at_least_s(blob_world):
     with pytest.raises(ConfigError):
         zk.make_plan(blob_world["train"], 4, grid, zk.LimeConfig(perturbations=7),
                      seed=0)
+
+
+def test_plan_needs_a_matrix_of_at_least_one_point():
+    grid = zk.SegmentGrid.uniform(16, 8)
+    for points in (np.zeros((0, 16)), np.zeros(16)):
+        with pytest.raises(ShapeError, match="at least one row"):
+            zk.PerturbationPlan(points, grid, zk.LimeConfig(perturbations=100), seed=1)
 
 
 def test_plan_n_larger_than_dataset(blob_world):
@@ -536,6 +546,123 @@ def test_sign_many_rejects_an_oracle_whose_class_count_changes():
 
     with pytest.raises(ShapeError, match="class count"):
         zk.sign_many([ArrayOracle(shrinking, 16, 3)], plan)
+
+
+# --- signing lanes ---------------------------------------------------------
+
+def _lane_plan():
+    """N=20, P=1000: three blocks, of 8, 8 and 4 points."""
+    grid = zk.SegmentGrid.uniform(16, 8)
+    plan = zk.PerturbationPlan(np.random.default_rng(20).random((20, 16)), grid,
+                               zk.LimeConfig(perturbations=1000), seed=20)
+    assert len(zk.lime._point_blocks(plan.n, plan.p)) == 3
+    return plan
+
+
+_LANE_MODELS = [tiny_net(1, input_dim=16), tiny_net(2, input_dim=16, class_count=5)]
+
+
+def _bill(points, p):
+    return {"signature": points * p, "signature_baseline": points, "attack_eval": 0,
+            "other": 0}
+
+
+def _sign_locally(plan):
+    """sign_many over fresh LocalOracles of _LANE_MODELS: (signatures, oracles)."""
+    oracles = [zk.LocalOracle(model) for model in _LANE_MODELS]
+    return zk.sign_many(oracles, plan), oracles
+
+
+def _assert_same_signatures(got, want):
+    for a, b in zip(got, want, strict=True):
+        assert a.coef.tobytes() == b.coef.tobytes()
+        assert a.intercept.tobytes() == b.intercept.tobytes()
+
+
+def test_sign_many_same_bytes_and_bill_on_one_two_and_three_lanes(monkeypatch):
+    plan = _lane_plan()
+    forks = count_forks(monkeypatch)
+    runs = []
+    for cpus in (1, 2, 3):
+        use_cpus(monkeypatch, cpus)
+        before = len(forks)
+        sigs, oracles = _sign_locally(plan)
+        assert len(forks) - before == cpus - 1  # min(cpus, 3 blocks) - 1
+        assert_no_children()
+        for oracle in oracles:
+            assert oracle.ledger.breakdown() == _bill(plan.n, plan.p)
+        runs.append(sigs)
+    for sigs in runs[1:]:
+        _assert_same_signatures(sigs, runs[0])
+
+
+def test_sign_many_signs_a_failed_child_lane_again_and_bills_it_once(monkeypatch):
+    plan = _lane_plan()
+    use_cpus(monkeypatch, 1)
+    want, _ = _sign_locally(plan)
+    use_cpus(monkeypatch, 2)
+    forks = count_forks(monkeypatch)
+    parent, sign_points = os.getpid(), zk.lime._sign_points
+    calls = []
+
+    def fails_in_children(*args):
+        if os.getpid() != parent:
+            raise RuntimeError("child")
+        calls.append(1)
+        return sign_points(*args)
+
+    monkeypatch.setattr(zk.lime, "_sign_points", fails_in_children)
+    sigs, oracles = _sign_locally(plan)
+    _assert_same_signatures(sigs, want)
+    assert len(forks) == 1 and len(calls) == 2  # run 0, then the failed run 1
+    for oracle in oracles:
+        assert oracle.ledger.breakdown() == _bill(plan.n, plan.p)
+    assert_no_children()
+
+
+def test_sign_many_kills_and_reaps_children_when_run_0_raises(monkeypatch):
+    plan = _lane_plan()
+    use_cpus(monkeypatch, 3)
+    forks = count_forks(monkeypatch)
+    parent, sign_points = os.getpid(), zk.lime._sign_points
+
+    def fails_after_run_0(*args):
+        if os.getpid() != parent:
+            time.sleep(60)  # still signing when the parent gives up
+            return sign_points(*args)
+        sign_points(*args)
+        raise RuntimeError("run 0")
+
+    monkeypatch.setattr(zk.lime, "_sign_points", fails_after_run_0)
+    start = time.monotonic()
+    oracles = [zk.LocalOracle(model) for model in _LANE_MODELS]
+    with pytest.raises(RuntimeError, match="^run 0$"):
+        zk.sign_many(oracles, plan)
+    assert time.monotonic() - start < 30  # killed, not waited for
+    assert len(forks) == 2
+    assert_no_children()
+    for oracle in oracles:  # run 0 is the first block's 8 points
+        assert oracle.ledger.breakdown() == _bill(8, plan.p)
+
+
+def test_sign_many_forks_only_for_exact_local_oracles(monkeypatch):
+    plan = _lane_plan()
+    use_cpus(monkeypatch, 3)
+    forks = count_forks(monkeypatch)
+
+    class Subclassed(zk.LocalOracle):
+        pass
+
+    model = _LANE_MODELS[0]
+
+    def array():
+        return ArrayOracle(lambda b: zk.forward(model, b), 16, model.class_count)
+
+    for oracles in ([zk.LocalOracle(model), array()], [Subclassed(model)], [array()]):
+        zk.sign_many(oracles, plan)
+        for oracle in oracles:
+            assert oracle.ledger.breakdown() == _bill(plan.n, plan.p)
+    assert forks == []
 
 
 def test_signature_from_point_models_equals_from_arrays(tmp_path):
