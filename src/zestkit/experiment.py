@@ -178,10 +178,10 @@ def _parse(s):
     file_ids = s.portfolio_ids + ([s.victim_id] if local_victim else [])
     if len(set(file_ids)) != len(file_ids):
         raise ConfigError(f"model ids must be unique: {file_ids}")
-    if any(mid in ("", ".", "..") or any(sep and sep in mid for sep in (os.sep, os.altsep))
-           for mid in file_ids):
-        raise ConfigError(f"model ids name files in models/: none may be empty, '.' or "
-                          f"'..', or hold a path separator: {file_ids}")
+    if any(not isinstance(mid, str) or mid in ("", ".", "..")
+           or any(sep and sep in mid for sep in (os.sep, os.altsep)) for mid in file_ids):
+        raise ConfigError(f"model ids name files in models/: each is a string, none may be "
+                          f"empty, '.' or '..', or hold a path separator: {file_ids}")
     if s.ds_cfg.get("kind", "blobs") != "blobs":
         raise ConfigError(f"unknown dataset kind {s.ds_cfg.get('kind')!r}")
 

@@ -93,8 +93,11 @@ def _safe_filename(model_id: str) -> str:
 
 
 def check_model_id(model_id: str) -> str:
-    """`model_id`, if a SignatureStore can index it: a tab or line break would
-    break its index.tsv line. Raises ConfigError otherwise."""
+    """`model_id`, if a SignatureStore can index it: a string without a tab or
+    line break, which would break its index.tsv line. Raises ConfigError
+    otherwise."""
+    if not isinstance(model_id, str):
+        raise ConfigError(f"model id {model_id!r} is not a string")
     if any(c in model_id for c in "\t\r\n"):
         raise ConfigError(f"{SignatureStore.INDEX} cannot index {model_id!r}: tab or line break")
     return model_id

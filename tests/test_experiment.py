@@ -371,6 +371,16 @@ def test_campaign_rejects_portfolio_id_with_tab_or_line_break_before_training(
     assert sum(o.ledger.snapshot()["total"] for o in oracles) == 0
 
 
+def test_campaign_runs_victim_id_with_tab(tmp_path):
+    # the victim's signature is victim.sig, never a SignatureStore index line
+    cfg = _tiny_config()
+    cfg["victim"]["model_id"] = "vic\ttim"
+    out = tmp_path / "run"
+    zk.run_campaign(cfg, out)
+    assert (out / "models" / "vic\ttim.mlp").exists()
+    assert zk.load_signature(out / "victim.sig").model_id == "vic\ttim"
+
+
 def _set_model_id(index, mid):
     def edit(cfg):
         (cfg["victim"] if index is None else cfg["portfolio"][index])["model_id"] = mid
@@ -388,6 +398,8 @@ _BAD_PARSE = {
     "id-escaping-models": _set_model_id(1, "../escaped"),
     "victim-id-with-separator": _set_model_id(None, "a/b"),
     "victim-id-escaping-out-dir": _set_model_id(None, "../../victim"),
+    "id-not-a-string": _set_model_id(1, 5),
+    "victim-id-not-a-string": _set_model_id(None, 5),
 }
 
 
@@ -405,6 +417,7 @@ def test_campaign_rejects_bad_metrics_and_model_ids_before_training(
         zk.run_campaign(cfg, out)
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["stage"] == "parse"
+    assert manifest["error"].startswith("ConfigError: ")
     assert not (out / "models").exists()
     assert sorted(os.listdir(tmp_path)) == ["nest"]
     assert sorted(os.listdir(tmp_path / "nest")) == ["bad"]
