@@ -18,8 +18,8 @@ import numpy as np
 from .attack import (AdversarialBatch, AttackConfig, batch_summary_csv, pgd_many, save_batch,
                      transfer_eval)
 from .errors import ConfigError
-from .lime import (LimeConfig, SegmentGrid, correct_by_all, make_plan, save_plan,
-                   save_signature, sign_many)
+from .lime import (REPLACEMENT_POLICIES, LimeConfig, SegmentGrid, correct_by_all, make_plan,
+                   save_plan, save_signature, sign_many)
 from .nn import Dataset, TrainConfig, blob_centers, sample_blobs, save_model, train_many
 from .oracle import RemoteEndpoint, local_oracle, remote_oracle
 from .util import (ForkLanes, atomic_write_text, config_hash, csv_text, derived_seed,
@@ -75,13 +75,8 @@ def select_attack_points(models, data: Dataset, count: int) -> Dataset:
 def _craft(proxies, test_data: Dataset, block: dict, master: int):
     """The campaign's attack config, attack points and PGD from every proxy, as
     plain data: the epsilon, and each batch's fields in proxy order."""
-    acfg = AttackConfig(
-        epsilon=float(block.get("epsilon", 0.1)),
-        step_size=float(block.get("step_size", 0.02)),
-        steps=int(block.get("steps", 40)),
-        restarts=int(block.get("restarts", 5)),
-        quantize_8bit=bool(block.get("quantize_8bit", False)))
-    points = select_attack_points(proxies, test_data, int(block.get("points", 100)))
+    acfg = AttackConfig(**{k: v for k, v in block.items() if k != "points"})
+    points = select_attack_points(proxies, test_data, block["points"])
     crafted = pgd_many(
         [(model, replace(acfg, rng_seed=derived_seed(master, f"pgd.{model.model_id}")))
          for model in proxies], points)
@@ -102,24 +97,97 @@ def compute_transfer_matrix(models, points_data: Dataset, cfg: AttackConfig) -> 
 
 # --- campaign -------------------------------------------------------------
 
-def _train_config(block: dict, seed: int) -> TrainConfig:
-    return TrainConfig(hidden=tuple(block["hidden"]), epochs=block.get("epochs", 40),
-                       batch_size=block.get("batch_size", 32),
-                       learning_rate=block.get("learning_rate", 0.1), rng_seed=seed)
+def _resolve(path, spec, value):
+    """`value` checked against `spec`, with every default filled in. A spec is
+    int, float (an int or a float, stored as a float), bool, str, a tuple of
+    the names allowed, a one-item list (a list of that spec) or a block {key:
+    (spec, default)}, where a default of ... marks a required key and one of
+    None also admits null. A block's "kind" entry {name: block} picks its
+    other keys by its kind, the first name when absent. A default goes through
+    its spec too, so no resolved config shares a mutable default."""
+    if isinstance(spec, list):
+        ok, expected = isinstance(value, list), "a list"
+    elif isinstance(spec, dict):
+        ok, expected = isinstance(value, dict), "an object"
+    elif isinstance(spec, tuple):
+        ok, expected = isinstance(value, str) and value in spec, f"one of {list(spec)}"
+    else:
+        ok = (isinstance(value, (int, float) if spec is float else spec)
+              and isinstance(value, bool) == (spec is bool))
+        expected = spec.__name__
+    if not ok:
+        raise ConfigError(f"{path}: expected {expected}, got {value!r}")
+    if isinstance(spec, list):
+        return [_resolve(f"{path}[{i}]", spec[0], item) for i, item in enumerate(value)]
+    if not isinstance(spec, dict):
+        try:
+            return float(value) if spec is float else value
+        except OverflowError:
+            raise ConfigError(f"{path}: expected float, got an int beyond its range") from None
+    if "kind" in spec:
+        kinds = tuple(spec["kind"])
+        kind = _resolve(f"{path}.kind", kinds, value.get("kind", kinds[0]))
+        spec = {"kind": (kinds, kinds[0]), **spec["kind"][kind]}
+    unknown = sorted(set(value) - set(spec), key=str)
+    if unknown:
+        raise ConfigError(f"{path}: unknown keys {unknown}")
+    resolved = {}
+    for key, (item, default) in spec.items():
+        given = value.get(key, default)
+        if given is ...:
+            raise ConfigError(f"{path}: missing key {key!r}")
+        resolved[key] = (None if given is None and default is None
+                         else _resolve(f"{path}.{key}", item, given))
+    return resolved
+
+
+# the TrainConfig fields that a local victim and each portfolio entry set
+_TRAINING = {"hidden": ([int], ...), "epochs": (int, 40), "batch_size": (int, 32),
+             "learning_rate": (float, 0.1)}
+
+# The only owner of the campaign config's keys, types and defaults. Value
+# bounds stay with what is built from it: TrainConfig, LimeConfig,
+# AttackConfig, make_plan, SegmentGrid.uniform and _portfolio_dataset.
+_SCHEMA = {
+    "master_seed": (int, ...),
+    "dataset": ({"kind": {"blobs": {"classes": (int, ...), "features": (int, ...),
+                                    "train_size": (int, ...), "test_size": (int, ...),
+                                    "noise": (float, 0.08)}}}, ...),
+    "victim": ({"kind": {"local": {"model_id": (str, "victim"), **_TRAINING},
+                         "remote": {"url": (str, ...)}}}, ...),
+    "portfolio": ([{"model_id": (str, ...), **_TRAINING, "train_fraction": (float, 1.0),
+                    "label_noise": (float, 0.0)}], ...),
+    "lime": ({"n": (int, ...), "p": (int, ...), "segments": (int, 16),
+              "kernel_width": (float, None), "ridge": (float, 1.0),
+              "replacement": (REPLACEMENT_POLICIES, "segment_mean")}, ...),
+    "metrics": ([str], ["cosine"]),
+    "attack": ({"epsilon": (float, 0.1), "step_size": (float, 0.02), "steps": (int, 40),
+                "restarts": (int, 5), "quantize_8bit": (bool, False), "points": (int, 100)}, ...),
+}
+
+
+def _train_jobs(cfg: dict, data: Dataset, master: int) -> list:
+    """train_many's jobs: each portfolio entry on its view of `data`, then a local victim."""
+    views = [(_portfolio_dataset(data, entry, master), entry) for entry in cfg["portfolio"]]
+    if cfg["victim"]["kind"] == "local":
+        views.append((data, cfg["victim"]))
+    return [(view, TrainConfig(**{k: entry[k] for k in _TRAINING},
+                               rng_seed=derived_seed(master, f"train.{entry['model_id']}")),
+             entry["model_id"]) for view, entry in views]
 
 
 def _portfolio_dataset(data: Dataset, entry: dict, master: int) -> Dataset:
     """Per-surrogate training view: optional subset and label noise."""
     mid = entry["model_id"]
     out = data
-    fraction = float(entry.get("train_fraction", 1.0))
+    fraction = entry["train_fraction"]
     if not 0.0 < fraction <= 1.0:
         raise ConfigError(f"{mid}: train_fraction must be in (0,1]")
     if fraction < 1.0:
         rng = np.random.default_rng(derived_seed(master, f"subset.{mid}"))
         take = max(1, int(round(fraction * len(data))))
         out = out.subset(np.sort(rng.choice(len(data), size=take, replace=False)))
-    noise = float(entry.get("label_noise", 0.0))
+    noise = entry["label_noise"]
     if not 0.0 <= noise <= 1.0:
         raise ConfigError(f"{mid}: label_noise must be in [0,1]")
     if noise > 0.0:
@@ -158,81 +226,62 @@ def _write_stamped(s, name, text):
 # there and adds what it makes; _STAGES below gives their order.
 
 def _parse(s):
-    config = s.config
-    s.master = int(config["master_seed"])
-    s.ds_cfg = config["dataset"]
-    s.victim_cfg = config["victim"]
-    s.portfolio_cfg = config["portfolio"]
-    s.lime_cfg = config["lime"]
-    s.attack_cfg_block = config["attack"]
-    s.metrics = [DistanceMetric.parse(m) for m in config.get("metrics", ["cosine"])]
+    s.cfg = cfg = _resolve("config", _SCHEMA, s.config)
+    s.master = cfg["master_seed"]
+    s.metrics = [DistanceMetric.parse(m) for m in cfg["metrics"]]
     if not s.metrics or len(set(s.metrics)) != len(s.metrics):
         raise ConfigError(f"metrics must name at least one metric, each once: "
                           f"{[m.value for m in s.metrics]}")
-    if not s.portfolio_cfg:
+    if not cfg["portfolio"]:
         raise ConfigError("portfolio must list at least one surrogate")
-    s.portfolio_ids = [check_model_id(entry["model_id"]) for entry in s.portfolio_cfg]
-    local_victim = s.victim_cfg.get("kind", "local") == "local"
-    s.victim_id = s.victim_cfg.get("model_id", "victim") if local_victim else None
+    s.portfolio_ids = [check_model_id(entry["model_id"]) for entry in cfg["portfolio"]]
+    local_victim = cfg["victim"]["kind"] == "local"
+    # parses the URL and sends nothing, so a bad one fails before any training
+    s.endpoint = None if local_victim else RemoteEndpoint(cfg["victim"]["url"])
     # every model trained here is saved as models/<model_id>.mlp
-    file_ids = s.portfolio_ids + ([s.victim_id] if local_victim else [])
+    file_ids = s.portfolio_ids + ([cfg["victim"]["model_id"]] if local_victim else [])
     if len(set(file_ids)) != len(file_ids):
         raise ConfigError(f"model ids must be unique: {file_ids}")
-    if any(not isinstance(mid, str) or mid in ("", ".", "..")
-           or any(sep and sep in mid for sep in (os.sep, os.altsep)) for mid in file_ids):
-        raise ConfigError(f"model ids name files in models/: each is a string, none may be "
-                          f"empty, '.' or '..', or hold a path separator: {file_ids}")
-    if s.ds_cfg.get("kind", "blobs") != "blobs":
-        raise ConfigError(f"unknown dataset kind {s.ds_cfg.get('kind')!r}")
+    if any(mid in ("", ".", "..") or any(sep and sep in mid for sep in (os.sep, os.altsep))
+           for mid in file_ids):
+        raise ConfigError(f"model ids name files in models/: none may be empty, '.' or "
+                          f"'..', or hold a path separator: {file_ids}")
 
 
 def _dataset(s):
-    ds_cfg, master = s.ds_cfg, s.master
-    centers = blob_centers(int(ds_cfg["classes"]), int(ds_cfg["features"]),
-                           derived_seed(master, "data.centers"))
-    noise = float(ds_cfg.get("noise", 0.08))
-    s.train_data = sample_blobs(centers, int(ds_cfg["train_size"]), noise,
-                                derived_seed(master, "data.train"))
-    s.test_data = sample_blobs(centers, int(ds_cfg["test_size"]), noise,
-                               derived_seed(master, "data.test"))
+    ds = s.cfg["dataset"]
+    centers = blob_centers(ds["classes"], ds["features"], derived_seed(s.master, "data.centers"))
+    s.train_data = sample_blobs(centers, ds["train_size"], ds["noise"],
+                                derived_seed(s.master, "data.train"))
+    s.test_data = sample_blobs(centers, ds["test_size"], ds["noise"],
+                               derived_seed(s.master, "data.test"))
 
 
 def _train(s):
     models_dir = os.path.join(s.out_dir, "models")
     os.makedirs(models_dir, exist_ok=True)
-    jobs = [(_portfolio_dataset(s.train_data, entry, s.master),
-             _train_config(entry, derived_seed(s.master, f"train.{entry['model_id']}")),
-             entry["model_id"]) for entry in s.portfolio_cfg]
-    if s.victim_id is not None:
-        jobs.append((s.train_data, _train_config(
-            s.victim_cfg, derived_seed(s.master, f"train.{s.victim_id}")), s.victim_id))
-    elif s.victim_cfg["kind"] != "remote":
-        raise ConfigError(f"unknown victim kind {s.victim_cfg['kind']!r}")
-    models = train_many(jobs)
-    s.proxies = models[:len(s.portfolio_cfg)]
+    models = train_many(_train_jobs(s.cfg, s.train_data, s.master))
+    s.proxies = models[:len(s.portfolio_ids)]
     for model in models:
         save_model(model, os.path.join(models_dir, f"{model.model_id}.mlp"))
         log.info("trained %s: accuracy %.3f", model.model_id,
                  model.metadata["train_accuracy"])
-    s.victim = (local_oracle(models[-1]) if s.victim_id is not None
-                else remote_oracle(RemoteEndpoint(s.victim_cfg["url"])))
+    s.victim = local_oracle(models[-1]) if s.endpoint is None else remote_oracle(s.endpoint)
 
 
 def _plan(s):
-    lime_cfg = s.lime_cfg
-    grid = SegmentGrid.uniform(int(s.ds_cfg["features"]), int(lime_cfg.get("segments", 16)))
-    lcfg = LimeConfig(perturbations=int(lime_cfg["p"]),
-                      kernel_width=lime_cfg.get("kernel_width"),
-                      ridge=float(lime_cfg.get("ridge", 1.0)),
-                      replacement=lime_cfg.get("replacement", "segment_mean"))
-    s.plan = make_plan(s.train_data, int(lime_cfg["n"]), grid, lcfg,
-                       derived_seed(s.master, "plan"), models=s.proxies)
+    block = s.cfg["lime"]
+    grid = SegmentGrid.uniform(s.cfg["dataset"]["features"], block["segments"])
+    lcfg = LimeConfig(perturbations=block["p"], kernel_width=block["kernel_width"],
+                      ridge=block["ridge"], replacement=block["replacement"])
+    s.plan = make_plan(s.train_data, block["n"], grid, lcfg, derived_seed(s.master, "plan"),
+                       models=s.proxies)
     save_plan(s.plan, os.path.join(s.out_dir, "shared.plan"))
 
 
 def _signatures(s):
     # PGD needs only the proxies, so a forked lane crafts while this process signs
-    s.crafted = s.lanes.run(_craft, s.proxies, s.test_data, s.attack_cfg_block, s.master)
+    s.crafted = s.lanes.run(_craft, s.proxies, s.test_data, s.cfg["attack"], s.master)
     store = SignatureStore(os.path.join(s.out_dir, "signatures"))
     *s.proxy_sigs, s.victim_sig = sign_many([*map(local_oracle, s.proxies), s.victim], s.plan)
     for sig in s.proxy_sigs:
@@ -318,6 +367,16 @@ def run_campaign(config: dict, out_dir) -> CampaignResult:
     distances, attack, transfer-report, correlation, manifest. When one
     raises, the run writes a manifest with status "failed" that names the
     failing stage and the error, then re-raises.
+
+    Stage "parse" resolves `config` against `_SCHEMA`, the only owner of its
+    keys, types and defaults; later stages read only the resolved values.
+    Before anything is trained or billed, it raises ConfigError, naming the
+    path (as in ``config.lime: unknown keys ['replacment']``), for an unknown
+    or missing key, a block that is not an object, a value of the wrong type
+    (a bool is not an int; an int must be integral), an unknown dataset or
+    victim kind or replacement, a key the victim's kind does not take, and a
+    remote victim's malformed URL; and for an empty or repeated `metrics`
+    list and model ids that repeat or cannot name a file in models/.
 
     Where this process may use more than one CPU (``util.lane_count``), the
     stages "signatures" and "distances" overlap the attack's PGD: a forked

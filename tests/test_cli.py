@@ -229,6 +229,27 @@ def test_campaign_cli_bundled_ledger_line(capsys, tmp_path):
         "attack_eval=1200, other=0)")
 
 
+def _misspelled_replacement():
+    cfg = zk.bundled_campaign_config()
+    cfg["lime"]["replacment"] = "zeros"
+    return cfg
+
+
+@pytest.mark.parametrize("config, message", [
+    ([1], "error: config: expected an object, got [1]"),
+    (_misspelled_replacement(), "error: config.lime: unknown keys ['replacment']"),
+], ids=["not-an-object", "misspelled-key"])
+def test_campaign_cli_reports_a_bad_config(capsys, tmp_path, config, message):
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, "campaign", "--config", str(cfg_path),
+                             "--out", str(tmp_path / "run"))
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [message]
+    assert json.loads((tmp_path / "run" / "manifest.json").read_text())["stage"] == "parse"
+
+
 def test_usage_error_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["dist", "only-one-file"])

@@ -278,10 +278,8 @@ def _closed_port_url():
 
 _FAILURES = [
     ("dataset", lambda c: c["dataset"].update(train_size=-1), ValueError),
-    ("train", lambda c: c["victim"].update(kind="bogus"), ConfigError),
-    ("train", lambda c: c.update(victim={"kind": "remote", "url": "127.0.0.1:9"}),
-     ConfigError),
-    ("plan", lambda c: c["lime"].pop("p"), KeyError),
+    # 9 segments of 8 features
+    ("plan", lambda c: c["lime"].update(segments=9), ConfigError),
     ("signatures", lambda c: c.update(victim={"kind": "remote", "url": _closed_port_url()}),
      TransportError),
     # every transfer rate is 0, so the correlation is undefined
@@ -292,8 +290,7 @@ _FAILURES = [
 
 
 @pytest.mark.parametrize("stage, edit, error", _FAILURES,
-                         ids=["dataset", "train", "train-url", "plan", "signatures",
-                              "correlation", "attack"])
+                         ids=["dataset", "plan", "signatures", "correlation", "attack"])
 def test_campaign_failure_manifest(tmp_path, stage, edit, error):
     cfg = _tiny_config()
     edit(cfg)
@@ -308,10 +305,11 @@ def test_campaign_failure_manifest(tmp_path, stage, edit, error):
 
 
 @pytest.mark.parametrize("owner, name, stage", [
+    (zk.experiment, "train_many", "train"),
     (zk.experiment, "rank_signatures", "distances"),
     (zk.experiment, "csv_text", "transfer-report"),
     (zk.oracle.QueryLedger, "snapshot", "manifest"),
-], ids=["distances", "transfer-report", "manifest"])
+], ids=["train", "distances", "transfer-report", "manifest"])
 def test_campaign_failure_manifest_names_the_stage_of_the_failing_call(
         tmp_path, monkeypatch, owner, name, stage):
     def fail(*args, **kwargs):
@@ -326,6 +324,44 @@ def test_campaign_failure_manifest_names_the_stage_of_the_failing_call(
     assert manifest["stage"] == stage
     assert manifest["error"] == f"RuntimeError: {name}"
     assert_no_children()
+
+
+def test_campaign_defaults_equal_the_values_written_out(tmp_path):
+    minimal = {
+        "master_seed": 37,
+        # 2 features in each of the default 16 segments: no segment is a single feature
+        "dataset": {"classes": 3, "features": 32, "train_size": 240, "test_size": 200},
+        "victim": {"hidden": [12]},
+        "portfolio": [{"model_id": "sur-a", "hidden": [12]},
+                      {"model_id": "sur-b", "hidden": [6], "epochs": 4},
+                      {"model_id": "sur-c", "hidden": [12], "label_noise": 0.4}],
+        "lime": {"n": 4, "p": 40},
+        "attack": {},
+    }
+    training = {"epochs": 40, "batch_size": 32, "learning_rate": 0.1}
+    written_out = {
+        "master_seed": 37,
+        "dataset": {"kind": "blobs", **minimal["dataset"], "noise": 0.08},
+        "victim": {"kind": "local", "model_id": "victim", "hidden": [12], **training},
+        "portfolio": [{**training, "train_fraction": 1.0, "label_noise": 0.0, **entry}
+                      for entry in minimal["portfolio"]],
+        "lime": {"n": 4, "p": 40, "segments": 16, "kernel_width": None, "ridge": 1.0,
+                 "replacement": "segment_mean"},
+        "metrics": ["cosine"],
+        "attack": {"epsilon": 0.1, "step_size": 0.02, "steps": 40, "restarts": 5,
+                   "quantize_8bit": False, "points": 100},
+    }
+    a = zk.run_campaign(minimal, tmp_path / "minimal")
+    b = zk.run_campaign(written_out, tmp_path / "written-out")
+    assert a.config_hash != b.config_hash
+    assert (a.selected, a.distances, a.transfer_rates, a.victim_ledger) == (
+        b.selected, b.distances, b.transfer_rates, b.victim_ledger)
+    models = sorted(os.listdir(tmp_path / "minimal" / "models"))
+    assert models == ["sur-a.mlp", "sur-b.mlp", "sur-c.mlp", "victim.mlp"]
+    for name in ["shared.plan", "victim.sig", "selected.adv",
+                 *(os.path.join("models", m) for m in models)]:
+        assert ((tmp_path / "minimal" / name).read_bytes()
+                == (tmp_path / "written-out" / name).read_bytes()), name
 
 
 def test_campaign_rejects_bad_config(tmp_path):
@@ -381,31 +417,53 @@ def test_campaign_runs_victim_id_with_tab(tmp_path):
     assert zk.load_signature(out / "victim.sig").model_id == "vic\ttim"
 
 
-def _set_model_id(index, mid):
+def _edit(*path, **values):
+    """An edit that sets `values` in the block that the keys and indices `path` reach."""
     def edit(cfg):
-        (cfg["victim"] if index is None else cfg["portfolio"][index])["model_id"] = mid
+        for key in path:
+            cfg = cfg[key]
+        cfg.update(values)
     return edit
 
 
+# each edit, and a text its ConfigError holds: for a schema error, the config path
 _BAD_PARSE = {
-    "no-metrics": lambda c: c.update(metrics=[]),
-    "repeated-metric": lambda c: c.update(metrics=["cosine", "COSINE"]),
-    "portfolio-id-is-victim-id": _set_model_id(1, "victim"),
-    "empty-id": _set_model_id(1, ""),
-    "dot-id": _set_model_id(1, "."),
-    "dot-dot-id": _set_model_id(1, ".."),
-    "id-with-separator": _set_model_id(1, "a/b"),
-    "id-escaping-models": _set_model_id(1, "../escaped"),
-    "victim-id-with-separator": _set_model_id(None, "a/b"),
-    "victim-id-escaping-out-dir": _set_model_id(None, "../../victim"),
-    "id-not-a-string": _set_model_id(1, 5),
-    "victim-id-not-a-string": _set_model_id(None, 5),
+    "no-metrics": (_edit(metrics=[]), "metrics must name"),
+    "repeated-metric": (_edit(metrics=["cosine", "COSINE"]), "metrics must name"),
+    "portfolio-id-is-victim-id": (_edit("portfolio", 1, model_id="victim"), "unique"),
+    "empty-id": (_edit("portfolio", 1, model_id=""), "models/"),
+    "dot-id": (_edit("portfolio", 1, model_id="."), "models/"),
+    "dot-dot-id": (_edit("portfolio", 1, model_id=".."), "models/"),
+    "id-with-separator": (_edit("portfolio", 1, model_id="a/b"), "models/"),
+    "id-escaping-models": (_edit("portfolio", 1, model_id="../escaped"), "models/"),
+    "victim-id-with-separator": (_edit("victim", model_id="a/b"), "models/"),
+    "victim-id-escaping-out-dir": (_edit("victim", model_id="../../victim"), "models/"),
+    "id-not-a-string": (_edit("portfolio", 1, model_id=5), "config.portfolio[1].model_id: "),
+    "victim-id-not-a-string": (_edit("victim", model_id=5), "config.victim.model_id: "),
+    "victim-kind": (_edit("victim", kind="bogus"), "config.victim.kind: "),
+    "victim-url": (_edit(victim={"kind": "remote", "url": "127.0.0.1:9"}), "'127.0.0.1:9'"),
+    "lime-p-missing": (lambda c: c["lime"].pop("p"), "config.lime: missing key 'p'"),
+    "lime-replacment": (_edit("lime", replacment="zeros"),
+                        "config.lime: unknown keys ['replacment']"),
+    "attack-epsilonn": (_edit("attack", epsilonn=0.3),
+                        "config.attack: unknown keys ['epsilonn']"),
+    "top-level-metric": (_edit(metric=["linf"]), "config: unknown keys ['metric']"),
+    "lime-n-string": (_edit("lime", n="6"), "config.lime.n: "),
+    "epochs-float": (_edit("portfolio", 0, epochs=25.0), "config.portfolio[0].epochs: "),
+    "master-seed-bool": (_edit(master_seed=True), "config.master_seed: "),
+    "quantize-int": (_edit("attack", quantize_8bit=1), "config.attack.quantize_8bit: "),
+    "hidden-string": (_edit("victim", hidden=["12"]), "config.victim.hidden[0]: "),
+    "dataset-not-an-object": (_edit(dataset=[1]), "config.dataset: "),
+    "ridge-beyond-float": (_edit("lime", ridge=10 ** 400), "config.lime.ridge: "),
+    "remote-victim-with-hidden": (
+        _edit(victim={"kind": "remote", "url": "http://127.0.0.1:9", "hidden": [12]}),
+        "config.victim: unknown keys ['hidden']"),
 }
 
 
-@pytest.mark.parametrize("edit", _BAD_PARSE.values(), ids=_BAD_PARSE.keys())
+@pytest.mark.parametrize("edit, message", _BAD_PARSE.values(), ids=_BAD_PARSE.keys())
 def test_campaign_rejects_bad_metrics_and_model_ids_before_training(
-        tmp_path, monkeypatch, edit):
+        tmp_path, monkeypatch, edit, message):
     oracles = []
     make_oracle = zk.experiment.local_oracle
     monkeypatch.setattr(zk.experiment, "local_oracle",
@@ -418,6 +476,7 @@ def test_campaign_rejects_bad_metrics_and_model_ids_before_training(
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["stage"] == "parse"
     assert manifest["error"].startswith("ConfigError: ")
+    assert message in manifest["error"]
     assert not (out / "models").exists()
     assert sorted(os.listdir(tmp_path)) == ["nest"]
     assert sorted(os.listdir(tmp_path / "nest")) == ["bad"]
@@ -577,20 +636,21 @@ def test_portfolio_dataset_views():
     from zestkit.experiment import _portfolio_dataset
     rng = np.random.default_rng(0)
     data = Dataset(rng.random((100, 4)), rng.integers(0, 3, size=100), 3)
-    full = _portfolio_dataset(data, {"model_id": "m"}, master=1)
+
+    def entry(train_fraction=1.0, label_noise=0.0):
+        return {"model_id": "m", "train_fraction": train_fraction, "label_noise": label_noise}
+
+    full = _portfolio_dataset(data, entry(), master=1)
     assert full is data
-    half = _portfolio_dataset(data, {"model_id": "m", "train_fraction": 0.5},
-                              master=1)
+    half = _portfolio_dataset(data, entry(train_fraction=0.5), master=1)
     assert len(half) == 50
-    again = _portfolio_dataset(data, {"model_id": "m", "train_fraction": 0.5},
-                               master=1)
+    again = _portfolio_dataset(data, entry(train_fraction=0.5), master=1)
     assert np.array_equal(half.points, again.points)
-    noisy = _portfolio_dataset(data, {"model_id": "m", "label_noise": 0.3},
-                               master=1)
+    noisy = _portfolio_dataset(data, entry(label_noise=0.3), master=1)
     flipped = (noisy.labels != data.labels).mean()
     assert 0.1 < flipped < 0.5
     assert np.array_equal(noisy.points, data.points)
     with pytest.raises(ConfigError):
-        _portfolio_dataset(data, {"model_id": "m", "train_fraction": 0.0}, 1)
+        _portfolio_dataset(data, entry(train_fraction=0.0), 1)
     with pytest.raises(ConfigError):
-        _portfolio_dataset(data, {"model_id": "m", "label_noise": 1.5}, 1)
+        _portfolio_dataset(data, entry(label_noise=1.5), 1)

@@ -413,16 +413,14 @@ def test_train_many_divergence_in_a_mixed_group_rejected(monkeypatch):
 
 def _bundled_jobs(master):
     """The jobs ``run_campaign`` trains for the bundled config at ``master``."""
-    cfg = zk.bundled_campaign_config()
+    cfg = zk.experiment._resolve("config", zk.experiment._SCHEMA,
+                                 zk.bundled_campaign_config())
     ds = cfg["dataset"]
     centers = zk.blob_centers(ds["classes"], ds["features"],
                               zk.derived_seed(master, "data.centers"))
     data = zk.sample_blobs(centers, ds["train_size"], ds["noise"],
                            zk.derived_seed(master, "data.train"))
-    entries = [*cfg["portfolio"], cfg["victim"]]
-    return [(zk.experiment._portfolio_dataset(data, e, master),
-             zk.experiment._train_config(e, zk.derived_seed(master, f"train.{e['model_id']}")),
-             e["model_id"]) for e in entries]
+    return zk.experiment._train_jobs(cfg, data, master)
 
 
 @pytest.mark.parametrize("master", [202, 303])
