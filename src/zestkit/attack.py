@@ -40,8 +40,8 @@ class AttackConfig:
     quantize_8bit: bool = False
 
     def __post_init__(self):
-        if self.epsilon < 0:
-            raise ConfigError("epsilon cannot be negative")
+        if not self.epsilon >= 0:
+            raise ConfigError("epsilon must be >= 0")
         if not self.step_size > 0:
             raise ConfigError("step_size must be > 0")
         if self.epsilon > 0 and self.step_size > self.epsilon:

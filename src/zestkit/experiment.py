@@ -72,15 +72,14 @@ def select_attack_points(models, data: Dataset, count: int) -> Dataset:
     return data.subset(correct_by_all(models, data, count)[:count])
 
 
-def _craft(proxies, test_data: Dataset, block: dict, master: int):
-    """The campaign's attack config, attack points and PGD from every proxy, as
-    plain data: the epsilon, and each batch's fields in proxy order."""
-    acfg = AttackConfig(**{k: v for k, v in block.items() if k != "points"})
-    points = select_attack_points(proxies, test_data, block["points"])
+def _craft(proxies, test_data: Dataset, acfg: AttackConfig, count: int, master: int):
+    """The campaign's attack points and PGD from every proxy, as plain data: each
+    batch's fields in proxy order."""
+    points = select_attack_points(proxies, test_data, count)
     crafted = pgd_many(
         [(model, replace(acfg, rng_seed=derived_seed(master, f"pgd.{model.model_id}")))
          for model in proxies], points)
-    return acfg.epsilon, [vars(batch) for batch in crafted]
+    return [vars(batch) for batch in crafted]
 
 
 def compute_transfer_matrix(models, points_data: Dataset, cfg: AttackConfig) -> TransferMatrix:
@@ -147,7 +146,8 @@ _TRAINING = {"hidden": ([int], ...), "epochs": (int, 40), "batch_size": (int, 32
 
 # The only owner of the campaign config's keys, types and defaults. Value
 # bounds stay with what is built from it: TrainConfig, LimeConfig,
-# AttackConfig, make_plan, SegmentGrid.uniform and _portfolio_dataset.
+# AttackConfig (both built at stage parse), make_plan, SegmentGrid.uniform
+# and _portfolio_dataset; _parse checks attack.points.
 _SCHEMA = {
     "master_seed": (int, ...),
     "dataset": ({"kind": {"blobs": {"classes": (int, ...), "features": (int, ...),
@@ -235,6 +235,12 @@ def _parse(s):
     if not cfg["portfolio"]:
         raise ConfigError("portfolio must list at least one surrogate")
     s.portfolio_ids = [check_model_id(entry["model_id"]) for entry in cfg["portfolio"]]
+    lime, attack = cfg["lime"], cfg["attack"]
+    s.lime_cfg = LimeConfig(perturbations=lime["p"], kernel_width=lime["kernel_width"],
+                            ridge=lime["ridge"], replacement=lime["replacement"])
+    s.attack_cfg = AttackConfig(**{k: v for k, v in attack.items() if k != "points"})
+    if attack["points"] < 1:
+        raise ConfigError(f"config.attack.points: must be >= 1, got {attack['points']}")
     local_victim = cfg["victim"]["kind"] == "local"
     # parses the URL and sends nothing, so a bad one fails before any training
     s.endpoint = None if local_victim else RemoteEndpoint(cfg["victim"]["url"])
@@ -272,16 +278,15 @@ def _train(s):
 def _plan(s):
     block = s.cfg["lime"]
     grid = SegmentGrid.uniform(s.cfg["dataset"]["features"], block["segments"])
-    lcfg = LimeConfig(perturbations=block["p"], kernel_width=block["kernel_width"],
-                      ridge=block["ridge"], replacement=block["replacement"])
-    s.plan = make_plan(s.train_data, block["n"], grid, lcfg, derived_seed(s.master, "plan"),
-                       models=s.proxies)
+    s.plan = make_plan(s.train_data, block["n"], grid, s.lime_cfg,
+                       derived_seed(s.master, "plan"), models=s.proxies)
     save_plan(s.plan, os.path.join(s.out_dir, "shared.plan"))
 
 
 def _signatures(s):
     # PGD needs only the proxies, so a forked lane crafts while this process signs
-    s.crafted = s.lanes.run(_craft, s.proxies, s.test_data, s.cfg["attack"], s.master)
+    s.crafted = s.lanes.run(_craft, s.proxies, s.test_data, s.attack_cfg,
+                            s.cfg["attack"]["points"], s.master)
     store = SignatureStore(os.path.join(s.out_dir, "signatures"))
     *s.proxy_sigs, s.victim_sig = sign_many([*map(local_oracle, s.proxies), s.victim], s.plan)
     for sig in s.proxy_sigs:
@@ -301,8 +306,7 @@ def _distances(s):
 
 
 def _attack(s):
-    s.epsilon, fields = s.crafted()
-    s.batches = {f["surrogate_id"]: AdversarialBatch(**f) for f in fields}
+    s.batches = {f["surrogate_id"]: AdversarialBatch(**f) for f in s.crafted()}
     s.results = {mid: transfer_eval(s.victim, batch) for mid, batch in s.batches.items()}
     chosen = s.batches[s.selected[s.metrics[0].value]]
     save_batch(chosen, os.path.join(s.out_dir, "selected.adv"))
@@ -324,13 +328,14 @@ def _transfer_report(s):
 
 def _correlation(s):
     s.records, plot_rows = [], []
+    epsilon = s.attack_cfg.epsilon
     for metric in s.metrics:
         xs = [s.distances[metric.value][mid] for mid in s.portfolio_ids]
         ys = [s.results[mid].success_rate for mid in s.portfolio_ids]
         s.records.append(CorrelationRecord(
             victim_id=s.victim.oracle_id, metric=metric, n_references=s.plan.n,
-            epsilon=s.epsilon, r=pearson(xs, ys), sample_count=len(xs)))
-        plot_rows += [[metric.value, mid, x, y, s.epsilon]
+            epsilon=epsilon, r=pearson(xs, ys), sample_count=len(xs)))
+        plot_rows += [[metric.value, mid, x, y, epsilon]
                       for mid, x, y in zip(s.portfolio_ids, xs, ys)]
     _write_stamped(s, "correlations.csv", csv_text(
         ["victim_id", "metric", "n_references", "epsilon", "pearson_r", "sample_count"],
@@ -375,8 +380,13 @@ def run_campaign(config: dict, out_dir) -> CampaignResult:
     or missing key, a block that is not an object, a value of the wrong type
     (a bool is not an int; an int must be integral), an unknown dataset or
     victim kind or replacement, a key the victim's kind does not take, and a
-    remote victim's malformed URL; and for an empty or repeated `metrics`
-    list and model ids that repeat or cannot name a file in models/.
+    remote victim's malformed URL; for an empty or repeated `metrics` list
+    and model ids that repeat or cannot name a file in models/; and for the
+    value bounds of the LimeConfig and AttackConfig it builds from the
+    `lime` and `attack` blocks (`p` < 1, a negative or NaN `ridge`, a
+    `kernel_width` that is not > 0; a negative or NaN `epsilon`, a
+    `step_size` that is not > 0 or exceeds a positive `epsilon`, `steps` or
+    `restarts` < 1) and `attack.points` < 1.
 
     Where this process may use more than one CPU (``util.lane_count``), the
     stages "signatures" and "distances" overlap the attack's PGD: a forked

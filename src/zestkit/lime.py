@@ -49,8 +49,10 @@ class SegmentGrid:
         if a.ndim != 1:
             raise ShapeError("segment assignment must be a vector")
         s = int(self.segment_count)
-        present = np.unique(a)
-        if s < 1 or present.size != s or present[0] != 0 or present[-1] != s - 1:
+        # each of 0..s-1 present, without np.unique, whose first call imports
+        # numpy.ma; a.size >= s keeps the bincount no longer than `a`
+        if (s < 1 or a.size < s or a.min() != 0 or a.max() != s - 1
+                or not np.bincount(a).all()):
             raise ConfigError(f"segments must cover 0..{s - 1} contiguously")
         object.__setattr__(self, "segment_count", s)
 
@@ -85,8 +87,8 @@ class LimeConfig:
             raise ConfigError("perturbations must be >= 1")
         if self.kernel_width is not None and not self.kernel_width > 0:
             raise ConfigError("kernel_width must be > 0")
-        if self.ridge < 0:
-            raise ConfigError("ridge penalty cannot be negative")
+        if not self.ridge >= 0:
+            raise ConfigError("ridge penalty must be >= 0")
         if self.replacement not in REPLACEMENT_POLICIES:
             raise ConfigError(f"unknown replacement policy {self.replacement!r}")
 

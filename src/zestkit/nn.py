@@ -248,7 +248,7 @@ def train_many(jobs) -> "list[MlpModel]":
     for data, _, _ in jobs:
         if len(data) == 0:
             raise ShapeError("cannot train on an empty dataset")
-        if np.unique(data.labels).size < 2:
+        if (data.labels == data.labels[0]).all():  # np.unique would import numpy.ma
             warnings.warn("training data contains a single class", RuntimeWarning, stacklevel=2)
     params = _train_lanes(jobs)
     models = []

@@ -22,18 +22,19 @@ Errors come back as {"error": string}. The server's statuses:
 The client bills nothing for a 4xx and raises ProtocolError with the
 server's reason. It retries a 5xx like a failed connection and, once the
 retries run out, raises TransportError carrying the last reason.
+
+The client's HTTP modules (urllib.request, http.client, ssl, email) and the
+server's (http.server) are imported by the code that sends a request or
+starts a server, so a run that only uses local oracles never loads them.
 """
 
+import functools
 import json
 import logging
 import threading
-import urllib.error
 import urllib.parse
-import urllib.request
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from http.client import HTTPException
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 
@@ -169,6 +170,8 @@ class RemoteOracle(QueryOracle):
     def _exchange(self, url: str, body: bytes = None) -> "tuple[int, bytes]":
         """GET (no body) or JSON POST -> (status, whole response body); failing to
         connect, send or read the body raises OSError or http.client.HTTPException."""
+        import urllib.error
+        import urllib.request
         req = urllib.request.Request(url, body, {"Content-Type": "application/json"})
         try:
             with urllib.request.urlopen(req, timeout=self.endpoint.timeout) as resp:
@@ -178,6 +181,7 @@ class RemoteOracle(QueryOracle):
                 return e.code, e.read()
 
     def _fetch_info(self):
+        from http.client import HTTPException
         with self._info_lock:
             if self._info is None:
                 url = f"{self.endpoint.base_url}/v1/info"
@@ -207,6 +211,7 @@ class RemoteOracle(QueryOracle):
         return self.endpoint.base_url
 
     def _post_chunk(self, chunk: np.ndarray) -> np.ndarray:
+        from http.client import HTTPException
         url = f"{self.endpoint.base_url}/v1/predict"
         body = json.dumps({"inputs": chunk.tolist()}).encode("utf-8")
         last_exc = None
@@ -271,71 +276,80 @@ def remote_oracle(endpoint: RemoteEndpoint) -> RemoteOracle:
     return RemoteOracle(endpoint)
 
 
-class _Handler(BaseHTTPRequestHandler):
-    server_version = "zestkit-oracle/1"
-    protocol_version = "HTTP/1.1"
+@functools.cache
+def _handler_class():
+    """The server's request handler class, built on first use so that importing
+    this module does not load http.server."""
+    from http.server import BaseHTTPRequestHandler
 
-    def _reply(self, status: int, payload: dict, close: bool = False):
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        if close:
-            self.send_header("Connection", "close")
-            self.close_connection = True
-        self.end_headers()
-        self.wfile.write(body)
+    class Handler(BaseHTTPRequestHandler):
+        server_version = "zestkit-oracle/1"
+        protocol_version = "HTTP/1.1"
 
-    def log_message(self, fmt, *args):
-        log.debug("oracle server: " + fmt, *args)
+        def _reply(self, status: int, payload: dict, close: bool = False):
+            body = json.dumps(payload).encode("utf-8")
+            self.send_response(status)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(body)))
+            if close:
+                self.send_header("Connection", "close")
+                self.close_connection = True
+            self.end_headers()
+            self.wfile.write(body)
 
-    def do_GET(self):
-        model = self.server.model
-        if self.path == "/v1/info":
-            self._reply(200, {"class_count": model.class_count, "input_dim": model.input_dim})
-        else:
-            self._reply(404, {"error": f"unknown path {self.path}"})
+        def log_message(self, fmt, *args):
+            log.debug("oracle server: " + fmt, *args)
 
-    def do_POST(self):
-        if self.path != "/v1/predict":
-            self._reply(404, {"error": f"unknown path {self.path}"})
-            return
-        model = self.server.model
-        try:
-            length = int(self.headers.get("Content-Length", "0"))
-            if length < 0:
-                raise ValueError("Content-Length cannot be negative")
-            if length > MAX_REQUEST_BYTES:
-                # the unread body would be parsed as the next request on this
-                # keep-alive connection, so the connection ends with the answer
-                self._reply(413, {"error": f"request body of {length} bytes exceeds "
-                                           f"{MAX_REQUEST_BYTES}"}, close=True)
+        def do_GET(self):
+            model = self.server.model
+            if self.path == "/v1/info":
+                self._reply(200, {"class_count": model.class_count, "input_dim": model.input_dim})
+            else:
+                self._reply(404, {"error": f"unknown path {self.path}"})
+
+        def do_POST(self):
+            if self.path != "/v1/predict":
+                self._reply(404, {"error": f"unknown path {self.path}"})
                 return
-            payload = json.loads(self.rfile.read(length).decode("utf-8"))
-            inputs = payload["inputs"]
-            batch = np.asarray(inputs, dtype=np.float64)
-            if batch.ndim != 2 or batch.shape[1] != model.input_dim:
-                raise ShapeError(
-                    f"inputs must be rows of {model.input_dim} numbers")
-            if not np.all(np.isfinite(batch)):
-                raise ShapeError("inputs contain non-finite values")
-        except Exception as e:  # malformed request -> 400, never a crash
-            self._reply(400, {"error": str(e)})
-            return
-        try:
-            probs = forward(model, batch)
-        except Exception as e:  # a failing model -> 500, not a dropped connection
-            log.exception("oracle server: forward failed")
-            self._reply(500, {"error": f"{type(e).__name__}: {e}"})
-            return
-        self._reply(200, {"probs": probs.tolist()})
+            model = self.server.model
+            try:
+                length = int(self.headers.get("Content-Length", "0"))
+                if length < 0:
+                    raise ValueError("Content-Length cannot be negative")
+                if length > MAX_REQUEST_BYTES:
+                    # the unread body would be parsed as the next request on this
+                    # keep-alive connection, so the connection ends with the answer
+                    self._reply(413, {"error": f"request body of {length} bytes exceeds "
+                                               f"{MAX_REQUEST_BYTES}"}, close=True)
+                    return
+                payload = json.loads(self.rfile.read(length).decode("utf-8"))
+                inputs = payload["inputs"]
+                batch = np.asarray(inputs, dtype=np.float64)
+                if batch.ndim != 2 or batch.shape[1] != model.input_dim:
+                    raise ShapeError(
+                        f"inputs must be rows of {model.input_dim} numbers")
+                if not np.all(np.isfinite(batch)):
+                    raise ShapeError("inputs contain non-finite values")
+            except Exception as e:  # malformed request -> 400, never a crash
+                self._reply(400, {"error": str(e)})
+                return
+            try:
+                probs = forward(model, batch)
+            except Exception as e:  # a failing model -> 500, not a dropped connection
+                log.exception("oracle server: forward failed")
+                self._reply(500, {"error": f"{type(e).__name__}: {e}"})
+                return
+            self._reply(200, {"probs": probs.tolist()})
+
+    return Handler
 
 
 class ModelServer:
     """Serves a local model over the wire protocol; deterministic answers."""
 
     def __init__(self, model: MlpModel, port: int = 0, host: str = "127.0.0.1"):
-        self._httpd = ThreadingHTTPServer((host, port), _Handler)
+        from http.server import ThreadingHTTPServer
+        self._httpd = ThreadingHTTPServer((host, port), _handler_class())
         self._httpd.model = model
         self._httpd.daemon_threads = True
         self._thread = None

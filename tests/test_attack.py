@@ -27,6 +27,8 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         zk.AttackConfig(epsilon=-0.1)
     with pytest.raises(ConfigError):
+        zk.AttackConfig(epsilon=float("nan"))
+    with pytest.raises(ConfigError):
         zk.AttackConfig(step_size=0.0)
     with pytest.raises(ConfigError):
         zk.AttackConfig(epsilon=0.1, step_size=0.2)

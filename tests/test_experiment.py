@@ -458,6 +458,16 @@ _BAD_PARSE = {
     "remote-victim-with-hidden": (
         _edit(victim={"kind": "remote", "url": "http://127.0.0.1:9", "hidden": [12]}),
         "config.victim: unknown keys ['hidden']"),
+    # value bounds of the LimeConfig and AttackConfig that stage parse builds
+    "epsilon-negative": (_edit("attack", epsilon=-1), "epsilon must be >= 0"),
+    "epsilon-nan": (_edit("attack", epsilon=float("nan")), "epsilon must be >= 0"),
+    "step-above-epsilon": (_edit("attack", step_size=0.5), "step_size cannot exceed epsilon"),
+    "steps-zero": (_edit("attack", steps=0), "steps must be >= 1"),
+    "restarts-zero": (_edit("attack", restarts=0), "restarts must be >= 1"),
+    "points-zero": (_edit("attack", points=0), "config.attack.points: "),
+    "ridge-negative": (_edit("lime", ridge=-1), "ridge penalty must be >= 0"),
+    "ridge-nan": (_edit("lime", ridge=float("nan")), "ridge penalty must be >= 0"),
+    "lime-p-zero": (_edit("lime", p=0), "perturbations must be >= 1"),
 }
 
 

@@ -59,6 +59,29 @@ def test_uniform_grid_rejects_too_many_segments():
         zk.SegmentGrid.uniform(4, 5)
 
 
+@pytest.mark.parametrize("assignment, count", [
+    ([0, 0, 2, 2], 3),     # segment 1 missing
+    ([1, 1, 2, 2], 2),     # does not start at 0
+    ([0, 1, 2, 3], 3),     # a segment beyond the count
+    ([0, -1, 1, 1], 2),    # a negative segment
+    ([0, 1], 3),           # fewer features than segments
+    ([], 1),
+    ([0, 0], 0),
+])
+def test_segment_grid_rejects_an_assignment_that_misses_a_segment(assignment, count):
+    with pytest.raises(ConfigError, match="contiguously"):
+        zk.SegmentGrid(np.array(assignment, dtype=np.int64), count)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("perturbations", 0), ("kernel_width", 0.0), ("kernel_width", float("nan")),
+    ("ridge", -1.0), ("ridge", float("nan")), ("replacement", "ones"),
+])
+def test_lime_config_rejects_out_of_range_values(field, value):
+    with pytest.raises(ConfigError):
+        zk.LimeConfig(**{field: value})
+
+
 # --- plan ------------------------------------------------------------------
 
 def test_plan_requires_p_at_least_s(blob_world):

@@ -190,15 +190,39 @@ def test_endpoint_rejects_url_without_http_scheme_and_host(url):
         zk.RemoteEndpoint(url)
 
 
+# A local run signs in process: it loads none of the wire code, nor numpy.ma,
+# which np.unique imports on its first call. The child then serves and queries
+# a model, so the HTTP code still loads when it is used.
+_LOCAL_RUN = """
+import json, sys
+import zestkit as zk
+centers = zk.blob_centers(3, 8, 1)
+data = zk.sample_blobs(centers, 60, 0.08, 2)
+model = zk.train(data, zk.TrainConfig(hidden=(6,), epochs=2, rng_seed=3), model_id="m")
+plan = zk.make_plan(data, 2, zk.SegmentGrid.uniform(8, 4), zk.LimeConfig(perturbations=8),
+                    seed=4)
+zk.compute_signature(zk.local_oracle(model), plan)
+loaded = sorted(sys.modules)
+with zk.oracle.ModelServer(model) as server:
+    remote = zk.remote_oracle(zk.RemoteEndpoint(server.base_url, timeout=5))
+    served = remote.predict_proba(data.points[:3])
+print(json.dumps({"loaded": loaded,
+                  "served": bool((served == zk.forward(model, data.points[:3])).all())}))
+"""
+
+
 def test_import_loads_no_third_party_http_client():
     src = os.path.dirname(os.path.dirname(zk.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = ("import sys, zestkit; print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] in ('requests', 'urllib3')))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    out = subprocess.run([sys.executable, "-c", _LOCAL_RUN], env=env, capture_output=True,
                          text=True, timeout=60, check=True)
-    assert out.stdout.strip() == "[]"
+    run = json.loads(out.stdout)
+    forbidden = ("requests", "urllib3", "http.server", "http.client", "urllib.request", "ssl",
+                 "email", "numpy.ma")
+    assert [m for m in run["loaded"]
+            if any(m == name or m.startswith(name + ".") for name in forbidden)] == []
+    assert run["served"]
 
 
 def test_unreachable_endpoint_transport_error():
