@@ -72,10 +72,9 @@ def select_attack_points(models, data: Dataset, count: int) -> Dataset:
     return data.subset(correct_by_all(models, data, count)[:count])
 
 
-def _craft(proxies, test_data: Dataset, acfg: AttackConfig, count: int, master: int):
-    """The campaign's attack points and PGD from every proxy, as plain data: each
+def _craft(proxies, points: Dataset, acfg: AttackConfig, master: int):
+    """PGD from every proxy on the campaign's attack points, as plain data: each
     batch's fields in proxy order."""
-    points = select_attack_points(proxies, test_data, count)
     crafted = pgd_many(
         [(model, replace(acfg, rng_seed=derived_seed(master, f"pgd.{model.model_id}")))
          for model in proxies], points)
@@ -147,7 +146,7 @@ _TRAINING = {"hidden": ([int], ...), "epochs": (int, 40), "batch_size": (int, 32
 # The only owner of the campaign config's keys, types and defaults. Value
 # bounds stay with what is built from it: TrainConfig, LimeConfig,
 # AttackConfig (both built at stage parse), make_plan, SegmentGrid.uniform
-# and _portfolio_dataset; _parse checks attack.points.
+# and _portfolio_dataset; _parse checks the dataset block and attack.points.
 _SCHEMA = {
     "master_seed": (int, ...),
     "dataset": ({"kind": {"blobs": {"classes": (int, ...), "features": (int, ...),
@@ -239,8 +238,15 @@ def _parse(s):
     s.lime_cfg = LimeConfig(perturbations=lime["p"], kernel_width=lime["kernel_width"],
                             ridge=lime["ridge"], replacement=lime["replacement"])
     s.attack_cfg = AttackConfig(**{k: v for k, v in attack.items() if k != "points"})
-    if attack["points"] < 1:
-        raise ConfigError(f"config.attack.points: must be >= 1, got {attack['points']}")
+    ds = cfg["dataset"]
+    for key, low in (("classes", 2), ("features", 1), ("train_size", 1)):
+        if ds[key] < low:
+            raise ConfigError(f"config.dataset.{key}: must be >= {low}, got {ds[key]}")
+    if not ds["noise"] >= 0:
+        raise ConfigError(f"config.dataset.noise: must be >= 0, got {ds['noise']}")
+    if not 1 <= attack["points"] <= ds["test_size"]:
+        raise ConfigError(f"config.attack.points: must be >= 1 and <= dataset.test_size "
+                          f"({ds['test_size']}), got {attack['points']}")
     local_victim = cfg["victim"]["kind"] == "local"
     # parses the URL and sends nothing, so a bad one fails before any training
     s.endpoint = None if local_victim else RemoteEndpoint(cfg["victim"]["url"])
@@ -276,6 +282,9 @@ def _train(s):
 
 
 def _plan(s):
+    # picked before any query: too few points the proxies all classify
+    # correctly fail here, with nothing billed
+    s.attack_points = select_attack_points(s.proxies, s.test_data, s.cfg["attack"]["points"])
     block = s.cfg["lime"]
     grid = SegmentGrid.uniform(s.cfg["dataset"]["features"], block["segments"])
     s.plan = make_plan(s.train_data, block["n"], grid, s.lime_cfg,
@@ -285,8 +294,7 @@ def _plan(s):
 
 def _signatures(s):
     # PGD needs only the proxies, so a forked lane crafts while this process signs
-    s.crafted = s.lanes.run(_craft, s.proxies, s.test_data, s.attack_cfg,
-                            s.cfg["attack"]["points"], s.master)
+    s.crafted = s.lanes.run(_craft, s.proxies, s.attack_points, s.attack_cfg, s.master)
     store = SignatureStore(os.path.join(s.out_dir, "signatures"))
     *s.proxy_sigs, s.victim_sig = sign_many([*map(local_oracle, s.proxies), s.victim], s.plan)
     for sig in s.proxy_sigs:
@@ -386,11 +394,15 @@ def run_campaign(config: dict, out_dir) -> CampaignResult:
     `lime` and `attack` blocks (`p` < 1, a negative or NaN `ridge`, a
     `kernel_width` that is not > 0; a negative or NaN `epsilon`, a
     `step_size` that is not > 0 or exceeds a positive `epsilon`, `steps` or
-    `restarts` < 1) and `attack.points` < 1.
+    `restarts` < 1), for a dataset block with `classes` < 2, `features` or
+    `train_size` < 1, or a negative or NaN `noise`, and for `attack.points`
+    < 1 or above `dataset.test_size`. Stage "plan" picks the attack points
+    (the first test rows every proxy classifies correctly) and raises
+    ConfigError there, before any query is sent, when too few qualify.
 
     Where this process may use more than one CPU (``util.lane_count``), the
     stages "signatures" and "distances" overlap the attack's PGD: a forked
-    lane picks the attack points and crafts every proxy's batch while this
+    lane crafts every proxy's batch on the attack points while this
     process signs, stores, ranks and writes, and hands the batches over at
     stage "attack". A lane that fails is redone in process there, so an error
     surfaces at the stage, and with the message, of a run on one CPU; a run

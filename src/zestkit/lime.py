@@ -30,10 +30,12 @@ from .util import (ForkLanes, canonical_json, csv_text, derived_seed, lane_count
                    read_container, write_container)
 
 REPLACEMENT_POLICIES = ("segment_mean", "zeros")
-# Perturbation rows per signing block: the fastest of 1000-32768 rows at
-# N=128, P=1000, S=16. Blocks batch the local work only; the oracle is still
-# called per point, because its output bits may depend on how many rows one
-# call carries.
+# Answer rows a signing block holds, summed over the oracles it signs: the
+# fastest of 1000-32768 rows at N=128, P=1000, S=16 with one oracle. A
+# portfolio's block then holds no more answers than one oracle's, and the
+# Gram build works in blocks of BLOCK_ROWS / 4 mask rows. Blocks batch the
+# local work only; the oracle is still called per point, because its output
+# bits may depend on how many rows one call carries.
 BLOCK_ROWS = 8192
 
 
@@ -293,7 +295,9 @@ class PlanDesign:
     """What signing needs from a plan alone, for B points (read-only arrays).
 
     The regression's design matrix is [masks | 1]; the intercept column is
-    unpenalized.
+    unpenalized. Only _build_design makes one, from arrays nothing else
+    holds, so they are made read-only in place: copies would double the
+    design while it is built (3.3 MiB at N=128, P=1000, S=16).
     """
 
     masks: np.ndarray    # (B, P, S) bool
@@ -301,13 +305,13 @@ class PlanDesign:
     grams: np.ndarray    # (B, S+1, S+1) [masks|1]^T W [masks|1], ridge on the mask diagonal
 
     def __post_init__(self):
-        owned_array(self, "masks", bool)
-        owned_array(self, "weights", np.float64)
-        owned_array(self, "grams", np.float64)
+        for arr in (self.masks, self.weights, self.grams):
+            arr.flags.writeable = False
 
 
 def _point_blocks(n: int, p: int):
-    """Slices of consecutive points holding about BLOCK_ROWS perturbation rows."""
+    """Slices of consecutive points of ``p`` rows each, holding about
+    BLOCK_ROWS rows (one point when ``p`` alone exceeds it)."""
     step = max(1, BLOCK_ROWS // p)
     return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
@@ -335,13 +339,18 @@ def _ridge_solve(grams: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def _build_design(masks: np.ndarray, cfg: LimeConfig) -> PlanDesign:
     """PlanDesign of B points under masks (B, P, S).
 
+    The Grams are built in blocks of at most BLOCK_ROWS / 4 mask rows (one
+    point when P alone exceeds that), each holding two (rows, S+1) float
+    temporaries, [masks | 1] and its weighted copy; blocks of BLOCK_ROWS / 2
+    left the bundled campaign's peak RSS about 0.6 MiB higher.
+
     Raises NumericalError for a singular Gram here, before any query is sent.
     """
     b, p, s = masks.shape
     width = cfg.resolved_kernel_width(s)
     weights = np.empty((b, p))
     grams = np.empty((b, s + 1, s + 1))
-    for blk in _point_blocks(b, p):
+    for blk in _point_blocks(b, 4 * p):
         weights[blk] = mask_kernel_weights(masks[blk], width)
         x = _design_rows(masks[blk])
         grams[blk] = np.swapaxes(x, 1, 2) @ (x * weights[blk, :, None])
@@ -416,7 +425,7 @@ def fit_point_model(oracle: QueryOracle, x, masks, grid: SegmentGrid,
     probability on the mask bits.
     """
     x = np.asarray(x, dtype=np.float64)
-    masks = np.asarray(masks, dtype=bool)
+    masks = np.array(masks, dtype=bool)  # the design's own copy
     if masks.ndim != 2 or masks.shape[1] != grid.segment_count:
         raise ShapeError(f"masks must be (P, {grid.segment_count})")
     if x.ndim != 1 or x.shape[0] != grid.n_features:
@@ -513,10 +522,17 @@ def sign_many(oracles, plan: PerturbationPlan) -> "list[Signature]":
     turn; each oracle sees exactly the calls compute_signature would send it
     (ledger: N*P + N rows each), so each signature is bitwise its solo one.
 
+    A block holds about BLOCK_ROWS answer rows across all the oracles (P
+    rows each per point; one point when a point's rows alone exceed that),
+    so a portfolio's block has as many answers in memory as one oracle's.
+
     When every oracle is exactly a LocalOracle, whose answers depend only on
-    its model and the rows, the plan's blocks are split into one contiguous
-    run per lane, ``min(lane_count(), blocks)`` of them. Run 0 is signed
-    here, every other run in a ``ForkLanes`` child through private
+    its model and the rows, the blocks are split into one contiguous run
+    per lane. The lane count is ``min(lane_count(), P-row blocks)``, the
+    blocks of one oracle, whatever the portfolio's size: a portfolio that
+    one oracle's rows would not split is signed in process, not in a lane
+    forked beside the campaign's PGD lane, which measured slower. Run 0 is
+    signed here, every other run in a ``ForkLanes`` child through private
     LocalOracles of the same models; a failed child's run is signed here
     again. A run's rows are billed to the caller's oracles when its answers
     reach this process, so a redone run is billed once and a run that raises
@@ -532,9 +548,9 @@ def sign_many(oracles, plan: PerturbationPlan) -> "list[Signature]":
     # built before any fork: every lane reads the one design, none copies it
     args = (plan.points, plan.design(), plan.grid, plan.config.replacement)
     fingerprint = plan.fingerprint()
-    blocks = _point_blocks(plan.n, plan.p)
+    blocks = _point_blocks(plan.n, plan.p * max(1, len(oracles)))
     local = oracles and all(type(oracle) is LocalOracle for oracle in oracles)
-    count = min(lane_count(), len(blocks)) if local else 1
+    count = min(lane_count(), len(_point_blocks(plan.n, plan.p))) if local else 1
     runs = [blocks[k * len(blocks) // count:(k + 1) * len(blocks) // count]
             for k in range(count)]
     with ForkLanes() as forked:

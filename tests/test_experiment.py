@@ -277,20 +277,17 @@ def _closed_port_url():
 
 
 _FAILURES = [
-    ("dataset", lambda c: c["dataset"].update(train_size=-1), ValueError),
     # 9 segments of 8 features
     ("plan", lambda c: c["lime"].update(segments=9), ConfigError),
     ("signatures", lambda c: c.update(victim={"kind": "remote", "url": _closed_port_url()}),
      TransportError),
     # every transfer rate is 0, so the correlation is undefined
     ("correlation", lambda c: c["attack"].update(epsilon=0.0), UndefinedCorrelationError),
-    # cannot screen this many
-    ("attack", lambda c: c["attack"].update(points=10 ** 6), ConfigError),
 ]
 
 
 @pytest.mark.parametrize("stage, edit, error", _FAILURES,
-                         ids=["dataset", "plan", "signatures", "correlation", "attack"])
+                         ids=["plan", "signatures", "correlation"])
 def test_campaign_failure_manifest(tmp_path, stage, edit, error):
     cfg = _tiny_config()
     edit(cfg)
@@ -304,12 +301,35 @@ def test_campaign_failure_manifest(tmp_path, stage, edit, error):
     assert manifest["config_hash"] == config_hash(cfg)
 
 
+def test_campaign_too_few_attack_points_fail_at_plan_and_bill_nothing(tmp_path,
+                                                                      monkeypatch):
+    oracles = []
+    make_oracle = zk.experiment.local_oracle
+    monkeypatch.setattr(zk.experiment, "local_oracle",
+                        lambda model: oracles.append(make_oracle(model)) or oracles[-1])
+    use_cpus(monkeypatch, 2)
+    forks = count_forks(monkeypatch)
+    cfg = _tiny_config()
+    cfg["attack"]["points"] = cfg["dataset"]["test_size"]  # allowed at parse
+    out = tmp_path / "fail"
+    with pytest.raises(ConfigError, match="classified correctly by all 3 models; need 120"):
+        zk.run_campaign(cfg, out)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["stage"] == "plan"
+    assert len(oracles) == 1  # the local victim, built at stage train
+    assert oracles[0].ledger.snapshot()["total"] == 0
+    assert forks == [1]  # the training lane; no PGD lane
+    assert not (out / "signatures").exists() and not (out / "shared.plan").exists()
+    assert_no_children()
+
+
 @pytest.mark.parametrize("owner, name, stage", [
+    (zk.experiment, "sample_blobs", "dataset"),
     (zk.experiment, "train_many", "train"),
     (zk.experiment, "rank_signatures", "distances"),
     (zk.experiment, "csv_text", "transfer-report"),
     (zk.oracle.QueryLedger, "snapshot", "manifest"),
-], ids=["train", "distances", "transfer-report", "manifest"])
+], ids=["dataset", "train", "distances", "transfer-report", "manifest"])
 def test_campaign_failure_manifest_names_the_stage_of_the_failing_call(
         tmp_path, monkeypatch, owner, name, stage):
     def fail(*args, **kwargs):
@@ -468,6 +488,16 @@ _BAD_PARSE = {
     "ridge-negative": (_edit("lime", ridge=-1), "ridge penalty must be >= 0"),
     "ridge-nan": (_edit("lime", ridge=float("nan")), "ridge penalty must be >= 0"),
     "lime-p-zero": (_edit("lime", p=0), "perturbations must be >= 1"),
+    # the dataset block's bounds, and attack points the test rows can hold
+    "noise-negative": (_edit("dataset", noise=-1), "config.dataset.noise: "),
+    "noise-nan": (_edit("dataset", noise=float("nan")), "config.dataset.noise: "),
+    "classes-zero": (_edit("dataset", classes=0), "config.dataset.classes: "),
+    "classes-one": (_edit("dataset", classes=1), "config.dataset.classes: "),
+    "features-zero": (_edit("dataset", features=0), "config.dataset.features: "),
+    "train-size-zero": (_edit("dataset", train_size=0), "config.dataset.train_size: "),
+    "train-size-negative": (_edit("dataset", train_size=-1), "config.dataset.train_size: "),
+    "points-above-test-size": (_edit("attack", points=121), "config.attack.points: "),
+    "points-far-above-test-size": (_edit("attack", points=10 ** 6), "config.attack.points: "),
 }
 
 
@@ -523,6 +553,21 @@ def test_bundled_campaign_same_tree_on_one_cpu_and_two_lanes(tmp_path, monkeypat
     zk.run_campaign(zk.bundled_campaign_config(), tmp_path / "two-lanes")
     assert forks == [1, 1]  # one training lane, then the PGD lane
     assert _tree_digest(tmp_path / "one-cpu") == _tree_digest(tmp_path / "two-lanes")
+
+
+def test_campaign_signs_a_portfolio_in_process_when_its_p_rows_fit_one_block(
+        tmp_path, monkeypatch):
+    cfg = _tiny_config()
+    cfg["lime"]["p"] = 400
+    n, p, oracles = cfg["lime"]["n"], 400, len(cfg["portfolio"]) + 1
+    # n*P rows fit one block; n*P rows across the 4 oracles do not
+    assert len(zk.lime._point_blocks(n, p)) == 1
+    assert len(zk.lime._point_blocks(n, p * oracles)) > 1
+    use_cpus(monkeypatch, 2)
+    forks = count_forks(monkeypatch)
+    zk.run_campaign(cfg, tmp_path / "run")
+    assert forks == [1, 1]  # the training lane, then the PGD lane; no signing lane
+    assert_no_children()
 
 
 # --- the PGD lane ----------------------------------------------------------

@@ -514,7 +514,8 @@ def _recording(fn, features, classes, oracle_id, calls):
     return Recording(fn, features, classes, oracle_id)
 
 
-@pytest.mark.parametrize("p,n", [(1000, 11), (120, 5)])  # two blocks (8 + 3), one block
+# 4 oracles: blocks of 2 points (2 * 1000 rows each), one block
+@pytest.mark.parametrize("p,n", [(1000, 11), (120, 5)])
 def test_sign_many_matches_compute_signature_bitwise(p, n):
     grid = zk.SegmentGrid.uniform(16, 8)
     plan = zk.PerturbationPlan(np.random.default_rng(n).random((n, 16)), grid,
@@ -557,6 +558,27 @@ def test_sign_many_transport_error_names_the_failing_oracles_progress(small_plan
     assert failing.ledger.breakdown()["signature_baseline"] == 4
 
 
+@pytest.mark.parametrize("p,n", [(1000, 20), (3000, 5)])  # blocks of 2 points, of 1 point
+def test_sign_many_blocks_hold_block_rows_across_all_oracles(monkeypatch, p, n):
+    grid = zk.SegmentGrid.uniform(16, 8)
+    plan = zk.PerturbationPlan(np.random.default_rng(p).random((n, 16)), grid,
+                               zk.LimeConfig(perturbations=p), seed=p)
+    oracles = [zk.LocalOracle(tiny_net(seed, input_dim=16)) for seed in range(4)]
+    use_cpus(monkeypatch, 1)
+    sign_points, seen = zk.lime._sign_points, []
+
+    def recording(oracles, points, design, grid, policy, blocks):
+        seen.extend(blocks)
+        return sign_points(oracles, points, design, grid, policy, blocks)
+
+    monkeypatch.setattr(zk.lime, "_sign_points", recording)
+    zk.sign_many(oracles, plan)
+    assert [i for blk in seen for i in range(blk.start, blk.stop)] == list(range(n))
+    for blk in seen:  # a block of one point may hold more: its rows cannot be split
+        rows = (blk.stop - blk.start) * p * len(oracles)
+        assert rows <= BLOCK_ROWS or blk.stop - blk.start == 1, (blk, rows)
+
+
 def test_sign_many_rejects_an_oracle_whose_class_count_changes():
     grid = zk.SegmentGrid.uniform(16, 8)
     plan = zk.PerturbationPlan(np.random.default_rng(1).random((11, 16)), grid,
@@ -574,7 +596,8 @@ def test_sign_many_rejects_an_oracle_whose_class_count_changes():
 # --- signing lanes ---------------------------------------------------------
 
 def _lane_plan():
-    """N=20, P=1000: three blocks, of 8, 8 and 4 points."""
+    """N=20, P=1000: three P-row blocks, of 8, 8 and 4 points, so at most three
+    lanes; the two _LANE_MODELS are signed in five blocks of 4 points."""
     grid = zk.SegmentGrid.uniform(16, 8)
     plan = zk.PerturbationPlan(np.random.default_rng(20).random((20, 16)), grid,
                                zk.LimeConfig(perturbations=1000), seed=20)
@@ -648,11 +671,13 @@ def test_sign_many_kills_and_reaps_children_when_run_0_raises(monkeypatch):
     use_cpus(monkeypatch, 3)
     forks = count_forks(monkeypatch)
     parent, sign_points = os.getpid(), zk.lime._sign_points
+    run_0 = []
 
     def fails_after_run_0(*args):
         if os.getpid() != parent:
             time.sleep(60)  # still signing when the parent gives up
             return sign_points(*args)
+        run_0.extend(args[-1])
         sign_points(*args)
         raise RuntimeError("run 0")
 
@@ -664,8 +689,10 @@ def test_sign_many_kills_and_reaps_children_when_run_0_raises(monkeypatch):
     assert time.monotonic() - start < 30  # killed, not waited for
     assert len(forks) == 2
     assert_no_children()
-    for oracle in oracles:  # run 0 is the first block's 8 points
-        assert oracle.ledger.breakdown() == _bill(8, plan.p)
+    points = sum(blk.stop - blk.start for blk in run_0)
+    assert 0 < points < plan.n
+    for oracle in oracles:  # run 0's points are billed, the killed runs' are not
+        assert oracle.ledger.breakdown() == _bill(points, plan.p)
 
 
 def test_sign_many_forks_only_for_exact_local_oracles(monkeypatch):
