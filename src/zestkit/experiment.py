@@ -146,7 +146,8 @@ _TRAINING = {"hidden": ([int], ...), "epochs": (int, 40), "batch_size": (int, 32
 # The only owner of the campaign config's keys, types and defaults. Value
 # bounds stay with what is built from it: TrainConfig, LimeConfig,
 # AttackConfig (both built at stage parse), make_plan, SegmentGrid.uniform
-# and _portfolio_dataset; _parse checks the dataset block and attack.points.
+# and _portfolio_dataset; _parse checks the dataset block, and attack.points,
+# lime.n, lime.segments and lime.p against it, so they fail before training.
 _SCHEMA = {
     "master_seed": (int, ...),
     "dataset": ({"kind": {"blobs": {"classes": (int, ...), "features": (int, ...),
@@ -247,6 +248,13 @@ def _parse(s):
     if not 1 <= attack["points"] <= ds["test_size"]:
         raise ConfigError(f"config.attack.points: must be >= 1 and <= dataset.test_size "
                           f"({ds['test_size']}), got {attack['points']}")
+    for key, bound in (("n", "train_size"), ("segments", "features")):
+        if not 1 <= lime[key] <= ds[bound]:
+            raise ConfigError(f"config.lime.{key}: must be >= 1 and <= dataset.{bound} "
+                              f"({ds[bound]}), got {lime[key]}")
+    if lime["p"] < lime["segments"]:
+        raise ConfigError(f"config.lime.p: must be >= lime.segments ({lime['segments']}), "
+                          f"got {lime['p']}")
     local_victim = cfg["victim"]["kind"] == "local"
     # parses the URL and sends nothing, so a bad one fails before any training
     s.endpoint = None if local_victim else RemoteEndpoint(cfg["victim"]["url"])
@@ -395,10 +403,14 @@ def run_campaign(config: dict, out_dir) -> CampaignResult:
     `kernel_width` that is not > 0; a negative or NaN `epsilon`, a
     `step_size` that is not > 0 or exceeds a positive `epsilon`, `steps` or
     `restarts` < 1), for a dataset block with `classes` < 2, `features` or
-    `train_size` < 1, or a negative or NaN `noise`, and for `attack.points`
-    < 1 or above `dataset.test_size`. Stage "plan" picks the attack points
-    (the first test rows every proxy classifies correctly) and raises
-    ConfigError there, before any query is sent, when too few qualify.
+    `train_size` < 1, or a negative or NaN `noise`, for `attack.points`
+    < 1 or above `dataset.test_size`, for `lime.n` < 1 or above
+    `dataset.train_size`, for `lime.segments` < 1 or above
+    `dataset.features`, and for `lime.p` below `lime.segments`. Stage
+    "plan" picks the attack points (the first test rows every proxy
+    classifies correctly) and the reference points (among the training rows
+    every proxy classifies correctly), and raises ConfigError there, before
+    any query is sent, when too few qualify.
 
     Where this process may use more than one CPU (``util.lane_count``), the
     stages "signatures" and "distances" overlap the attack's PGD: a forked

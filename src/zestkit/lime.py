@@ -12,9 +12,9 @@ Query cost per signature: N*P perturbation rows plus N baseline rows (the
 unperturbed reference is sent once per point as the weighting anchor and
 billed under its own ledger purpose, keeping the N*P headline comparable).
 
-Everything that depends on the plan's masks alone (the masks, kernel weights
-and ridge Gram matrices) is built once per plan, as its PlanDesign, and
-reused by every signature taken under it.
+Everything that depends on the plan's masks alone (the masks, bit-packed,
+their kernel weights and the ridge Gram matrices) is built once per plan, as
+its PlanDesign, and reused by every signature taken under it.
 """
 
 import hashlib
@@ -32,7 +32,8 @@ from .util import (ForkLanes, canonical_json, csv_text, derived_seed, lane_count
 REPLACEMENT_POLICIES = ("segment_mean", "zeros")
 # Answer rows a signing block holds, summed over the oracles it signs: the
 # fastest of 1000-32768 rows at N=128, P=1000, S=16 with one oracle. A
-# portfolio's block then holds no more answers than one oracle's, and the
+# portfolio's block then holds no more answers than one oracle's, the
+# scratch buffer a signing run reuses is sized by its largest block, and the
 # Gram build works in blocks of BLOCK_ROWS / 4 mask rows. Blocks batch the
 # local work only; the oracle is still called per point, because its output
 # bits may depend on how many rows one call carries.
@@ -136,25 +137,33 @@ class PerturbationPlan:
         return self.grid.segment_count
 
     def mask_tensor(self) -> np.ndarray:
-        """(N, P, S) binary masks, read-only; reproducible from (seed, N, P, S) alone."""
-        return self.design().masks
+        """(N, P, S) binary masks; reproducible from (seed, N, P, S) alone.
+
+        Unpacked from the design on every call, into a new N*P*S-byte array.
+        """
+        return self.design().masks()
 
     def design(self) -> "PlanDesign":
         """The plan's PlanDesign, built on first use and kept on the plan."""
         if self._design is None:
-            object.__setattr__(self, "_design", _build_design(self._draw_masks(),
+            object.__setattr__(self, "_design", _build_design(*self._draw_masks(), self.s,
                                                               self.config))
         return self._design
 
-    def _draw_masks(self) -> np.ndarray:
+    def _draw_masks(self) -> "tuple[np.ndarray, np.ndarray]":
+        """The masks, as ``_pack`` gives them: each point's bits and counts of ones."""
         # one point at a time from one stream: the same bits as a single
-        # rng.random((N, P, S)) < 0.5, without its N*P*S float64 transient
+        # rng.random((N, P, S)) < 0.5, packed as drawn, so neither its N*P*S
+        # float64 transient nor the N*P*S bools ever exist
         rng = np.random.default_rng(derived_seed(self.seed, "plan.masks"))
-        masks = np.empty((self.n, self.p, self.s), dtype=bool)
+        bits = np.empty((self.n, -(-self.p * self.s // 8)), dtype=np.uint8)
+        ones = np.empty((self.n, self.p), dtype=np.min_scalar_type(self.s))
         draws = np.empty((self.p, self.s))
-        for point_masks in masks:
-            np.less(rng.random(out=draws), 0.5, out=point_masks)
-        return masks
+        point = np.empty((1, self.p, self.s), dtype=bool)
+        for i in range(self.n):
+            np.less(rng.random(out=draws), 0.5, out=point[0])
+            bits[i:i + 1], ones[i:i + 1] = _pack(point)
+        return bits, ones
 
     def fingerprint(self) -> str:
         """Hash pinning everything that shapes the queries and regression."""
@@ -239,11 +248,12 @@ def _replacement_values(x: np.ndarray, grid: SegmentGrid, policy: str) -> np.nda
 
 
 def masked_batch(x: np.ndarray, masks: np.ndarray, grid: SegmentGrid,
-                 policy: str) -> np.ndarray:
+                 policy: str, out: np.ndarray = None) -> np.ndarray:
     """All masked variants of one point, or of a stack of points, at once.
 
     x is (d,) with boolean masks (P, S), giving (P, d), or (B, d) with masks
-    (B, P, S), giving (B, P, d).
+    (B, P, S), giving (B, P, d). The result is written into ``out``, a
+    float64 array of that shape, when one is given.
 
     Each output word is picked by a bit select on the float64 bit patterns,
     fill ^ ((x ^ fill) & -keep): exact for every pattern, -0.0 included, so
@@ -254,7 +264,8 @@ def masked_batch(x: np.ndarray, masks: np.ndarray, grid: SegmentGrid,
     repl = np.stack([_replacement_values(r, grid, policy)
                      for r in x.reshape(-1, grid.n_features)])
     fill = repl[:, grid.assignment].reshape(x.shape).view(np.uint64)[..., None, :]
-    out = np.negative(masks.view(np.uint8)[..., grid.assignment], dtype=np.uint64)
+    out = np.negative(masks.view(np.uint8)[..., grid.assignment], dtype=np.uint64,
+                      out=None if out is None else out.view(np.uint64))
     out &= x.view(np.uint64)[..., None, :] ^ fill
     out ^= fill
     return out.view(np.float64)
@@ -263,7 +274,9 @@ def masked_batch(x: np.ndarray, masks: np.ndarray, grid: SegmentGrid,
 def mask_kernel_weights(masks: np.ndarray, kernel_width: float) -> np.ndarray:
     """exp(-d^2 / width^2) with d = cosine distance from the all-ones mask.
 
-    masks is (..., S); the weights have its leading shape.
+    masks is (..., S); the weights have its leading shape. For a binary mask
+    both sums below are exact integers, so its weight depends only on its
+    count of ones: PlanDesign keeps one weight per count.
     """
     m = masks.astype(np.float64)
     s = m.shape[-1]
@@ -292,21 +305,46 @@ class PointModel:
 
 @dataclass(frozen=True)
 class PlanDesign:
-    """What signing needs from a plan alone, for B points (read-only arrays).
+    """What signing needs from a plan alone, for B points of P masks over S
+    segments (read-only arrays).
 
     The regression's design matrix is [masks | 1]; the intercept column is
-    unpenalized. Only _build_design makes one, from arrays nothing else
-    holds, so they are made read-only in place: copies would double the
-    design while it is built (3.3 MiB at N=128, P=1000, S=16).
+    unpenalized. The masks are kept packed, eight to a byte, and a mask's
+    kernel weight is table[its count of ones]: B*ceil(P*S/8) + B*P +
+    8*(S+1) + 8*B*(S+1)^2 bytes with S < 256, 0.65 MiB at N=128, P=1000,
+    S=16. Signing unpacks one block at a time and builds the block's masked
+    rows and weighted design in a scratch buffer of its own, one per
+    signing run (_sign_points). Only _build_design makes a design, from
+    arrays nothing else holds, so they are made read-only in place.
     """
 
-    masks: np.ndarray    # (B, P, S) bool
-    weights: np.ndarray  # (B, P) kernel weights
-    grams: np.ndarray    # (B, S+1, S+1) [masks|1]^T W [masks|1], ridge on the mask diagonal
+    bits: np.ndarray    # (B, ceil(P*S/8)) uint8, each point's (P, S) masks packed little-endian
+    ones: np.ndarray    # (B, P) each mask's count of ones, in the smallest uint dtype holding S
+    table: np.ndarray   # (S+1,) the kernel weight of a mask with k ones
+    grams: np.ndarray   # (B, S+1, S+1) [masks|1]^T W [masks|1], ridge on the mask diagonal
 
     def __post_init__(self):
-        for arr in (self.masks, self.weights, self.grams):
+        for arr in (self.bits, self.ones, self.table, self.grams):
             arr.flags.writeable = False
+
+    def masks(self, blk: slice = slice(None)) -> np.ndarray:
+        """(b, P, S) bool masks of the points in ``blk``, unpacked into a new array."""
+        return _unpack(self.bits[blk], self.ones.shape[1], self.table.size - 1)
+
+
+def _pack(masks: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+    """(B, P, S) bool masks as PlanDesign keeps them: the bits of each point,
+    packed little-endian, (B, ceil(P*S/8)) uint8, and each mask's count of
+    ones (B, P)."""
+    b, p, s = masks.shape
+    return (np.packbits(masks.reshape(b, p * s), axis=-1, bitorder="little"),
+            masks.sum(axis=-1, dtype=np.min_scalar_type(s)))
+
+
+def _unpack(bits: np.ndarray, p: int, s: int) -> np.ndarray:
+    """The inverse of ``_pack``'s bits: (B, ceil(P*S/8)) uint8 -> (B, P, S) bool."""
+    return (np.unpackbits(bits, axis=-1, count=p * s, bitorder="little")
+            .view(bool).reshape(len(bits), p, s))
 
 
 def _point_blocks(n: int, p: int):
@@ -316,10 +354,11 @@ def _point_blocks(n: int, p: int):
     return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
-def _design_rows(masks: np.ndarray) -> np.ndarray:
-    """[masks | 1] as float64: (B, P, S) -> (B, P, S+1)."""
-    x = np.ones(masks.shape[:-1] + (masks.shape[-1] + 1,))
+def _design_rows(masks: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+    """[masks | 1] as float64: (B, P, S) -> (B, P, S+1), into ``out`` when given."""
+    x = np.empty(masks.shape[:-1] + (masks.shape[-1] + 1,)) if out is None else out
     x[..., :-1] = masks
+    x[..., -1] = 1.0
     return x
 
 
@@ -336,27 +375,28 @@ def _ridge_solve(grams: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return beta
 
 
-def _build_design(masks: np.ndarray, cfg: LimeConfig) -> PlanDesign:
-    """PlanDesign of B points under masks (B, P, S).
+def _build_design(bits: np.ndarray, ones: np.ndarray, s: int, cfg: LimeConfig) -> PlanDesign:
+    """PlanDesign of B points under P masks over S segments each, packed as
+    ``_pack`` gives them; it takes ``bits`` and ``ones`` as they are.
 
+    The weight table is mask_kernel_weights of S+1 masks with 0..S ones.
     The Grams are built in blocks of at most BLOCK_ROWS / 4 mask rows (one
-    point when P alone exceeds that), each holding two (rows, S+1) float
-    temporaries, [masks | 1] and its weighted copy; blocks of BLOCK_ROWS / 2
+    point when P alone exceeds that), each unpacked anew and holding two
+    (rows, S+1) float temporaries, [masks | 1] and its weighted copy, with
+    no scratch buffer: this runs once per plan. Blocks of BLOCK_ROWS / 2
     left the bundled campaign's peak RSS about 0.6 MiB higher.
 
     Raises NumericalError for a singular Gram here, before any query is sent.
     """
-    b, p, s = masks.shape
-    width = cfg.resolved_kernel_width(s)
-    weights = np.empty((b, p))
+    b, p = ones.shape
+    table = mask_kernel_weights(np.tri(s + 1, s, -1, dtype=bool), cfg.resolved_kernel_width(s))
     grams = np.empty((b, s + 1, s + 1))
     for blk in _point_blocks(b, 4 * p):
-        weights[blk] = mask_kernel_weights(masks[blk], width)
-        x = _design_rows(masks[blk])
-        grams[blk] = np.swapaxes(x, 1, 2) @ (x * weights[blk, :, None])
+        x = _design_rows(_unpack(bits[blk], p, s))
+        grams[blk] = np.swapaxes(x, 1, 2) @ (x * table[ones[blk]][..., None])
     grams[:, np.arange(s), np.arange(s)] += cfg.ridge
     _ridge_solve(grams, np.zeros((b, s + 1, 1)))
-    return PlanDesign(masks, weights, grams)
+    return PlanDesign(bits, ones, table, grams)
 
 
 def _sign_points(oracles, points: np.ndarray, design: PlanDesign, grid: SegmentGrid,
@@ -369,14 +409,25 @@ def _sign_points(oracles, points: np.ndarray, design: PlanDesign, grid: SegmentG
     Each block takes one masked_batch call, then each oracle in turn gets,
     per point and in point order, the baseline row (billed as
     signature_baseline) and then the P masked rows (billed as signature).
-    One weighted design serves every oracle's fit; each fit is one matmul
-    and one stacked ridge solve, written into that oracle's arrays.
+    One weighted design serves every oracle's fit: the block's answers are
+    joined along the class axis, so all oracles take one matmul and one
+    stacked ridge solve, split into each oracle's arrays.
+
+    The masked rows and then the weighted design are written into one
+    float64 scratch buffer, allocated once per call and sized for the
+    largest block, so no block faults in fresh pages for either. An oracle
+    therefore must not keep the rows it is sent past its call.
     """
-    s = design.masks.shape[2]
+    p, d = design.ones.shape[1], points.shape[1]
+    s = design.table.size - 1
     lo = blocks[0].start
-    coefs, intercepts = [None] * len(oracles), [None] * len(oracles)
+    scratch = np.empty(max(blk.stop - blk.start for blk in blocks) * p * max(d, s + 1))
+    coefs, intercepts = [], []
     for blk in blocks:
-        variants = masked_batch(points[blk], design.masks[blk], grid, policy)
+        b = blk.stop - blk.start
+        masks = design.masks(blk)
+        variants = masked_batch(points[blk], masks, grid, policy,
+                                out=scratch[:b * p * d].reshape(b, p, d))
         targets = []
         for oracle in oracles:
             answers = []
@@ -388,22 +439,21 @@ def _sign_points(oracles, points: np.ndarray, design: PlanDesign, grid: SegmentG
                     e.points_completed = i
                     raise
             targets.append(np.stack(answers))
-        del variants  # the fit's temporaries then reuse its memory: less peak RSS
-        xw = _design_rows(design.masks[blk])
-        xw *= design.weights[blk, :, None]
-        xwt = np.swapaxes(xw, 1, 2)
-        for j, answers in enumerate(targets):
-            beta = _ridge_solve(design.grams[blk], xwt @ answers)
-            if coefs[j] is None:
-                coefs[j] = np.empty((blocks[-1].stop - lo, beta.shape[2], s))
-                intercepts[j] = np.empty(coefs[j].shape[:2])
-            elif beta.shape[2] != coefs[j].shape[1]:
-                raise ShapeError("oracle answered with a different class count")
-            coefs[j][blk.start - lo:blk.stop - lo] = np.swapaxes(beta[:, :s], 1, 2)
-            intercepts[j][blk.start - lo:blk.stop - lo] = beta[:, s]
-        # the next block's arrays then reuse this block's memory: after a fork,
-        # every page a lane writes first is copied (sign-local: 1650 -> 1390 pages)
-        del targets, xw, xwt
+        xw = _design_rows(masks, out=scratch[:b * p * (s + 1)].reshape(b, p, s + 1))
+        xw *= design.table[design.ones[blk]][..., None]
+        classes = [t.shape[2] for t in targets]
+        if not coefs:
+            coefs = [np.empty((blocks[-1].stop - lo, k, s)) for k in classes]
+            intercepts = [np.empty(c.shape[:2]) for c in coefs]
+        elif classes != [c.shape[1] for c in coefs]:
+            raise ShapeError("oracle answered with a different class count")
+        beta = _ridge_solve(design.grams[blk],
+                            np.swapaxes(xw, 1, 2) @ np.concatenate(targets, axis=2))
+        at = slice(blk.start - lo, blk.stop - lo)
+        for coef, intercept, part in zip(coefs, intercepts,
+                                         np.split(beta, np.cumsum(classes)[:-1], axis=2)):
+            coef[at] = np.swapaxes(part[:, :s], 1, 2)
+            intercept[at] = part[:, s]
     return coefs, intercepts
 
 
@@ -425,7 +475,7 @@ def fit_point_model(oracle: QueryOracle, x, masks, grid: SegmentGrid,
     probability on the mask bits.
     """
     x = np.asarray(x, dtype=np.float64)
-    masks = np.array(masks, dtype=bool)  # the design's own copy
+    masks = np.asarray(masks, dtype=bool)
     if masks.ndim != 2 or masks.shape[1] != grid.segment_count:
         raise ShapeError(f"masks must be (P, {grid.segment_count})")
     if x.ndim != 1 or x.shape[0] != grid.n_features:
@@ -433,7 +483,8 @@ def fit_point_model(oracle: QueryOracle, x, masks, grid: SegmentGrid,
     if oracle.input_dim != grid.n_features:
         raise ShapeError("oracle input_dim does not match the segment grid")
     (coef,), (intercept,) = _sign_points([oracle], x[None, :],
-                                         _build_design(masks[None], cfg), grid,
+                                         _build_design(*_pack(masks[None]),
+                                                       grid.segment_count, cfg), grid,
                                          cfg.replacement, [slice(0, 1)])
     return PointModel(coef[0], intercept[0])
 

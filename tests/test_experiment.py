@@ -277,8 +277,6 @@ def _closed_port_url():
 
 
 _FAILURES = [
-    # 9 segments of 8 features
-    ("plan", lambda c: c["lime"].update(segments=9), ConfigError),
     ("signatures", lambda c: c.update(victim={"kind": "remote", "url": _closed_port_url()}),
      TransportError),
     # every transfer rate is 0, so the correlation is undefined
@@ -287,7 +285,7 @@ _FAILURES = [
 
 
 @pytest.mark.parametrize("stage, edit, error", _FAILURES,
-                         ids=["plan", "signatures", "correlation"])
+                         ids=["signatures", "correlation"])
 def test_campaign_failure_manifest(tmp_path, stage, edit, error):
     cfg = _tiny_config()
     edit(cfg)
@@ -488,6 +486,12 @@ _BAD_PARSE = {
     "ridge-negative": (_edit("lime", ridge=-1), "ridge penalty must be >= 0"),
     "ridge-nan": (_edit("lime", ridge=float("nan")), "ridge penalty must be >= 0"),
     "lime-p-zero": (_edit("lime", p=0), "perturbations must be >= 1"),
+    # lime bounds the dataset block sets: 240 training rows, 8 features
+    "lime-n-zero": (_edit("lime", n=0), "config.lime.n: "),
+    "lime-n-above-train-size": (_edit("lime", n=300), "config.lime.n: "),
+    "lime-segments-zero": (_edit("lime", segments=0), "config.lime.segments: "),
+    "lime-segments-above-features": (_edit("lime", segments=9), "config.lime.segments: "),
+    "lime-p-below-segments": (_edit("lime", p=7), "config.lime.p: "),
     # the dataset block's bounds, and attack points the test rows can hold
     "noise-negative": (_edit("dataset", noise=-1), "config.dataset.noise: "),
     "noise-nan": (_edit("dataset", noise=float("nan")), "config.dataset.noise: "),

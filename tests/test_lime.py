@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import time
 
@@ -239,6 +240,9 @@ def test_masked_batch_bitwise_matches_where(policy, segments, stacked, contiguou
     assert got.shape == want.shape and got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
     assert np.signbit(got).any()  # some -0.0 was kept, bit for bit
+    buf = np.full(want.shape, np.nan)
+    into = masked_batch(xs, bits, grid, policy, out=buf)
+    assert np.shares_memory(into, buf) and buf.tobytes() == got.tobytes()
 
 
 # --- kernel weights --------------------------------------------------------
@@ -462,6 +466,7 @@ def _reference_signature(oracle, plan):
     (16, 5, "zeros", 0.7, 0.0, 2000, 6),            # S < d; blocks of 4 points, 4 + 2
     (12, 4, "segment_mean", 0.7, 0.0, 8200, 3),     # P > BLOCK_ROWS: one point per block
     (12, 4, "zeros", None, 1.0, 120, 70),           # blocks of 68 points, 68 + 2
+    (7, 5, "segment_mean", 1.7, 1.0, 63, 131),      # P*S % 8 != 0; blocks 130 + 1
 ])
 def test_blocked_signature_matches_per_point_reference(features, segments, policy, width,
                                                         ridge, p, n):
@@ -772,18 +777,53 @@ def test_plan_design_built_once_read_only_and_per_plan(blob_world, monkeypatch):
     design = plan.design()
     second = zk.compute_signature(oracle, plan)
     assert len(draws) == 1
-    assert plan.design() is design and plan.mask_tensor() is design.masks
+    assert plan.design() is design
     assert np.array_equal(first.flatten(), second.flatten())
-    arrays = (design.masks, design.weights, design.grams)
+    arrays = (design.bits, design.ones, design.table, design.grams)
     assert not any(a.flags.writeable for a in arrays)
     with pytest.raises(ValueError):
-        design.masks[0, 0, 0] = not design.masks[0, 0, 0]
+        design.bits[0, 0] ^= 1
+
+    masks = plan.mask_tensor()  # unpacked anew on every call
+    assert masks is not plan.mask_tensor() and masks.shape == (5, 64, 8)
+    bits = np.unpackbits(design.bits, axis=1, bitorder="little")
+    assert np.array_equal(masks, bits.reshape(5, 64, 8).astype(bool))
+    assert np.array_equal(design.ones, masks.sum(axis=2))
 
     twin_design = twin.design()
     assert len(draws) == 2
-    for a, b in zip(arrays, (twin_design.masks, twin_design.weights, twin_design.grams)):
+    for a, b in zip(arrays, (twin_design.bits, twin_design.ones, twin_design.table,
+                             twin_design.grams)):
         assert not np.shares_memory(a, b)
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("width", [None, 0.3, 1.7])
+@pytest.mark.parametrize("s", [1, 3, 8, 16, 17, 64])
+def test_design_weight_table_equals_per_mask_weights_bitwise(s, width):
+    cfg = zk.LimeConfig(perturbations=200, kernel_width=width)
+    plan = zk.PerturbationPlan(np.random.default_rng(s).random((3, s)),
+                               zk.SegmentGrid.uniform(s, s), cfg, seed=s)
+    design = plan.design()
+    kw = cfg.resolved_kernel_width(s)
+    want = zk.mask_kernel_weights(plan.mask_tensor(), kw)
+    assert design.table[design.ones].tobytes() == want.tobytes()
+    # every count of ones, at random positions
+    rng = np.random.default_rng(s + 1)
+    for k in range(s + 1):
+        mask = rng.permutation(np.arange(s) < k)
+        assert zk.mask_kernel_weights(mask, kw).tobytes() == design.table[k].tobytes()
+
+
+def test_design_footprint_is_bit_packed():
+    n, p, s = 128, 1000, 16
+    plan = zk.PerturbationPlan(np.random.default_rng(0).random((n, s)),
+                               zk.SegmentGrid.uniform(s, s), zk.LimeConfig(perturbations=p),
+                               seed=0)
+    design = plan.design()
+    held = sum(getattr(design, f.name).nbytes for f in dataclasses.fields(design))
+    assert held == n * -(-p * s // 8) + n * p + (s + 1) * 8 + n * (s + 1) ** 2 * 8
+    assert held <= 0.7 * 2 ** 20
 
 
 def test_singular_gram_fails_before_any_query(blob_world):
