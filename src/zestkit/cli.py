@@ -9,8 +9,6 @@ Exit codes: 0 success, 1 operation error, 2 usage error.
 import argparse
 import json
 import sys
-from dataclasses import dataclass
-
 import numpy as np
 
 from .attack import AttackConfig, batch_summary_csv, load_batch, pgd, save_batch, transfer_eval
@@ -24,12 +22,6 @@ from .nn import (TrainConfig, blob_centers, load_dataset, load_model, sample_blo
 from .oracle import PURPOSES, RemoteEndpoint, local_oracle, remote_oracle, serve
 from .util import atomic_write_text, csv_text, derived_seed
 from .zest import DistanceMetric, SignatureStore, select_surrogate, zest_distance
-
-
-@dataclass
-class CommandOutcome:
-    exit_code: int
-    summary: str
 
 
 def _is_url(s: str) -> bool:
@@ -48,9 +40,9 @@ def _ledger_line(snap: dict) -> str:
     return f"victim queries: total={snap['total']} ({parts})"
 
 
-# --- subcommand handlers ---------------------------------------------------
+# --- subcommand handlers: each returns (exit code, text for stdout) --------
 
-def _cmd_train(args) -> CommandOutcome:
+def _cmd_train(args) -> "tuple[int, str]":
     centers = blob_centers(args.classes, args.features,
                            derived_seed(args.data_seed, "data.centers"))
     data = sample_blobs(centers, args.train_size, args.noise,
@@ -65,10 +57,10 @@ def _cmd_train(args) -> CommandOutcome:
     if args.save_data:
         save_dataset(data, args.save_data)
         lines.append(f"dataset -> {args.save_data}")
-    return CommandOutcome(0, "\n".join(lines))
+    return 0, "\n".join(lines)
 
 
-def _cmd_plan(args) -> CommandOutcome:
+def _cmd_plan(args) -> "tuple[int, str]":
     data = load_dataset(args.data)
     grid = SegmentGrid.uniform(data.points.shape[1], args.segments)
     cfg = LimeConfig(perturbations=args.p, kernel_width=args.kernel_width,
@@ -76,12 +68,11 @@ def _cmd_plan(args) -> CommandOutcome:
     models = [load_model(p) for p in args.screen] if args.screen else None
     plan = make_plan(data, args.n, grid, cfg, args.seed, models=models)
     save_plan(plan, args.out)
-    return CommandOutcome(
-        0, f"plan N={plan.n} P={plan.p} S={plan.s} "
-           f"fingerprint={plan.fingerprint()[:12]} -> {args.out}")
+    return 0, (f"plan N={plan.n} P={plan.p} S={plan.s} "
+               f"fingerprint={plan.fingerprint()[:12]} -> {args.out}")
 
 
-def _cmd_sign(args) -> CommandOutcome:
+def _cmd_sign(args) -> "tuple[int, str]":
     plan = load_plan(args.plan)
     oracle = _oracle_from(args.oracle)
     sig = compute_signature(oracle, plan)
@@ -92,17 +83,17 @@ def _cmd_sign(args) -> CommandOutcome:
     if args.store:
         SignatureStore(args.store).put_signature(sig)
         lines.append(f"stored in {args.store}")
-    return CommandOutcome(0, "\n".join(lines))
+    return 0, "\n".join(lines)
 
 
-def _cmd_dist(args) -> CommandOutcome:
+def _cmd_dist(args) -> "tuple[int, str]":
     a = load_signature(args.sig_a)
     b = load_signature(args.sig_b)
     d = zest_distance(a, b, args.metric, include_intercepts=args.include_intercepts)
-    return CommandOutcome(0, f"{d:.4f}")
+    return 0, f"{d:.4f}"
 
 
-def _cmd_select(args) -> CommandOutcome:
+def _cmd_select(args) -> "tuple[int, str]":
     store = SignatureStore(args.store)
     victim = load_signature(args.victim_sig)
     proxy_id, report = select_surrogate(store, victim, args.metric)
@@ -114,10 +105,10 @@ def _cmd_select(args) -> CommandOutcome:
     if args.out:
         atomic_write_text(args.out, report.to_csv())
         lines.append(f"report -> {args.out}")
-    return CommandOutcome(0, "\n".join(lines))
+    return 0, "\n".join(lines)
 
 
-def _cmd_attack(args) -> CommandOutcome:
+def _cmd_attack(args) -> "tuple[int, str]":
     model = load_model(args.model)
     data = load_dataset(args.data)
     if args.points is not None:
@@ -132,10 +123,10 @@ def _cmd_attack(args) -> CommandOutcome:
     if args.csv:
         atomic_write_text(args.csv, batch_summary_csv(batch))
         lines.append(f"summary -> {args.csv}")
-    return CommandOutcome(0, "\n".join(lines))
+    return 0, "\n".join(lines)
 
 
-def _cmd_transfer(args) -> CommandOutcome:
+def _cmd_transfer(args) -> "tuple[int, str]":
     batch = load_batch(args.batch)
     victim = _oracle_from(args.victim)
     res = transfer_eval(victim, batch)
@@ -151,10 +142,10 @@ def _cmd_transfer(args) -> CommandOutcome:
               res.success_count, res.success_rate, res.raw_success_rate,
               res.already_misclassified, res.queries_used]]))
         lines.append(f"report -> {args.out}")
-    return CommandOutcome(0, "\n".join(lines))
+    return 0, "\n".join(lines)
 
 
-def _cmd_campaign(args) -> CommandOutcome:
+def _cmd_campaign(args) -> "tuple[int, str]":
     if args.config == "bundled":
         config = bundled_campaign_config()
     else:
@@ -167,20 +158,19 @@ def _cmd_campaign(args) -> CommandOutcome:
         lines.append(f"pearson[{rec.metric.value}] = {rec.r:+.4f} "
                      f"over {rec.sample_count} surrogates")
     lines.append(_ledger_line(result.victim_ledger))
-    return CommandOutcome(0, "\n".join(lines))
+    return 0, "\n".join(lines)
 
 
-def _cmd_serve(args) -> CommandOutcome:
+def _cmd_serve(args) -> "tuple[int, str]":
     model = load_model(args.model)
-    print(f"serving {model.model_id} on http://{args.host}:{args.port}", flush=True)
     try:
         serve(model, args.port, host=args.host)
     except KeyboardInterrupt:
         pass
-    return CommandOutcome(0, "server stopped")
+    return 0, "server stopped"
 
 
-def _cmd_replay(args) -> CommandOutcome:
+def _cmd_replay(args) -> "tuple[int, str]":
     fixture = load_reference_fixture()
     report = replay_reference(fixture, args.metric, args.n)
     ties = sum(r.tie_flagged for r in report.rows)
@@ -197,8 +187,7 @@ def _cmd_replay(args) -> CommandOutcome:
     if args.out:
         atomic_write_text(args.out, report.to_csv())
         lines.append(f"report -> {args.out}")
-    code = 0 if report.passed else 1
-    return CommandOutcome(code, "\n".join(lines))
+    return (0 if report.passed else 1), "\n".join(lines)
 
 
 # --- parser ----------------------------------------------------------------
@@ -308,13 +297,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        outcome = args.func(args)
+        code, text = args.func(args)
     except (ZestError, OSError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    if outcome.summary:
-        print(outcome.summary)
-    return outcome.exit_code
+    if text:
+        print(text)
+    return code
 
 
 if __name__ == "__main__":

@@ -404,7 +404,8 @@ def _sign_points(oracles, points: np.ndarray, design: PlanDesign, grid: SegmentG
     """Query and fit, for each oracle, the points of ``blocks``: consecutive
     slices of points (B, d), as ``_point_blocks`` gives them. Returns
     per-oracle coef (R, K, S) and intercept (R, K) for the R points the
-    blocks cover, in order.
+    blocks cover, in order, where K is the oracle's class_count; a block
+    whose answers have another width raises ShapeError.
 
     Each block takes one masked_batch call, then each oracle in turn gets,
     per point and in point order, the baseline row (billed as
@@ -422,7 +423,9 @@ def _sign_points(oracles, points: np.ndarray, design: PlanDesign, grid: SegmentG
     s = design.table.size - 1
     lo = blocks[0].start
     scratch = np.empty(max(blk.stop - blk.start for blk in blocks) * p * max(d, s + 1))
-    coefs, intercepts = [], []
+    classes = [oracle.class_count for oracle in oracles]
+    coefs = [np.empty((blocks[-1].stop - lo, k, s)) for k in classes]
+    intercepts = [np.empty(c.shape[:2]) for c in coefs]
     for blk in blocks:
         b = blk.stop - blk.start
         masks = design.masks(blk)
@@ -439,14 +442,10 @@ def _sign_points(oracles, points: np.ndarray, design: PlanDesign, grid: SegmentG
                     e.points_completed = i
                     raise
             targets.append(np.stack(answers))
+        if [t.shape[2] for t in targets] != classes:
+            raise ShapeError("oracle answered with other than its class count")
         xw = _design_rows(masks, out=scratch[:b * p * (s + 1)].reshape(b, p, s + 1))
         xw *= design.table[design.ones[blk]][..., None]
-        classes = [t.shape[2] for t in targets]
-        if not coefs:
-            coefs = [np.empty((blocks[-1].stop - lo, k, s)) for k in classes]
-            intercepts = [np.empty(c.shape[:2]) for c in coefs]
-        elif classes != [c.shape[1] for c in coefs]:
-            raise ShapeError("oracle answered with a different class count")
         beta = _ridge_solve(design.grams[blk],
                             np.swapaxes(xw, 1, 2) @ np.concatenate(targets, axis=2))
         at = slice(blk.start - lo, blk.stop - lo)

@@ -12,8 +12,8 @@ Wire protocol (shared by the serve mode and the remote client):
 Errors come back as {"error": string}. The server's statuses:
 
     200  the answer
-    400  malformed request: bad JSON, wrong width, non-finite input or a
-         negative Content-Length
+    400  malformed request: bad JSON, inputs that are not a 2-D array of
+         model.input_dim finite numbers a row, or a negative Content-Length
     404  unknown path
     413  Content-Length above MAX_REQUEST_BYTES; the body is never read and
          the server closes the connection after the answer
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ProtocolError, ShapeError, TransportError
+from .errors import ConfigError, ProtocolError, TransportError
 from .nn import MlpModel, as_matrix, forward
 
 log = logging.getLogger(__name__)
@@ -323,13 +323,7 @@ def _handler_class():
                                                f"{MAX_REQUEST_BYTES}"}, close=True)
                     return
                 payload = json.loads(self.rfile.read(length).decode("utf-8"))
-                inputs = payload["inputs"]
-                batch = np.asarray(inputs, dtype=np.float64)
-                if batch.ndim != 2 or batch.shape[1] != model.input_dim:
-                    raise ShapeError(
-                        f"inputs must be rows of {model.input_dim} numbers")
-                if not np.all(np.isfinite(batch)):
-                    raise ShapeError("inputs contain non-finite values")
+                batch = as_matrix(payload["inputs"], cols=model.input_dim, name="inputs")
             except Exception as e:  # malformed request -> 400, never a crash
                 self._reply(400, {"error": str(e)})
                 return
@@ -383,9 +377,10 @@ class ModelServer:
 
 
 def serve(model: MlpModel, port: int, host: str = "127.0.0.1") -> None:
-    """Run the prediction service until interrupted (CLI entry)."""
+    """Run the prediction service until interrupted (CLI entry), after printing
+    the address it bound: with port 0, the one the system picked."""
     server = ModelServer(model, port=port, host=host)
-    log.info("serving %s on %s", model.model_id, server.base_url)
+    print(f"serving {model.model_id} on {server.base_url}", flush=True)
     try:
         server._httpd.serve_forever()
     finally:
