@@ -201,7 +201,7 @@ def test_campaign_cli(capsys, tmp_path):
             {"model_id": "sur-c", "hidden": [6], "epochs": 6,
              "train_fraction": 0.5, "label_noise": 0.25},
         ],
-        "lime": {"n": 4, "p": 40, "segments": 8},
+        "lime": {"n": 4, "p": 40, "segments": 8, "replacement": "zeros"},
         "metrics": ["cosine"],
         "attack": {"epsilon": 0.15, "step_size": 0.03, "steps": 10,
                    "restarts": 2, "points": 15},

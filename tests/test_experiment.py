@@ -168,7 +168,7 @@ def _tiny_config(master=31):
             {"model_id": "sur-c", "hidden": [6], "epochs": 8,
              "train_fraction": 0.5, "label_noise": 0.2},
         ],
-        "lime": {"n": 6, "p": 60, "segments": 8},
+        "lime": {"n": 6, "p": 60, "segments": 8, "replacement": "zeros"},
         "metrics": ["cosine", "linf"],
         "attack": {"epsilon": 0.2, "step_size": 0.02, "steps": 15,
                    "restarts": 3, "points": 20},
@@ -492,6 +492,8 @@ _BAD_PARSE = {
     "lime-segments-zero": (_edit("lime", segments=0), "config.lime.segments: "),
     "lime-segments-above-features": (_edit("lime", segments=9), "config.lime.segments: "),
     "lime-p-below-segments": (_edit("lime", p=7), "config.lime.p: "),
+    "segment-mean-with-one-feature-segments": (_edit("lime", replacement="segment_mean"),
+                                               "config.lime.replacement: segment_mean needs"),
     # the dataset block's bounds, and attack points the test rows can hold
     "noise-negative": (_edit("dataset", noise=-1), "config.dataset.noise: "),
     "noise-nan": (_edit("dataset", noise=float("nan")), "config.dataset.noise: "),
