@@ -358,7 +358,9 @@ class ModelServer:
         return f"http://{host}:{port}"
 
     def start(self) -> "ModelServer":
-        self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)
+        # stop() waits for serve_forever's next poll; the default 0.5 s is that long
+        self._thread = threading.Thread(target=self._httpd.serve_forever,
+                                        kwargs={"poll_interval": 0.05}, daemon=True)
         self._thread.start()
         return self
 
