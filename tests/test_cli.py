@@ -1,7 +1,10 @@
 import csv
 import json
+import os
+import signal
 import subprocess
 import sys
+import urllib.request
 
 import numpy as np
 import pytest
@@ -9,6 +12,8 @@ import pytest
 import zestkit as zk
 from zestkit.cli import main
 from zestkit.oracle import ModelServer
+
+from conftest import tiny_net
 
 
 def run_cli(capsys, *argv):
@@ -175,6 +180,33 @@ def test_remote_transfer(capsys, workspace):
             "--batch", str(workspace / "batch.adv"))
     assert code == 0
     assert "attack_eval=50" in out
+
+
+def test_serve_names_the_bound_port_and_stops_on_sigint(tmp_path):
+    model = tiny_net(1)
+    zk.save_model(model, str(tmp_path / "m.mlp"))
+    src = os.path.dirname(os.path.dirname(zk.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    with subprocess.Popen([sys.executable, "-m", "zestkit.cli", "serve",
+                           "--model", str(tmp_path / "m.mlp"), "--port", "0"],
+                          env=env, stdout=subprocess.PIPE, text=True) as proc:
+        try:
+            first = proc.stdout.readline()
+            prefix = f"serving {model.model_id} on http://127.0.0.1:"
+            assert first.startswith(prefix), first
+            port = int(first[len(prefix):])
+            assert port > 0
+            with urllib.request.urlopen(f"http://127.0.0.1:{port}/v1/info", timeout=5) as r:
+                assert json.loads(r.read()) == {"class_count": model.class_count,
+                                                "input_dim": model.input_dim}
+            proc.send_signal(signal.SIGINT)
+            rest, _ = proc.communicate(timeout=30)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+    assert proc.returncode == 0
+    assert rest == "server stopped\n"
 
 
 def test_replay_passes(capsys):

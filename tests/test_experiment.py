@@ -549,16 +549,24 @@ def test_bundled_campaign_same_tree_on_one_cpu_and_two_lanes(tmp_path, monkeypat
     cpu = min(os.sched_getaffinity(0))
     code = ("import os, sys, zestkit as zk; print(len(os.sched_getaffinity(0))); "
             "zk.run_campaign(zk.bundled_campaign_config(), sys.argv[1])")
-    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "one-cpu")], env=env,
-                          preexec_fn=lambda: os.sched_setaffinity(0, {cpu}),
-                          capture_output=True, text=True, timeout=300, check=True)
-    assert proc.stdout.split() == ["1"]
+
+    def child(name, extra_env, preexec_fn=None):
+        return subprocess.run([sys.executable, "-c", code, str(tmp_path / name)],
+                              env={**env, **extra_env}, preexec_fn=preexec_fn,
+                              capture_output=True, text=True, timeout=300,
+                              check=True).stdout.split()
+
+    assert child("one-cpu", {}, lambda: os.sched_setaffinity(0, {cpu})) == ["1"]
+    # every CPU, so the lanes fork, but OpenBLAS kernels on one thread
+    child("one-blas-thread", {"OPENBLAS_NUM_THREADS": "1"})
 
     use_cpus(monkeypatch, 2)
     forks = count_forks(monkeypatch)
     zk.run_campaign(zk.bundled_campaign_config(), tmp_path / "two-lanes")
     assert forks == [1, 1]  # one training lane, then the PGD lane
-    assert _tree_digest(tmp_path / "one-cpu") == _tree_digest(tmp_path / "two-lanes")
+    digest = _tree_digest(tmp_path / "two-lanes")
+    assert _tree_digest(tmp_path / "one-cpu") == digest
+    assert _tree_digest(tmp_path / "one-blas-thread") == digest
 
 
 def test_campaign_signs_a_portfolio_in_process_when_its_p_rows_fit_one_block(

@@ -184,6 +184,41 @@ def test_server_answers_413_above_request_cap(served):
     assert remote.predict_proba(np.zeros((2, model.input_dim))).shape == (2, 3)
 
 
+def _post(url, body: bytes):
+    """(status, decoded JSON body) of one POST, whatever the status."""
+    req = urllib.request.Request(url, body, {"Content-Type": "application/json"})
+    try:
+        with urllib.request.urlopen(req, timeout=5) as r:
+            return r.status, json.loads(r.read())
+    except urllib.error.HTTPError as e:
+        with e:
+            return e.code, json.loads(e.read())
+
+
+@pytest.mark.parametrize("inputs, error", [
+    ("[[0, 0]]", "inputs: expected 5 columns, got 2"),
+    ("[[0, NaN, 0, 0, 0]]", "inputs: contains non-finite entries"),
+    ("[[0, 0, 0, 0, Infinity]]", "inputs: contains non-finite entries"),
+    ("[0, 0, 0, 0, 0]", "inputs: expected a 2-D array, got ndim=1"),
+    ("[[[0, 0, 0, 0, 0]]]", "inputs: expected a 2-D array, got ndim=3"),
+], ids=["wrong-width", "nan", "infinity", "one-d", "three-d"])
+def test_server_rejects_bad_rows_with_400(served, inputs, error):
+    _, server = served
+    body = f'{{"inputs": {inputs}}}'.encode()  # json.loads reads NaN and Infinity
+    assert _post(f"{server.base_url}/v1/predict", body) == (400, {"error": error})
+
+
+def test_server_answers_404_on_an_unknown_path(served):
+    _, server = served
+    with pytest.raises(urllib.error.HTTPError) as err:
+        urllib.request.urlopen(f"{server.base_url}/v1/nothing", timeout=5)
+    with err.value as answer:
+        assert answer.code == 404
+        assert json.loads(answer.read()) == {"error": "unknown path /v1/nothing"}
+    assert _post(f"{server.base_url}/v1/info", b'{"inputs": []}') == (
+        404, {"error": "unknown path /v1/info"})
+
+
 @pytest.mark.parametrize("url", ["127.0.0.1", "", "http://[::1", "http://", "ftp://host/"])
 def test_endpoint_rejects_url_without_http_scheme_and_host(url):
     with pytest.raises(ConfigError):
@@ -291,7 +326,7 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def do_GET(self):
-        self._send(200, json.dumps({"class_count": 3, "input_dim": 2}).encode())
+        self._send(*self.server.info)
 
     def do_POST(self):
         rows = len(json.loads(self.rfile.read(int(self.headers["Content-Length"])))["inputs"])
@@ -309,7 +344,9 @@ def scripted():
     httpd = ThreadingHTTPServer(("127.0.0.1", 0), _ScriptedHandler)
     httpd.daemon_threads = True
     httpd.script, httpd.posts = [], []
-    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+    httpd.info = 200, json.dumps({"class_count": 3, "input_dim": 2}).encode()
+    thread = threading.Thread(target=httpd.serve_forever, kwargs={"poll_interval": 0.05},
+                              daemon=True)
     thread.start()
     yield httpd
     httpd.shutdown()
@@ -390,6 +427,28 @@ def test_remote_rejects_bad_answers(scripted, reply, message):
     with pytest.raises(ProtocolError, match=message):
         remote.predict_proba(np.zeros((4, 2)))
     assert scripted.posts == [4]
+    assert remote.ledger.total_queries == 0
+
+
+@pytest.mark.parametrize("info, message", [
+    ((503, b'{"error": "down"}'), r"/v1/info returned status 503$"),
+    ((200, b'{"classes": 3, "input_dim": 2}'), "malformed /v1/info response"),
+    ((200, b"not json"), "malformed /v1/info response"),
+], ids=["status", "missing-key", "not-json"])
+def test_remote_rejects_bad_info(scripted, info, message):
+    scripted.info = info
+    remote = _scripted_client(scripted)
+    with pytest.raises(ProtocolError, match=message):
+        remote.predict_proba(np.zeros((4, 2)))
+    assert scripted.posts == []
+    assert remote.ledger.total_queries == 0
+
+
+def test_remote_empty_batch_sends_and_bills_nothing(scripted):
+    remote = _scripted_client(scripted)
+    out = remote.predict_proba(np.zeros((0, 2)), purpose="signature")
+    assert out.shape == (0, 3)
+    assert scripted.posts == []
     assert remote.ledger.total_queries == 0
 
 
