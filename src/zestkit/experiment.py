@@ -405,7 +405,8 @@ def run_campaign(config: dict, out_dir) -> CampaignResult:
     (a bool is not an int; an int must be integral), an unknown dataset or
     victim kind or replacement, a key the victim's kind does not take, and a
     remote victim's malformed URL; for an empty or repeated `metrics` list
-    and model ids that repeat or cannot name a file in models/; and for the
+    and model ids that repeat, cannot name a file in models/ or hold a
+    tab or line break (``zest.check_model_id``); and for the
     value bounds of the LimeConfig and AttackConfig it builds from the
     `lime` and `attack` blocks (`p` < 1, a negative or NaN `ridge`, a
     `kernel_width` that is not > 0; a negative or NaN `epsilon`, a

@@ -42,7 +42,9 @@ BLOCK_ROWS = 8192
 
 @dataclass(frozen=True)
 class SegmentGrid:
-    """Maps each feature index to one of S contiguous segments."""
+    """Maps each feature index to one of S segments, 0..S-1, each holding at
+    least one feature; a segment's features need not be adjacent (``uniform``
+    makes them so)."""
 
     assignment: np.ndarray
     segment_count: int
@@ -56,7 +58,7 @@ class SegmentGrid:
         # numpy.ma; a.size >= s keeps the bincount no longer than `a`
         if (s < 1 or a.size < s or a.min() != 0 or a.max() != s - 1
                 or not np.bincount(a).all()):
-            raise ConfigError(f"segments must cover 0..{s - 1} contiguously")
+            raise ConfigError(f"segments must cover 0..{s - 1}")
         object.__setattr__(self, "segment_count", s)
 
     @property

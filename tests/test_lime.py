@@ -70,8 +70,13 @@ def test_uniform_grid_rejects_too_many_segments():
     ([0, 0], 0),
 ])
 def test_segment_grid_rejects_an_assignment_that_misses_a_segment(assignment, count):
-    with pytest.raises(ConfigError, match="contiguously"):
+    with pytest.raises(ConfigError, match=rf"^segments must cover 0\.\.{count - 1}$"):
         zk.SegmentGrid(np.array(assignment, dtype=np.int64), count)
+
+
+def test_segment_grid_takes_segments_of_features_that_are_not_adjacent():
+    grid = zk.SegmentGrid(np.array([0, 1, 0, 1]), 2)
+    assert (grid.n_features, grid.segment_count) == (4, 2)
 
 
 @pytest.mark.parametrize("field, value", [
