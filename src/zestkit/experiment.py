@@ -146,9 +146,8 @@ _TRAINING = {"hidden": ([int], ...), "epochs": (int, 40), "batch_size": (int, 32
 # The only owner of the campaign config's keys, types and defaults. Value
 # bounds stay with what is built from it: TrainConfig, LimeConfig,
 # AttackConfig (both built at stage parse), make_plan, SegmentGrid.uniform
-# and _portfolio_dataset; _parse checks the dataset block, and attack.points,
-# lime.n, lime.segments, lime.p and lime.replacement against it, so they fail
-# before training.
+# and _portfolio_dataset; _parse checks the dataset block, and attack.points
+# and lime's n, segments, p and replacement against it, before training.
 _SCHEMA = {
     "master_seed": (int, ...),
     "dataset": ({"kind": {"blobs": {"classes": (int, ...), "features": (int, ...),
@@ -253,13 +252,9 @@ def _parse(s):
         if not 1 <= lime[key] <= ds[bound]:
             raise ConfigError(f"config.lime.{key}: must be >= 1 and <= dataset.{bound} "
                               f"({ds[bound]}), got {lime[key]}")
-    # SegmentGrid.uniform makes a one-feature segment exactly when features <
-    # 2 * segments; its segment mean is the feature itself, so hiding it changes
-    # nothing and its coefficient is round-off
     if lime["replacement"] == "segment_mean" and ds["features"] < 2 * lime["segments"]:
-        raise ConfigError(f"config.lime.replacement: segment_mean needs >= 2 features in "
-                          f"every segment, but {ds['features']} features in "
-                          f"{lime['segments']} segments leave one alone; use 'zeros'")
+        raise ConfigError(f"config.lime.replacement: segment_mean leaves a segment of one "
+                          f"feature in {ds['features']} features / {lime['segments']} segments")
     if lime["p"] < lime["segments"]:
         raise ConfigError(f"config.lime.p: must be >= lime.segments ({lime['segments']}), "
                           f"got {lime['p']}")
@@ -416,10 +411,9 @@ def run_campaign(config: dict, out_dir) -> CampaignResult:
     < 1 or above `dataset.test_size`, for `lime.n` < 1 or above
     `dataset.train_size`, for `lime.segments` < 1 or above
     `dataset.features`, for `lime.p` below `lime.segments`, and for
-    `lime.replacement` "segment_mean" when a segment of
-    ``SegmentGrid.uniform(features, segments)`` holds one feature (exactly
-    when `dataset.features` < 2 * `lime.segments`): hiding such a segment
-    changes no input, so its coefficients would be round-off. Stage
+    "segment_mean" replacement when `dataset.features` < 2 * `lime.segments`,
+    as then ``SegmentGrid.uniform`` makes a one-feature segment, which its
+    mean replaces by itself: its coefficients would be round-off. Stage
     "plan" picks the attack points (the first test rows every proxy
     classifies correctly) and the reference points (among the training rows
     every proxy classifies correctly), and raises ConfigError there, before

@@ -42,9 +42,7 @@ BLOCK_ROWS = 8192
 
 @dataclass(frozen=True)
 class SegmentGrid:
-    """Maps each feature index to one of S segments, 0..S-1, each holding at
-    least one feature; a segment's features need not be adjacent (``uniform``
-    makes them so)."""
+    """Maps each feature index to one of S segments; each of 0..S-1 holds one or more."""
 
     assignment: np.ndarray
     segment_count: int

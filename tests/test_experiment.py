@@ -493,7 +493,7 @@ _BAD_PARSE = {
     "lime-segments-above-features": (_edit("lime", segments=9), "config.lime.segments: "),
     "lime-p-below-segments": (_edit("lime", p=7), "config.lime.p: "),
     "segment-mean-with-one-feature-segments": (_edit("lime", replacement="segment_mean"),
-                                               "config.lime.replacement: segment_mean needs"),
+                                               "config.lime.replacement: segment_mean leaves"),
     # the dataset block's bounds, and attack points the test rows can hold
     "noise-negative": (_edit("dataset", noise=-1), "config.dataset.noise: "),
     "noise-nan": (_edit("dataset", noise=float("nan")), "config.dataset.noise: "),
