@@ -4,6 +4,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import urllib.request
 
 import numpy as np
@@ -191,6 +192,8 @@ def test_serve_names_the_bound_port_and_stops_on_sigint(tmp_path):
     with subprocess.Popen([sys.executable, "-m", "zestkit.cli", "serve",
                            "--model", str(tmp_path / "m.mlp"), "--port", "0"],
                           env=env, stdout=subprocess.PIPE, text=True) as proc:
+        watchdog = threading.Timer(60, proc.kill)  # a hung child fails here, not the suite
+        watchdog.start()
         try:
             first = proc.stdout.readline()
             prefix = f"serving {model.model_id} on http://127.0.0.1:"
@@ -201,10 +204,10 @@ def test_serve_names_the_bound_port_and_stops_on_sigint(tmp_path):
                 assert json.loads(r.read()) == {"class_count": model.class_count,
                                                 "input_dim": model.input_dim}
             proc.send_signal(signal.SIGINT)
-            rest, _ = proc.communicate(timeout=30)
+            rest, _ = proc.communicate()
         finally:
-            if proc.poll() is None:
-                proc.kill()
+            watchdog.cancel()
+            proc.kill()  # nothing once it has exited
     assert proc.returncode == 0
     assert rest == "server stopped\n"
 

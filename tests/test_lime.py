@@ -601,6 +601,8 @@ def test_sign_many_rejects_an_oracle_whose_class_count_changes():
 
     with pytest.raises(ShapeError, match="class count"):
         zk.sign_many([ArrayOracle(shrinking, 16, 3)], plan)
+    with pytest.raises(ShapeError, match="class count"):  # wrong from the first block on
+        zk.sign_many([ArrayOracle(lambda b: np.full((len(b), 2), 0.5), 16, 3)], plan)
 
 
 # --- signing lanes ---------------------------------------------------------

@@ -184,8 +184,8 @@ def test_server_answers_413_above_request_cap(served):
     assert remote.predict_proba(np.zeros((2, model.input_dim))).shape == (2, 3)
 
 
-def _post(url, body: bytes):
-    """(status, decoded JSON body) of one POST, whatever the status."""
+def _ask(url, body: bytes = None):
+    """(status, decoded JSON body) of one GET (no body) or POST, whatever the status."""
     req = urllib.request.Request(url, body, {"Content-Type": "application/json"})
     try:
         with urllib.request.urlopen(req, timeout=5) as r:
@@ -205,17 +205,14 @@ def _post(url, body: bytes):
 def test_server_rejects_bad_rows_with_400(served, inputs, error):
     _, server = served
     body = f'{{"inputs": {inputs}}}'.encode()  # json.loads reads NaN and Infinity
-    assert _post(f"{server.base_url}/v1/predict", body) == (400, {"error": error})
+    assert _ask(f"{server.base_url}/v1/predict", body) == (400, {"error": error})
 
 
 def test_server_answers_404_on_an_unknown_path(served):
     _, server = served
-    with pytest.raises(urllib.error.HTTPError) as err:
-        urllib.request.urlopen(f"{server.base_url}/v1/nothing", timeout=5)
-    with err.value as answer:
-        assert answer.code == 404
-        assert json.loads(answer.read()) == {"error": "unknown path /v1/nothing"}
-    assert _post(f"{server.base_url}/v1/info", b'{"inputs": []}') == (
+    assert _ask(f"{server.base_url}/v1/nothing") == (
+        404, {"error": "unknown path /v1/nothing"})
+    assert _ask(f"{server.base_url}/v1/info", b'{"inputs": []}') == (
         404, {"error": "unknown path /v1/info"})
 
 
