@@ -13,11 +13,11 @@ got right (already-misclassified points are excluded from the denominator
 and reported separately).
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, ShapeError
+from .errors import ConfigError, DomainError, IntegrityError, ShapeError
 from .nn import (Dataset, MlpModel, _check_labels, as_matrix, logit_cross_entropy, logits,
                  loss_input_gradient, one_hot, softmax)
 # kept importable here: bench/spans.py patches zestkit.attack.input_gradient_batch,
@@ -240,35 +240,19 @@ def transfer_eval(victim: QueryOracle, batch: AdversarialBatch) -> TransferResul
 
 
 def save_batch(batch: AdversarialBatch, path) -> None:
-    meta = {
-        "surrogate_id": batch.surrogate_id,
-        "epsilon": batch.epsilon,
-        "quantized": batch.quantized,
-    }
-    arrays = {
-        "originals": batch.originals,
-        "labels": batch.labels,
-        "adversarials": batch.adversarials,
-        "local_success": batch.local_success,
-        "achieved_loss": batch.achieved_loss,
-        "restart_index": batch.restart_index,
-    }
+    """Its array fields as the container's arrays, in field order; the rest as meta."""
+    arrays = {k: v for k, v in vars(batch).items() if isinstance(v, np.ndarray)}
+    meta = {k: v for k, v in vars(batch).items() if k not in arrays}
     write_container(path, "adversarial-batch", meta, arrays)
 
 
 def load_batch(path) -> AdversarialBatch:
+    """The batch of a ``save_batch`` file; IntegrityError unless it holds exactly its fields."""
     meta, arrays = read_container(path, "adversarial-batch")
-    return AdversarialBatch(
-        originals=arrays["originals"],
-        labels=arrays["labels"],
-        adversarials=arrays["adversarials"],
-        local_success=arrays["local_success"],
-        achieved_loss=arrays["achieved_loss"],
-        restart_index=arrays["restart_index"],
-        epsilon=meta["epsilon"],
-        surrogate_id=meta["surrogate_id"],
-        quantized=meta["quantized"],
-    )
+    keys, names = [*meta, *arrays], [f.name for f in fields(AdversarialBatch)]
+    if sorted(keys) != sorted(names):
+        raise IntegrityError(f"{path}: holds {sorted(keys)}, not the batch fields {names}")
+    return AdversarialBatch(**meta, **arrays)
 
 
 def batch_summary_csv(batch: AdversarialBatch) -> str:

@@ -18,7 +18,7 @@ its PlanDesign, and reused by every signature taken under it.
 """
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -632,12 +632,7 @@ def save_plan(plan: PerturbationPlan, path) -> None:
     meta = {
         "seed": plan.seed,
         "segment_count": plan.s,
-        "config": {
-            "perturbations": plan.config.perturbations,
-            "kernel_width": plan.config.kernel_width,
-            "ridge": plan.config.ridge,
-            "replacement": plan.config.replacement,
-        },
+        "config": asdict(plan.config),
         "verified_model_ids": list(plan.verified_model_ids),
         "fingerprint": plan.fingerprint(),
     }

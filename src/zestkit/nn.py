@@ -9,7 +9,7 @@ serialize to a single self-describing file, bit-exact on round trip.
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -258,16 +258,9 @@ def train_many(jobs) -> "list[MlpModel]":
                        for i, (w, b) in enumerate(zip(ws, bs)))
         model = MlpModel(layers, model_id=model_id)
         acc = float(np.mean(forward(model, data.points).argmax(axis=1) == data.labels))
-        meta = {
-            "train_accuracy": acc,
-            "train_config": {
-                "hidden": list(cfg.hidden),
-                "epochs": cfg.epochs,
-                "batch_size": cfg.batch_size,
-                "learning_rate": cfg.learning_rate,
-                "rng_seed": cfg.rng_seed,
-            },
-        }
+        # hidden as a list, as it reads back from a saved model
+        meta = {"train_accuracy": acc,
+                "train_config": {**asdict(cfg), "hidden": list(cfg.hidden)}}
         models.append(MlpModel(model.layers, model_id=model_id, metadata=meta))
     return models
 
