@@ -290,11 +290,23 @@ def write_container(path, kind: str, meta: dict, arrays: "dict[str, np.ndarray]"
     atomic_write_bytes(path, container_bytes(kind, meta, arrays))
 
 
+class _Entries(dict):
+    """A container's meta or arrays: looking up a key it lacks raises IntegrityError."""
+
+    def __init__(self, path, entries=()):
+        super().__init__(entries)
+        self.path = path
+
+    def __missing__(self, key):
+        raise IntegrityError(f"{self.path}: container lacks {key!r}")
+
+
 def read_container(path, kind: str):
     """Load a container, verifying magic, kind, and payload checksum.
 
-    Returns ``(meta, arrays)``; bool arrays come back as uint8 and must be
-    reinterpreted by the caller that stored them.
+    Returns ``(meta, arrays)``, dicts whose missing key raises IntegrityError;
+    bool arrays come back as uint8 and must be reinterpreted by the caller
+    that stored them.
     """
     path = os.fspath(path)
     with open(path, "rb") as f:
@@ -321,7 +333,7 @@ def read_container(path, kind: str):
         raise IntegrityError(f"{path}: header has no meta object")
     if not isinstance(directory, list):
         raise IntegrityError(f"{path}: header has no array list")
-    arrays = {}
+    arrays = _Entries(path)
     offset = 0
     for entry in directory:
         if not (isinstance(entry, dict) and {"name", "dtype", "shape"} <= entry.keys()):
@@ -338,7 +350,7 @@ def read_container(path, kind: str):
         arr = np.frombuffer(payload, dtype=dtype, count=count, offset=offset)
         arrays[entry["name"]] = arr.reshape(shape).copy()
         offset += nbytes
-    return meta, arrays
+    return _Entries(path, meta), arrays
 
 
 def sha256_file(path) -> str:

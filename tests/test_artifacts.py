@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import zestkit as zk
+from zestkit.cli import main
 from zestkit.errors import IntegrityError
 from zestkit.util import read_container, write_container
 
@@ -70,6 +71,35 @@ def test_saved_artifact_bytes_are_pinned(tmp_path, kind):
     assert hashlib.sha256((tmp_path / "x").read_bytes()).hexdigest() == _PINNED[kind]
 
 
+def _saved_without(path, artifact, kind, key):
+    """``path``, holding the saved ``artifact`` less its meta key or array ``key``."""
+    save, value = _artifacts()[artifact]
+    save(value, path)
+    meta, arrays = read_container(path, kind)
+    meta.pop(key, None)
+    arrays.pop(key, None)
+    write_container(path, kind, meta, arrays)
+    return path
+
+
+@pytest.mark.parametrize("load, artifact, kind, key", [
+    (zk.load_model, "model", "mlp-model", "architecture"),
+    (zk.load_dataset, "dataset", "dataset", "labels"),
+    (zk.load_signature, "signature", "lime-signature", "model_id"),
+    (zk.load_plan, "plan", "perturbation-plan", "grid_assignment"),
+    (zk.load_batch, "batch", "adversarial-batch", "quantized"),
+], ids=["model", "dataset", "signature", "plan", "batch"])
+def test_loader_raises_integrity_error_for_a_missing_key(tmp_path, load, artifact, kind, key):
+    path = _saved_without(tmp_path / "x", artifact, kind, key)
+    with pytest.raises(IntegrityError) as err:
+        load(path)
+    if load is zk.load_batch:  # its own check lists what the file holds
+        expected = f"{path}: holds {sorted(set(_BATCH_FIELDS) - {key})}, not the batch fields"
+    else:
+        expected = f"{path}: container lacks {key!r}"
+    assert str(err.value).startswith(expected)
+
+
 @pytest.mark.parametrize("edit", [
     lambda meta, arrays: meta.update(note=1),
     lambda meta, arrays: arrays.update(extra=np.zeros(3)),
@@ -86,6 +116,22 @@ def test_load_batch_takes_exactly_the_batch_fields(tmp_path, edit):
         zk.load_batch(path)
     assert str(err.value) == (f"{path}: holds {sorted([*meta, *arrays])}, "
                               f"not the batch fields {_BATCH_FIELDS}")
+
+
+@pytest.mark.parametrize("command, artifact, kind, key", [
+    ("transfer", "batch", "adversarial-batch", "quantized"),
+    ("sign", "plan", "perturbation-plan", "grid_assignment"),
+], ids=["transfer", "sign"])
+def test_cli_reports_a_container_missing_a_key(capsys, tmp_path, command, artifact, kind, key):
+    path = _saved_without(tmp_path / "x", artifact, kind, key)
+    model = tmp_path / "m.mlp"
+    zk.save_model(_model(), model)
+    argv = {"transfer": ["--victim", model, "--batch", path],
+            "sign": ["--oracle", model, "--plan", path, "--out", tmp_path / "x.sig"]}[command]
+    code = main([command, *map(str, argv)])
+    err = capsys.readouterr().err
+    # one line, the loader's IntegrityError (test above), not a traceback
+    assert code == 1 and err.startswith(f"error: {path}: ") and err.count("\n") == 1
 
 
 def test_train_many_records_its_config_with_hidden_a_list():
