@@ -15,9 +15,11 @@ Errors come back as {"error": string}. The server's statuses:
     400  malformed request: bad JSON, inputs that are not a 2-D array of
          model.input_dim finite numbers a row, or a negative Content-Length
     404  unknown path
-    413  Content-Length above MAX_REQUEST_BYTES; the body is never read and
-         the server closes the connection after the answer
+    413  Content-Length above MAX_REQUEST_BYTES; the body is never read
     500  the model itself failed; the server logs the traceback
+
+Every answer carries "Connection: close" and ends its connection, so a body
+the server did not read is never taken for the next request.
 
 The client bills nothing for a 4xx and raises ProtocolError with the
 server's reason. It retries a 5xx like a failed connection and, once the
@@ -286,14 +288,13 @@ def _handler_class():
         server_version = "zestkit-oracle/1"
         protocol_version = "HTTP/1.1"
 
-        def _reply(self, status: int, payload: dict, close: bool = False):
+        def _reply(self, status: int, payload: dict):
             body = json.dumps(payload).encode("utf-8")
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(body)))
-            if close:
-                self.send_header("Connection", "close")
-                self.close_connection = True
+            self.send_header("Connection", "close")
+            self.close_connection = True
             self.end_headers()
             self.wfile.write(body)
 
@@ -317,10 +318,8 @@ def _handler_class():
                 if length < 0:
                     raise ValueError("Content-Length cannot be negative")
                 if length > MAX_REQUEST_BYTES:
-                    # the unread body would be parsed as the next request on this
-                    # keep-alive connection, so the connection ends with the answer
                     self._reply(413, {"error": f"request body of {length} bytes exceeds "
-                                               f"{MAX_REQUEST_BYTES}"}, close=True)
+                                               f"{MAX_REQUEST_BYTES}"})
                     return
                 payload = json.loads(self.rfile.read(length).decode("utf-8"))
                 batch = as_matrix(payload["inputs"], cols=model.input_dim, name="inputs")

@@ -208,6 +208,27 @@ def test_server_rejects_bad_rows_with_400(served, inputs, error):
     assert _ask(f"{server.base_url}/v1/predict", body) == (400, {"error": error})
 
 
+_SMUGGLED = b"GET /v1/info HTTP/1.1\r\nHost: localhost\r\n\r\n"
+
+
+@pytest.mark.parametrize("head, status", [
+    (b"POST /nope HTTP/1.1\r\nContent-Length: %d\r\n" % len(_SMUGGLED), 404),
+    (b"POST /v1/predict HTTP/1.1\r\nContent-Length: -1\r\n", 400),
+    (b"GET /v1/info HTTP/1.1\r\nContent-Length: %d\r\n" % len(_SMUGGLED), 200),
+], ids=["unknown-path", "negative-length", "get-with-body"])
+def test_server_answers_once_and_closes_on_an_unread_body(served, head, status):
+    # the server reads none of these bodies; a request inside one gets no answer
+    _, server = served
+    with socket.create_connection(("127.0.0.1", server.port), timeout=5) as sock:
+        sock.sendall(head + b"Host: localhost\r\n\r\n" + _SMUGGLED)
+        received = b""
+        while chunk := sock.recv(65536):  # until the server closes the connection
+            received += chunk
+    assert received.startswith(b"HTTP/1.1 %d " % status)
+    assert received.count(b"HTTP/1.") == 1
+    assert b"\r\nConnection: close\r\n" in received
+
+
 def test_server_answers_404_on_an_unknown_path(served):
     _, server = served
     assert _ask(f"{server.base_url}/v1/nothing") == (
