@@ -304,7 +304,7 @@ def _plan(s):
 
 
 def _signatures(s):
-    # PGD needs only the proxies, so a forked lane crafts while this process signs
+    # PGD needs only the proxies, so a lane worker crafts while this process signs
     s.crafted = s.lanes.run(_craft, s.proxies, s.attack_points, s.attack_cfg, s.master)
     store = SignatureStore(os.path.join(s.out_dir, "signatures"))
     *s.proxy_sigs, s.victim_sig = sign_many([*map(local_oracle, s.proxies), s.victim], s.plan)
@@ -420,14 +420,15 @@ def run_campaign(config: dict, out_dir) -> CampaignResult:
     any query is sent, when too few qualify.
 
     Where this process may use more than one CPU (``util.lane_count``), the
-    stages "signatures" and "distances" overlap the attack's PGD: a forked
-    lane crafts every proxy's batch on the attack points while this
-    process signs, stores, ranks and writes, and hands the batches over at
-    stage "attack". A lane that fails is redone in process there, so an error
-    surfaces at the stage, and with the message, of a run on one CPU; a run
-    that fails earlier kills the lane before it writes its manifest.
-    Training runs in lanes too (``nn.train_many``). No artifact depends on
-    the CPU count.
+    stages "signatures" and "distances" overlap the attack's PGD: a
+    ``util.ForkLanes`` worker crafts every proxy's batch on the attack points
+    while this process signs, stores, ranks and writes, and hands the batches
+    over at stage "attack". A lane that fails is redone in process there, so
+    an error surfaces at the stage, and with the message, of a run on one
+    CPU; a run that fails earlier kills the lane's worker before it writes
+    its manifest. Training runs in lanes too (``nn.train_many``). A worker
+    runs the code as it stood when it was forked, and outlives the run: the
+    next run's lanes use it. No artifact depends on the CPU count.
     """
     out_dir = os.fspath(out_dir)
     os.makedirs(out_dir, exist_ok=True)

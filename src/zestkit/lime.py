@@ -18,12 +18,12 @@ its PlanDesign, and reused by every signature taken under it.
 """
 
 import hashlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .errors import (ComparabilityError, ConfigError, NumericalError, ShapeError,
-                     TransportError)
+from .errors import (ComparabilityError, ConfigError, IntegrityError, NumericalError,
+                     ShapeError, TransportError)
 from .nn import forward
 from .oracle import LocalOracle, QueryOracle
 from .util import (ForkLanes, canonical_json, csv_text, derived_seed, lane_count, owned_array,
@@ -458,7 +458,7 @@ def _sign_points(oracles, points: np.ndarray, design: PlanDesign, grid: SegmentG
 
 def _sign_lane(models, points, design, grid, policy, blocks):
     """``_sign_points`` through private LocalOracles of ``models``, plus each
-    one's ledger breakdown: one lane of ``sign_many``, run in a forked child
+    one's ledger breakdown: one lane of ``sign_many``, run in a forked worker
     or, when that fails, in this process."""
     oracles = [LocalOracle(model) for model in models]
     coefs, intercepts = _sign_points(oracles, points, design, grid, policy, blocks)
@@ -582,20 +582,22 @@ def sign_many(oracles, plan: PerturbationPlan) -> "list[Signature]":
     blocks of one oracle, whatever the portfolio's size: a portfolio that
     one oracle's rows would not split is signed in process, not in a lane
     forked beside the campaign's PGD lane, which measured slower. Run 0 is
-    signed here, every other run in a ``ForkLanes`` child through private
-    LocalOracles of the same models; a failed child's run is signed here
-    again. A run's rows are billed to the caller's oracles when its answers
-    reach this process, so a redone run is billed once and a run that raises
-    bills nothing. The same code fits the same blocks at any lane count, so
-    the signatures do not depend on it. Any other oracle gets all its calls
-    from this process, in the order above.
+    signed here, every other run in a ``ForkLanes`` worker through private
+    LocalOracles of the same models; a run whose worker fails is signed here
+    again. A worker runs the code as it stood when it was forked, and is
+    kept for the next call, so a warm signature forks nothing. A run's rows
+    are billed to the caller's oracles when its answers reach this process,
+    so a redone run is billed once and a run that raises bills nothing. The
+    same code fits the same blocks at any lane count, so the signatures do
+    not depend on it. Any other oracle gets all its calls from this process,
+    in the order above.
     """
     oracles = list(oracles)
     for oracle in oracles:
         if oracle.input_dim != plan.grid.n_features:
             raise ShapeError(f"oracle expects {oracle.input_dim} features, "
                              f"plan has {plan.grid.n_features}")
-    # built before any fork: every lane reads the one design, none copies it
+    # built once, here: a worker is sent it with its run and builds none
     args = (plan.points, plan.design(), plan.grid, plan.config.replacement)
     fingerprint = plan.fingerprint()
     blocks = _point_blocks(plan.n, plan.p * max(1, len(oracles)))
@@ -643,7 +645,11 @@ def save_plan(plan: PerturbationPlan, path) -> None:
 def load_plan(path) -> PerturbationPlan:
     meta, arrays = read_container(path, "perturbation-plan")
     grid = SegmentGrid(arrays["grid_assignment"], meta["segment_count"])
-    cfg = LimeConfig(**meta["config"])
+    config, names = meta["config"], [f.name for f in fields(LimeConfig)]
+    if not (isinstance(config, dict) and sorted(config) == sorted(names)):
+        raise IntegrityError(f"{path}: config {config!r} does not hold exactly the "
+                             f"LimeConfig fields {names}")
+    cfg = LimeConfig(**config)
     plan = PerturbationPlan(arrays["points"], grid, cfg, meta["seed"],
                             verified_model_ids=tuple(meta["verified_model_ids"]))
     if plan.fingerprint() != meta["fingerprint"]:

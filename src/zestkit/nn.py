@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, ShapeError
+from .errors import ConfigError, DomainError, IntegrityError, ShapeError
 from .util import (ForkLanes, lane_count, owned_array, read_container, run_grouped,
                    write_container)
 
@@ -242,7 +242,9 @@ def train_many(jobs) -> "list[MlpModel]":
     elementwise, or a reduction within one model in the same order, so each
     model is bitwise the one its job would train alone. That also makes the
     loops free to run in lanes, one per CPU this process may use (see
-    ``_lanes``): no result depends on how many there are.
+    ``_lanes``): no result depends on how many there are. Lane 0 trains in
+    this process, each other lane in a ``util.ForkLanes`` worker, which runs
+    the code as it stood when the worker was forked.
     """
     jobs = list(jobs)
     for data, _, _ in jobs:
@@ -302,18 +304,24 @@ def _lanes(jobs) -> "list[list[int]]":
 
 
 def _train_lanes(jobs) -> list:
-    """``run_grouped(jobs, _shape, _sgd)``, lane by lane: lane 0 in this process,
-    each other lane in a ``ForkLanes`` child, trained here again if it fails."""
+    """``_train_lane(jobs)``, lane by lane: lane 0 in this process, each other
+    lane in a ``ForkLanes`` worker, trained here again if it fails."""
     lanes = _lanes(jobs)
     lane_jobs = [[jobs[i] for i in lane] for lane in lanes]
     with ForkLanes() as forked:
-        later = [forked.run(run_grouped, js, _shape, _sgd) for js in lane_jobs[1:]]
-        got = [run_grouped(lane_jobs[0], _shape, _sgd), *(take() for take in later)]
+        later = [forked.run(_train_lane, js) for js in lane_jobs[1:]]
+        got = [_train_lane(lane_jobs[0]), *(take() for take in later)]
     params = [None] * len(jobs)
     for lane, lane_params in zip(lanes, got):
         for i, p in zip(lane, lane_params):
             params[i] = p
     return params
+
+
+def _train_lane(jobs) -> list:
+    """Each job's (weights, biases): ``run_grouped(jobs, _shape, _sgd)``, with
+    ``_sgd`` found where the lane runs, not sent to it."""
+    return run_grouped(jobs, _shape, _sgd)
 
 
 def _sgd(group):
@@ -447,6 +455,8 @@ def load_model(path) -> MlpModel:
     meta, arrays = read_container(path, "mlp-model")
     layers = []
     for i, entry in enumerate(meta["architecture"]):
+        if not (isinstance(entry, dict) and "activation" in entry):
+            raise IntegrityError(f"{path}: architecture entry {i} has no activation")
         layers.append(Layer(arrays[f"w{i}"], arrays[f"b{i}"], entry["activation"]))
     return MlpModel(tuple(layers), model_id=meta["model_id"], metadata=meta["metadata"])
 

@@ -12,6 +12,7 @@ The header records the container kind, a format version, a free-form
 sha256 of the payload. Arrays are stored little-endian, C-order.
 """
 
+import atexit
 import csv
 import hashlib
 import io
@@ -103,98 +104,158 @@ def lane_count() -> int:
 
 
 class ForkLanes:
-    """Calls that run in forked children while this process goes on: the one
+    """Calls that run in forked workers while this process goes on: the one
     lane mechanism of ``nn.train_many``, the campaign's PGD and
     ``lime.sign_many``.
 
     ``run(fn, *args)`` returns a callable of no arguments that gives
-    ``fn(*args)``: the result a child pickled into its pipe, or, when
-    ``lane_count()`` was 1, the fork failed, or the child exited non-zero or
-    sent an incomplete pickle, ``fn(*args)`` called then in this process. So
-    a deterministic error or warning surfaces where and as the in-process
-    call raises it, under the caller's filters. A child runs under an
-    "error" warnings filter and leaves through ``os._exit``: it never returns
-    into the caller's stack. ``fn`` should return plain arrays and builtins:
+    ``fn(*args)``: the result a worker pickled into its reply pipe, or, when
+    ``lane_count()`` was 1, the fork failed, the call did not pickle, or the
+    worker died, sent an incomplete reply or raised, ``fn(*args)`` called
+    then in this process. So a deterministic error or warning surfaces where
+    and as the in-process call raises it, under the caller's filters.
+
+    A worker is a forked child that outlives the call: ``run`` streams
+    ``(fn, args)`` down an idle worker's request pipe with ``pickle.dump``,
+    forking a new one only when none is idle, and taking the result puts the
+    worker back in this process's pool, which keeps at most
+    ``lane_count() - 1`` idle workers. A worker runs the code as it stood
+    when it was forked: ``fn`` and every function it calls are looked up in
+    the worker's memory, not this process's. It runs under an "error"
+    warnings filter, exits at EOF on its request pipe, leaves through
+    ``os._exit`` and never returns into the caller's stack; one whose call
+    failed is stopped. ``fn`` should return plain arrays and builtins:
     unpickling a value type skips its constructor, its checks and its
     read-only arrays. Leaving the ``with`` block, normally or by an
-    exception, kills and reaps every child whose result was not taken.
+    exception, kills and reaps every worker whose result was not taken;
+    ``close_lanes`` stops the idle ones, as this process's exit does, and a
+    child this process forks starts with an empty pool.
     """
 
     def __init__(self):
-        self._children = []  # (pid, read end of its pipe) of results not taken
+        self._busy = []  # workers whose result is not taken
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc):
-        if self._children:
-            from signal import SIGKILL  # only here: import zestkit does not load signal
-            for pid, fd in self._children:
-                os.close(fd)
-                os.kill(pid, SIGKILL)
-                os.waitpid(pid, 0)
-            self._children.clear()
+        while self._busy:
+            worker = self._busy.pop()
+            if worker in _workers:  # in a forked child, the parent's are not
+                _stop(worker)
 
     def run(self, fn, *args):
-        child = _fork(fn, args) if lane_count() > 1 else None
-        if child is None:
+        worker = (_idle.pop() if _idle else _fork()) if lane_count() > 1 else None
+        if worker is None:
             return lambda: fn(*args)
-        self._children.append(child)
+        self._busy.append(worker)
+        _, requests, replies = worker
+        try:
+            pickle.dump((fn, args), requests, protocol=pickle.HIGHEST_PROTOCOL)
+            requests.flush()
+        except Exception:  # not sent (unpicklable, or the worker is gone): run it here
+            self._busy.remove(worker)
+            _stop(worker)
+            return lambda: fn(*args)
 
         def take():
-            self._children.remove(child)
-            return _take(*child, fn, args)
+            try:
+                result = pickle.load(replies)  # the pipe is private to this process and its fork
+            except (EOFError, pickle.UnpicklingError):
+                self._busy.remove(worker)
+                _stop(worker)
+                return fn(*args)
+            self._busy.remove(worker)
+            if len(_idle) < lane_count() - 1:
+                _idle.append(worker)
+            else:
+                _stop(worker, kill=False)
+            return result
 
         return take
 
 
-def _fork(fn, args):
-    """(pid, read end of its pipe) of a forked child that pickles ``fn(*args)``
-    into the pipe; None when the fork fails."""
-    r, w = os.pipe()
+_workers = []  # (pid, request pipe, reply pipe) of each live worker of this process
+_idle = []     # the idle ones, which the next call may take
+
+
+def close_lanes() -> None:
+    """Stop and reap this process's idle workers."""
+    while _idle:
+        _stop(_idle.pop(), kill=False)
+
+
+def _stop(worker, kill=True) -> None:
+    """End ``worker`` and reap it: by SIGKILL, or, for an idle one, by the EOF
+    on its request pipe that closing this end sends."""
+    pid, requests, replies = worker
+    _workers.remove(worker)
+    if kill:
+        from signal import SIGKILL  # only here: import zestkit does not load signal
+        os.kill(pid, SIGKILL)
+    try:
+        requests.close()
+    except BrokenPipeError:
+        pass  # the rest of a call that was not sent
+    replies.close()
+    os.waitpid(pid, 0)
+
+
+def _forget_workers() -> None:
+    """In a forked child: drop the parent's workers, closing this copy of their
+    pipes, so the child never writes to them and their EOF still comes when
+    the parent closes or exits."""
+    for _, requests, replies in _workers:
+        requests.close()  # nothing buffered: a call is flushed or its worker stopped
+        replies.close()
+    _workers.clear()
+    _idle.clear()
+
+
+os.register_at_fork(after_in_child=_forget_workers)
+atexit.register(close_lanes)
+
+
+def _fork():
+    """A new worker, None when the fork fails. It answers each ``(fn, args)``
+    pickled on its request pipe with the pickle of ``fn(*args)`` on its reply
+    pipe."""
+    (call_r, call_w), (reply_r, reply_w) = os.pipe(), os.pipe()
     try:
         import fcntl  # only here: import zestkit does not load fcntl
-        # room for the whole result, so a child done first exits before it is read:
-        # taking the campaign's PGD lane (170 kB) went 4.4 -> 0.2 ms (2-vCPU x86_64)
-        fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, 1 << 20)
+        # room for a whole call and a whole reply, so neither writer waits for its reader:
+        # taking the campaign's PGD lane (170 kB) went 4.4 -> 0.2 ms, sending a
+        # sign-local run (0.7 MB) 1.3 -> 0.5 ms (2-vCPU x86_64)
+        fcntl.fcntl(call_w, fcntl.F_SETPIPE_SZ, 1 << 20)
+        fcntl.fcntl(reply_w, fcntl.F_SETPIPE_SZ, 1 << 20)
     except (AttributeError, OSError):
-        pass  # the default size: a child may wait for its reader
+        pass  # the default size: a writer may wait for its reader
     try:
         pid = os.fork()
     except OSError:
-        os.close(r)
-        os.close(w)
+        for fd in (call_r, call_w, reply_r, reply_w):
+            os.close(fd)
         return None
-    if pid:
-        os.close(w)
-        return pid, r
-    status = 1
-    try:
-        os.close(r)
-        warnings.simplefilter("error")
-        with open(w, "wb") as f:
-            f.write(pickle.dumps(fn(*args), protocol=pickle.HIGHEST_PROTOCOL))
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _take(pid, fd, fn, args):
-    """Read and reap a ``_fork`` child: the ``fn(*args)`` it sent if it sent a
-    whole pickle and exited 0, else ``fn(*args)`` called here. The pipe is
-    private to this process and its fork, so unpickling what it carries is
-    safe."""
-    try:
-        with open(fd, "rb") as f:
-            blob = f.read()
-    finally:
-        _, status = os.waitpid(pid, 0)
-    if status == 0:
+    if pid == 0:  # the worker: exit 0 at EOF on its requests, 1 when a call fails
+        status = 1
         try:
-            return pickle.loads(blob)
-        except (EOFError, pickle.UnpicklingError):
-            pass
-    return fn(*args)
+            os.close(call_w)
+            os.close(reply_r)
+            warnings.simplefilter("error")
+            with open(call_r, "rb") as calls, open(reply_w, "wb") as replies:
+                while calls.peek(1):  # b"" at EOF
+                    fn, args = pickle.load(calls)
+                    pickle.dump(fn(*args), replies, protocol=pickle.HIGHEST_PROTOCOL)
+                    replies.flush()
+                    del fn, args  # an idle worker holds no call's data
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(call_r)
+    os.close(reply_w)
+    worker = (pid, open(call_w, "wb"), open(reply_r, "rb"))
+    _workers.append(worker)
+    return worker
 
 
 def pearson(xs, ys) -> float:

@@ -44,10 +44,37 @@ def count_forks(monkeypatch):
     return forks
 
 
+def fork_pids(monkeypatch):
+    """The list of the pids of the children that every later ``os.fork`` call makes,
+    in this process."""
+    pids = []
+    fork = os.fork
+
+    def recorded():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recorded)
+    return pids
+
+
 def assert_no_children():
-    """No child process of this one is left, running or unreaped."""
+    """No child process of this one is left, running or unreaped, once the idle
+    lane workers are stopped: a busy or untracked child still fails it."""
+    zk.util.close_lanes()
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture(autouse=True)
+def fresh_lanes():
+    """No idle lane worker before or after a test: a worker runs the code as it
+    stood when it was forked, so one forked during the test sees its monkeypatches."""
+    zk.util.close_lanes()
+    yield
+    zk.util.close_lanes()
 
 
 @pytest.fixture(scope="session")

@@ -134,6 +134,52 @@ def test_cli_reports_a_container_missing_a_key(capsys, tmp_path, command, artifa
     assert code == 1 and err.startswith(f"error: {path}: ") and err.count("\n") == 1
 
 
+def _saved_with_nested_edit(path, artifact, kind, edit):
+    """``path``, holding the saved ``artifact`` with ``edit(meta)`` applied."""
+    save, value = _artifacts()[artifact]
+    save(value, path)
+    meta, arrays = read_container(path, kind)
+    edit(meta)
+    write_container(path, kind, meta, arrays)
+    return path
+
+
+_NESTED_EDITS = {  # the plan's config with an extra key; a layer without its activation
+    "plan": ("perturbation-plan", lambda meta: meta["config"].update(extra=1)),
+    "model": ("mlp-model", lambda meta: meta["architecture"][0].pop("activation")),
+}
+
+
+def test_load_plan_takes_exactly_the_lime_config_fields(tmp_path):
+    path = _saved_with_nested_edit(tmp_path / "x", "plan", *_NESTED_EDITS["plan"])
+    with pytest.raises(IntegrityError) as err:
+        zk.load_plan(path)
+    assert str(err.value) == (
+        f"{path}: config {{'extra': 1, 'kernel_width': None, 'perturbations': 4, "
+        f"'replacement': 'zeros', 'ridge': 0.5}} does not hold exactly the LimeConfig fields "
+        f"['perturbations', 'kernel_width', 'ridge', 'replacement']")
+
+
+def test_load_model_raises_integrity_error_for_a_layer_without_activation(tmp_path):
+    path = _saved_with_nested_edit(tmp_path / "x", "model", *_NESTED_EDITS["model"])
+    with pytest.raises(IntegrityError) as err:
+        zk.load_model(path)
+    assert str(err.value) == f"{path}: architecture entry 0 has no activation"
+
+
+@pytest.mark.parametrize("command, artifact", [("sign", "plan"), ("transfer", "model")])
+def test_cli_reports_nested_metadata_it_cannot_load(capsys, tmp_path, command, artifact):
+    path = _saved_with_nested_edit(tmp_path / "x", artifact, *_NESTED_EDITS[artifact])
+    model, batch = tmp_path / "m.mlp", tmp_path / "b.adv"
+    zk.save_model(_model(), model)
+    zk.save_batch(_batch(False), batch)
+    argv = {"sign": ["--oracle", model, "--plan", path, "--out", tmp_path / "x.sig"],
+            "transfer": ["--victim", path, "--batch", batch]}[command]
+    code = main([command, *map(str, argv)])
+    err = capsys.readouterr().err
+    assert code == 1 and err.startswith(f"error: {path}: ") and err.count("\n") == 1
+
+
 def test_train_many_records_its_config_with_hidden_a_list():
     data = zk.Dataset(np.arange(16.0).reshape(8, 2) / 16, np.arange(8) % 2, 2)
     cfg = zk.TrainConfig(hidden=(3, 2), epochs=1, batch_size=4, learning_rate=0.5, rng_seed=9)

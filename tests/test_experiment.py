@@ -563,7 +563,7 @@ def test_bundled_campaign_same_tree_on_one_cpu_and_two_lanes(tmp_path, monkeypat
     use_cpus(monkeypatch, 2)
     forks = count_forks(monkeypatch)
     zk.run_campaign(zk.bundled_campaign_config(), tmp_path / "two-lanes")
-    assert forks == [1, 1]  # one training lane, then the PGD lane
+    assert forks == [1]  # one worker: it trains a lane, then crafts the PGD lane
     digest = _tree_digest(tmp_path / "two-lanes")
     assert _tree_digest(tmp_path / "one-cpu") == digest
     assert _tree_digest(tmp_path / "one-blas-thread") == digest
@@ -580,7 +580,7 @@ def test_campaign_signs_a_portfolio_in_process_when_its_p_rows_fit_one_block(
     use_cpus(monkeypatch, 2)
     forks = count_forks(monkeypatch)
     zk.run_campaign(cfg, tmp_path / "run")
-    assert forks == [1, 1]  # the training lane, then the PGD lane; no signing lane
+    assert forks == [1]  # the training lane's worker crafts the PGD lane; no signing lane
     assert_no_children()
 
 
@@ -606,7 +606,7 @@ def test_campaign_redoes_a_failed_pgd_lane_in_process(tmp_path, monkeypatch):
     _pgd_failing(monkeypatch, "child")
     forks = count_forks(monkeypatch)
     zk.run_campaign(_tiny_config(), tmp_path / "lanes")
-    assert forks == [1, 1]
+    assert forks == [1]  # forked for training, after the patch: its PGD raises
     assert _tree_digest(tmp_path / "lanes") == _tree_digest(tmp_path / "serial")
     assert_no_children()
 
@@ -624,7 +624,7 @@ def test_campaign_pgd_failing_everywhere_raises_the_serial_error_at_attack(
         manifests.append(json.loads((out / "manifest.json").read_text()))
     assert manifests[0] == manifests[1]
     assert manifests[0]["stage"] == "attack" and manifests[0]["error"] == "RuntimeError: pgd"
-    assert forks == [1, 1]  # the training lane, then the PGD lane, both at 2 CPUs
+    assert forks == [1]  # at 2 CPUs, one worker for the training lane, then the PGD lane
     assert_no_children()
 
 
@@ -646,7 +646,7 @@ def test_campaign_failing_at_signatures_kills_the_pgd_lane(tmp_path, monkeypatch
         zk.run_campaign(cfg, tmp_path / "fail")
     assert time.monotonic() - start < 30  # killed, not waited for
     assert json.loads((tmp_path / "fail" / "manifest.json").read_text())["stage"] == "signatures"
-    assert forks == [1, 1]
+    assert forks == [1]  # the training lane's worker, killed while crafting
     assert_no_children()
 
 

@@ -1,5 +1,9 @@
 import dataclasses
+import json
 import os
+import signal
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -11,7 +15,7 @@ from zestkit.errors import (ComparabilityError, ConfigError, NumericalError, Sha
 from zestkit.lime import BLOCK_ROWS, PointModel, masked_batch, _replacement_values
 from zestkit.oracle import QueryLedger, QueryOracle
 
-from conftest import assert_no_children, count_forks, tiny_net, use_cpus
+from conftest import assert_no_children, count_forks, fork_pids, tiny_net, use_cpus
 
 
 class ArrayOracle(QueryOracle):
@@ -705,6 +709,90 @@ def test_sign_many_kills_and_reaps_children_when_run_0_raises(monkeypatch):
     assert 0 < points < plan.n
     for oracle in oracles:  # run 0's points are billed, the killed runs' are not
         assert oracle.ledger.breakdown() == _bill(points, plan.p)
+
+
+def test_sign_many_signs_in_the_same_worker_twice(monkeypatch):
+    plan = _lane_plan()
+    use_cpus(monkeypatch, 1)
+    want, _ = _sign_locally(plan)
+    use_cpus(monkeypatch, 2)
+    forks = count_forks(monkeypatch)
+    for _ in range(2):
+        sigs, oracles = _sign_locally(plan)
+        _assert_same_signatures(sigs, want)
+        for oracle in oracles:
+            assert oracle.ledger.breakdown() == _bill(plan.n, plan.p)
+    assert forks == [1]
+    assert_no_children()
+
+
+def test_sign_many_redoes_the_run_of_a_killed_idle_worker_once(monkeypatch):
+    plan = _lane_plan()
+    use_cpus(monkeypatch, 1)
+    want, _ = _sign_locally(plan)
+    use_cpus(monkeypatch, 2)
+    pids = fork_pids(monkeypatch)
+    parent, sign_points = os.getpid(), zk.lime._sign_points
+    calls = []
+
+    def counted(*args):
+        if os.getpid() == parent:
+            calls.append(1)
+        return sign_points(*args)
+
+    monkeypatch.setattr(zk.lime, "_sign_points", counted)
+    _sign_locally(plan)
+    assert len(pids) == 1 and len(calls) == 1  # run 1 in the worker, which goes idle
+    os.kill(pids[0], signal.SIGKILL)
+    sigs, oracles = _sign_locally(plan)
+    _assert_same_signatures(sigs, want)
+    assert len(pids) == 1 and len(calls) == 3  # run 0, then run 1 here, not in the dead worker
+    for oracle in oracles:
+        assert oracle.ledger.breakdown() == _bill(plan.n, plan.p)
+    sigs, _ = _sign_locally(plan)
+    _assert_same_signatures(sigs, want)
+    assert len(pids) == 2 and len(calls) == 4  # a fresh worker signs run 1
+    assert_no_children()
+
+
+# Signs in a lane worker at two CPUs, whatever the machine has, then exits as a
+# script does. The exit handler registered before zestkit's runs after it.
+_SIGN_AND_EXIT = """
+import atexit, json, os
+import numpy as np
+
+def after_zestkit():
+    try:
+        os.waitpid(-1, os.WNOHANG)
+        print("a child is left")
+    except ChildProcessError:
+        pass
+
+atexit.register(after_zestkit)
+import zestkit as zk
+os.sched_getaffinity = lambda pid: {0, 1}
+pids, fork = [], os.fork
+os.fork = lambda: pids.append(fork()) or pids[-1]
+rng = np.random.default_rng(1)
+model = zk.MlpModel((zk.nn.Layer(rng.normal(size=(16, 3)), np.zeros(3), "identity"),), "m")
+plan = zk.PerturbationPlan(rng.random((20, 16)), zk.SegmentGrid.uniform(16, 8),
+                           zk.LimeConfig(perturbations=1000), seed=20)
+for _ in range(2):
+    zk.compute_signature(zk.LocalOracle(model), plan)
+print(json.dumps([pid for pid in pids if pid]))
+"""
+
+
+def test_a_process_that_signs_and_exits_leaves_no_worker_alive():
+    src = os.path.dirname(os.path.dirname(zk.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", _SIGN_AND_EXIT], env=env, capture_output=True,
+                         text=True, timeout=60, check=True).stdout
+    pids = json.loads(out)  # one line: no "a child is left"
+    assert len(pids) == 1
+    with pytest.raises(ProcessLookupError):
+        os.kill(pids[0], 0)
 
 
 def test_sign_many_forks_only_for_exact_local_oracles(monkeypatch):

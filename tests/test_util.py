@@ -13,7 +13,7 @@ from zestkit.util import (ForkLanes, atomic_write_bytes, canonical_json, config_
                           container_bytes, csv_text, derived_seed, read_container,
                           sha256_file, write_container)
 
-from conftest import assert_no_children, count_forks, use_cpus
+from conftest import assert_no_children, count_forks, fork_pids, use_cpus
 
 
 def test_derived_seed_deterministic_and_labeled():
@@ -229,6 +229,8 @@ def test_fork_lanes_result_equals_an_in_process_call(lanes_on_two_cpus):
     with ForkLanes() as lanes:
         take = lanes.run(_draw, 5, 60000)
         _same(take(), want)
+    with ForkLanes() as lanes:  # the same worker, idle in between
+        _same(lanes.run(_draw, 5, 60000)(), want)
     assert lanes_on_two_cpus == [1] and _draw.calls == 0
     assert_no_children()
 
@@ -252,22 +254,125 @@ def test_fork_lanes_run_in_process_when_the_fork_fails(lanes_on_two_cpus, monkey
     assert _draw.calls == 2
 
 
-def test_fork_lanes_rerun_a_child_that_exits_non_zero_after_a_full_pickle(
-        lanes_on_two_cpus, monkeypatch):
-    exit_ = os._exit
-    monkeypatch.setattr(os, "_exit", lambda status: exit_(3))
+def _fails_in_workers(seed, rows):
+    """``_draw``, but raising in a lane worker."""
+    if os.getpid() != _PARENT:
+        raise RuntimeError("worker")
+    return _draw(seed, rows)
+
+
+def test_fork_lanes_rerun_a_call_whose_worker_raises(lanes_on_two_cpus):
+    with ForkLanes() as lanes:
+        _same(lanes.run(_fails_in_workers, 5, 4)(), _draw(5, 4))
+        assert _draw.calls == 2
+        # the worker that raised was stopped: the next call forks a new one
+        _same(lanes.run(_draw, 5, 4)(), _draw(5, 4))
+    assert lanes_on_two_cpus == [1, 1] and _draw.calls == 3
+    assert_no_children()
+
+
+def test_fork_lanes_rerun_a_child_that_sends_a_truncated_pickle(lanes_on_two_cpus, monkeypatch):
+    dump = pickle.dump
+
+    def cut_in_workers(obj, file, **kw):
+        """A worker's reply loses its last byte, then the worker exits 0."""
+        if os.getpid() == _PARENT:
+            return dump(obj, file, **kw)
+        file.write(pickle.dumps(obj, **kw)[:-1])
+        file.flush()
+        os._exit(0)
+
+    monkeypatch.setattr(pickle, "dump", cut_in_workers)
     with ForkLanes() as lanes:
         _same(lanes.run(_draw, 5, 4)(), _draw(5, 4))
     assert lanes_on_two_cpus == [1] and _draw.calls == 2
     assert_no_children()
 
 
-def test_fork_lanes_rerun_a_child_that_sends_a_truncated_pickle(lanes_on_two_cpus, monkeypatch):
-    dumps = pickle.dumps
-    monkeypatch.setattr(pickle, "dumps", lambda obj, **kw: dumps(obj, **kw)[:-1])
+def _apply(fn, *args):
+    return fn(*args)
+
+
+def test_fork_lanes_run_a_call_that_does_not_pickle_in_process(lanes_on_two_cpus):
+    with ForkLanes() as lanes:
+        _same(lanes.run(_draw, 5, 4)(), _draw(5, 4))  # its worker goes idle
+        take = lanes.run(_apply, lambda: _draw(5, 4))  # a lambda does not pickle
+        assert _draw.calls == 1  # not yet: only when the result is taken
+        _same(take(), _draw(5, 4))
+        assert _draw.calls == 3
+        # the idle worker was given part of that call and stopped: this call forks anew
+        _same(lanes.run(_draw, 5, 4)(), _draw(5, 4))
+    assert lanes_on_two_cpus == [1, 1] and _draw.calls == 4
+    assert_no_children()
+
+
+def test_close_lanes_stops_and_reaps_the_idle_workers(lanes_on_two_cpus, monkeypatch):
+    pids = fork_pids(monkeypatch)
     with ForkLanes() as lanes:
         _same(lanes.run(_draw, 5, 4)(), _draw(5, 4))
-    assert lanes_on_two_cpus == [1] and _draw.calls == 2
+    assert os.waitpid(pids[0], os.WNOHANG) == (0, 0)  # idle, alive
+    zk.util.close_lanes()  # it exits at EOF on its request pipe, and is reaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(pids[0], os.WNOHANG)
+    with ForkLanes() as lanes:
+        _same(lanes.run(_draw, 5, 4)(), _draw(5, 4))
+    assert lanes_on_two_cpus == [1, 1]
+    assert_no_children()
+
+
+def test_a_forked_child_finds_an_empty_pool(lanes_on_two_cpus):
+    with ForkLanes() as lanes:
+        _same(lanes.run(_draw, 5, 4)(), _draw(5, 4))  # its worker goes idle
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            with ForkLanes() as lanes:
+                got = lanes.run(_draw, 5, 4)()
+            zk.util.close_lanes()
+            # it forked a worker of its own, and left the parent's alone
+            status = 0 if len(lanes_on_two_cpus) == 3 and got["seed"] == 5 else 2
+        finally:
+            os._exit(status)
+    assert os.waitpid(pid, 0)[1] == 0
+    with ForkLanes() as lanes:  # the parent's idle worker still answers
+        _same(lanes.run(_draw, 6, 4)(), _draw(6, 4))
+    assert lanes_on_two_cpus == [1, 1] and _draw.calls == 2
+    assert_no_children()
+
+
+def test_a_forked_child_leaving_a_lane_block_spares_the_parents_busy_worker(
+        lanes_on_two_cpus):
+    with ForkLanes() as lanes:
+        take = lanes.run(_draw, 5, 4)
+        pid = os.fork()
+        if pid == 0:
+            status = 1
+            try:
+                lanes.__exit__(None, None, None)  # as the child's stack unwinds
+                status = 0
+            finally:
+                os._exit(status)
+        assert os.waitpid(pid, 0)[1] == 0
+        _same(take(), _draw(5, 4))
+    assert lanes_on_two_cpus == [1, 1] and _draw.calls == 1  # the worker, then the child
+    assert_no_children()
+
+
+def test_fork_lanes_kill_only_the_workers_of_calls_not_taken(lanes_on_two_cpus, monkeypatch):
+    pids = fork_pids(monkeypatch)
+    start = time.monotonic()
+    with ForkLanes() as outer:
+        take = outer.run(_draw, 5, 4)
+        with ForkLanes() as inner:
+            inner.run(time.sleep, 60)
+        with pytest.raises(ChildProcessError):  # the sleeping worker: killed and reaped
+            os.waitpid(pids[1], os.WNOHANG)
+        assert os.waitpid(pids[0], os.WNOHANG) == (0, 0)
+        _same(take(), _draw(5, 4))
+        _same(outer.run(_draw, 6, 4)(), _draw(6, 4))  # the first worker, idle again
+    assert time.monotonic() - start < 30  # killed, not waited for
+    assert lanes_on_two_cpus == [1, 1] and _draw.calls == 2
     assert_no_children()
 
 
