@@ -252,7 +252,8 @@ def load_batch(path) -> AdversarialBatch:
     keys, names = [*meta, *arrays], [f.name for f in fields(AdversarialBatch)]
     if sorted(keys) != sorted(names):
         raise IntegrityError(f"{path}: holds {sorted(keys)}, not the batch fields {names}")
-    return AdversarialBatch(**meta, **arrays)
+    return AdversarialBatch(**{f.name: meta.typed(f.name, f.type)
+                               for f in fields(AdversarialBatch) if f.name in meta}, **arrays)
 
 
 def batch_summary_csv(batch: AdversarialBatch) -> str:

@@ -34,6 +34,17 @@ def _oracle_from(locator: str):
     return local_oracle(load_model(locator))
 
 
+def _int_in(low: int, high=float("inf")):
+    """An argparse ``type``: an int from ``low`` to ``high``. argparse makes any other
+    value a usage error (exit 2)."""
+    def integer(text: str) -> int:
+        value = int(text)  # not an int: argparse reports "invalid integer value"
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"expected an integer in {low}..{high}, got {value}")
+        return value
+    return integer
+
+
 def _ledger_line(snap: dict) -> str:
     """One-line victim bill from a ledger snapshot."""
     parts = ", ".join(f"{k}={snap[k]}" for k in PURPOSES)
@@ -47,8 +58,7 @@ def _cmd_train(args) -> "tuple[int, str]":
                            derived_seed(args.data_seed, "data.centers"))
     data = sample_blobs(centers, args.train_size, args.noise,
                         derived_seed(args.data_seed, "data.train"))
-    cfg = TrainConfig(hidden=tuple(int(h) for h in args.hidden.split(",") if h),
-                      epochs=args.epochs, batch_size=args.batch_size,
+    cfg = TrainConfig(hidden=args.hidden, epochs=args.epochs, batch_size=args.batch_size,
                       learning_rate=args.learning_rate, rng_seed=args.seed)
     model = train(data, cfg, model_id=args.model_id)
     save_model(model, args.out)
@@ -198,6 +208,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Signature-based model comparison and transfer-attack toolkit.")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def widths(text: str) -> "tuple[int, ...]":
+        """Comma-separated hidden-layer widths, each >= 1."""
+        return tuple(map(_int_in(1), filter(None, text.split(","))))
+
     p = sub.add_parser("train", help="train a small MLP on synthetic blobs")
     p.add_argument("--classes", type=int, default=3)
     p.add_argument("--features", type=int, default=16)
@@ -205,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", type=float, default=0.08)
     p.add_argument("--data-seed", type=int, default=0)
     p.add_argument("--seed", type=int, default=0, help="training seed")
-    p.add_argument("--hidden", default="24", help="comma-separated layer widths")
+    p.add_argument("--hidden", type=widths, default="24", help="comma-separated layer widths")
     p.add_argument("--epochs", type=int, default=40)
     p.add_argument("--batch-size", type=int, default=32)
     p.add_argument("--learning-rate", type=float, default=0.1)
@@ -254,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("attack", help="craft PGD adversarial examples on a local model")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--points", type=int, default=None, help="use only the first K points")
+    p.add_argument("--points", type=_int_in(1), default=None, help="use only the first K points")
     p.add_argument("--epsilon", type=float, default=0.1)
     p.add_argument("--step-size", type=float, default=0.02)
     p.add_argument("--steps", type=int, default=40)
@@ -279,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("serve", help="serve a model file over HTTP")
     p.add_argument("--model", required=True)
-    p.add_argument("--port", type=int, required=True)
+    p.add_argument("--port", type=_int_in(0, 65535), required=True)
     p.add_argument("--host", default="127.0.0.1")
     p.set_defaults(func=_cmd_serve)
 

@@ -23,7 +23,7 @@ from .lime import (REPLACEMENT_POLICIES, LimeConfig, SegmentGrid, correct_by_all
 from .nn import Dataset, TrainConfig, blob_centers, sample_blobs, save_model, train_many
 from .oracle import RemoteEndpoint, local_oracle, remote_oracle
 from .util import (ForkLanes, atomic_write_text, config_hash, csv_text, derived_seed,
-                   owned_array, pearson)
+                   is_json_type, owned_array, pearson)
 from .zest import DistanceMetric, SignatureStore, check_model_id, rank_signatures
 # kept importable here: bench/spans.py patches zestkit.experiment.train, .pgd, .forward,
 # .compute_signature and .select_surrogate
@@ -110,9 +110,7 @@ def _resolve(path, spec, value):
     elif isinstance(spec, tuple):
         ok, expected = isinstance(value, str) and value in spec, f"one of {list(spec)}"
     else:
-        ok = (isinstance(value, (int, float) if spec is float else spec)
-              and isinstance(value, bool) == (spec is bool))
-        expected = spec.__name__
+        ok, expected = is_json_type(value, spec), spec.__name__
     if not ok:
         raise ConfigError(f"{path}: expected {expected}, got {value!r}")
     if isinstance(spec, list):

@@ -66,7 +66,7 @@ class SegmentGrid:
     @classmethod
     def uniform(cls, n_features: int, segment_count: int = 16) -> "SegmentGrid":
         """Contiguous feature ranges of near-equal size."""
-        if segment_count > n_features:
+        if not 1 <= segment_count <= n_features:
             raise ConfigError(
                 f"cannot split {n_features} features into {segment_count} segments")
         bounds = np.linspace(0, n_features, segment_count + 1).astype(np.int64)
@@ -644,15 +644,14 @@ def save_plan(plan: PerturbationPlan, path) -> None:
 
 def load_plan(path) -> PerturbationPlan:
     meta, arrays = read_container(path, "perturbation-plan")
-    grid = SegmentGrid(arrays["grid_assignment"], meta["segment_count"])
-    config, names = meta["config"], [f.name for f in fields(LimeConfig)]
-    if not (isinstance(config, dict) and sorted(config) == sorted(names)):
+    grid = SegmentGrid(arrays["grid_assignment"], meta.typed("segment_count", int))
+    config, names = meta.typed("config", dict), [f.name for f in fields(LimeConfig)]
+    if sorted(config) != sorted(names):
         raise IntegrityError(f"{path}: config {config!r} does not hold exactly the "
                              f"LimeConfig fields {names}")
-    cfg = LimeConfig(**config)
-    plan = PerturbationPlan(arrays["points"], grid, cfg, meta["seed"],
-                            verified_model_ids=tuple(meta["verified_model_ids"]))
-    if plan.fingerprint() != meta["fingerprint"]:
+    plan = PerturbationPlan(arrays["points"], grid, LimeConfig(**config), meta.typed("seed", int),
+                            meta.typed("verified_model_ids", list))
+    if plan.fingerprint() != meta.typed("fingerprint", str):
         raise ComparabilityError(f"{path}: stored fingerprint does not match contents")
     return plan
 
@@ -671,7 +670,8 @@ def save_signature(sig: Signature, path) -> None:
 
 def load_signature(path) -> Signature:
     meta, arrays = read_container(path, "lime-signature")
-    return Signature.from_arrays(meta["model_id"], meta["plan_fingerprint"],
+    return Signature.from_arrays(meta.typed("model_id", str),
+                                 meta.typed("plan_fingerprint", str),
                                  arrays["coef"], arrays["intercept"])
 
 

@@ -328,6 +328,7 @@ def _sgd(group):
     """One SGD loop for jobs that share a data shape; returns each job's
     (weights, biases).
 
+    Every buffer carries a leading model axis, for one model as for many.
     Each architecture runs its own matmuls, stacked over its models, and its
     own hidden-layer bias and relu. The output matmuls write into one
     (models, batch, classes) logits buffer, architecture by architecture,
@@ -344,15 +345,6 @@ def _sgd(group):
     slots = [j for idx in by_arch.values() for j in idx]  # output slot -> job
     rngs = [np.random.default_rng(cfg.rng_seed) for _, cfg, _ in group]
 
-    def lead(k):
-        """Model axis for k models; none for one: a length-1 axis measured +7% on a solo
-        train and +9-12% on the bundled campaign's train_many (2-vCPU x86_64, numpy 2.4)."""
-        return (k,) if k > 1 else ()
-
-    def rows(first, k):
-        """Slots first..first+k-1 of an array with a lead(len(slots)) model axis."""
-        return ... if len(slots) == 1 else first if k == 1 else slice(first, first + k)
-
     total = sum((fan_in + 1) * fan_out for _, cfg, _ in group
                 for fan_in, fan_out in zip((dim, *cfg.hidden), (*cfg.hidden, classes)))
     params, grads, lrs = np.zeros(total), np.zeros(total), np.empty(total)
@@ -367,42 +359,40 @@ def _sgd(group):
         offset = end
         return views
 
-    archs = []  # (slot selector, [(W, gW)], [(b, gb)] of the hidden layers)
+    archs = []  # (slots of the architecture, [(W, gW)], [(b, gb)] of the hidden layers)
     first = 0
     for hidden, idx in by_arch.items():
         k = len(idx)
-        ws = [carve(lead(k) + (fan_in, fan_out), idx)
+        ws = [carve((k, fan_in, fan_out), idx)
               for fan_in, fan_out in zip((dim, *hidden), (*hidden, classes))]
-        bs = [carve(lead(k) + (1, fan_out), idx) for fan_out in hidden]
+        bs = [carve((k, 1, fan_out), idx) for fan_out in hidden]
         for w, _ in ws:
-            fan_in, fan_out = w.shape[-2:]
             for kk, j in enumerate(idx):
-                w.reshape(k, fan_in, fan_out)[kk] = rngs[j].normal(
-                    0.0, np.sqrt(2.0 / fan_in), size=(fan_in, fan_out))
-        archs.append((rows(first, k), ws, bs))
+                w[kk] = rngs[j].normal(0.0, np.sqrt(2.0 / w.shape[1]), size=w.shape[1:])
+        archs.append((slice(first, first + k), ws, bs))
         first += k
-    out_b, out_gb = carve(lead(len(slots)) + (1, classes), slots)
+    out_b, out_gb = carve((len(slots), 1, classes), slots)
     onehots = [one_hot(data.labels, data.class_count) for data, _, _ in group]
 
     # SGD runs on plain mutable arrays; parameters are validated and frozen
     # once at the end. Under w - lr*g a non-finite entry never becomes finite
     # again, so that single check rejects every diverged training.
-    points = np.empty(lead(len(slots)) + (n, dim))
-    targets = np.empty(lead(len(slots)) + (n, classes))
+    points = np.empty((len(slots), n, dim))
+    targets = np.empty((len(slots), n, classes))
     # views stay valid: the buffers are updated and refilled in place
     arch_points = [points[sel] for sel, _, _ in archs]
     wts = [[w.swapaxes(-1, -2) for w, _ in ws] for _, ws, _ in archs]
     for _ in range(cfg0.epochs):
         orders = [rng.permutation(n) for rng in rngs]
         for slot, j in enumerate(slots):
-            np.take(group[j][0].points, orders[j], axis=0, out=points[rows(slot, 1)])
-            np.take(onehots[j], orders[j], axis=0, out=targets[rows(slot, 1)])
+            np.take(group[j][0].points, orders[j], axis=0, out=points[slot])
+            np.take(onehots[j], orders[j], axis=0, out=targets[slot])
         for start in range(0, n, size):
             m = min(size, n - start)
-            z = np.empty(lead(len(slots)) + (m, classes))
+            z = np.empty((len(slots), m, classes))
             arch_acts = []
             for (sel, ws, bs), x in zip(archs, arch_points):
-                acts = [x[..., start:start + m, :]]
+                acts = [x[:, start:start + m]]
                 for (w, _), (b, _) in zip(ws, bs):
                     a = acts[-1] @ w
                     a += b
@@ -412,15 +402,15 @@ def _sgd(group):
                 arch_acts.append(acts)
             z += out_b
             delta = softmax(z)
-            delta -= targets[..., start:start + m, :]
+            delta -= targets[:, start:start + m]
             delta /= m
-            np.add.reduce(delta, axis=-2, keepdims=True, out=out_gb)
+            np.add.reduce(delta, axis=1, keepdims=True, out=out_gb)
             for (sel, ws, bs), acts, wt in zip(archs, arch_acts, wts):
                 d = delta[sel]
                 for i in range(len(ws) - 1, -1, -1):
                     np.matmul(acts[i].swapaxes(-1, -2), d, out=ws[i][1])
                     if i < len(bs):
-                        np.add.reduce(d, axis=-2, keepdims=True, out=bs[i][1])
+                        np.add.reduce(d, axis=1, keepdims=True, out=bs[i][1])
                     if i > 0:
                         # the relu output is positive exactly where its input was
                         d = d @ wt[i]
@@ -429,12 +419,10 @@ def _sgd(group):
             params -= grads
 
     out = [None] * len(group)
-    out_b = out_b.reshape(len(slots), classes)
-    for (_, ws, bs), idx in zip(archs, by_arch.values()):
-        k = len(idx)
+    for (sel, ws, bs), idx in zip(archs, by_arch.values()):
         for kk, j in enumerate(idx):
-            out[j] = ([w.reshape((k,) + w.shape[-2:])[kk] for w, _ in ws],
-                      [b.reshape(k, -1)[kk] for b, _ in bs] + [out_b[slots.index(j)]])
+            out[j] = ([w[kk] for w, _ in ws],
+                      [b[kk, 0] for b, _ in bs] + [out_b[sel.start + kk, 0]])
     return out
 
 
@@ -454,11 +442,12 @@ def save_model(model: MlpModel, path) -> None:
 def load_model(path) -> MlpModel:
     meta, arrays = read_container(path, "mlp-model")
     layers = []
-    for i, entry in enumerate(meta["architecture"]):
+    for i, entry in enumerate(meta.typed("architecture", list)):
         if not (isinstance(entry, dict) and "activation" in entry):
             raise IntegrityError(f"{path}: architecture entry {i} has no activation")
         layers.append(Layer(arrays[f"w{i}"], arrays[f"b{i}"], entry["activation"]))
-    return MlpModel(tuple(layers), model_id=meta["model_id"], metadata=meta["metadata"])
+    return MlpModel(tuple(layers), model_id=meta.typed("model_id", str),
+                    metadata=meta.typed("metadata", dict))
 
 
 def save_dataset(data: Dataset, path) -> None:
@@ -468,7 +457,7 @@ def save_dataset(data: Dataset, path) -> None:
 
 def load_dataset(path) -> Dataset:
     meta, arrays = read_container(path, "dataset")
-    return Dataset(arrays["points"], arrays["labels"], meta["class_count"])
+    return Dataset(arrays["points"], arrays["labels"], meta.typed("class_count", int))
 
 
 def blob_centers(class_count: int, n_features: int, seed: int) -> np.ndarray:

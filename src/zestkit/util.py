@@ -351,6 +351,13 @@ def write_container(path, kind: str, meta: dict, arrays: "dict[str, np.ndarray]"
     atomic_write_bytes(path, container_bytes(kind, meta, arrays))
 
 
+def is_json_type(value, kind: type) -> bool:
+    """Whether ``value`` is a ``kind``, as a config or container meta value: an int
+    passes as a float, and a bool as neither."""
+    return (isinstance(value, (int, float) if kind is float else kind)
+            and isinstance(value, bool) == (kind is bool))
+
+
 class _Entries(dict):
     """A container's meta or arrays: looking up a key it lacks raises IntegrityError."""
 
@@ -360,6 +367,12 @@ class _Entries(dict):
 
     def __missing__(self, key):
         raise IntegrityError(f"{self.path}: container lacks {key!r}")
+
+    def typed(self, key, kind: type):
+        """``self[key]``, IntegrityError unless ``is_json_type(self[key], kind)``."""
+        if not is_json_type(self[key], kind):
+            raise IntegrityError(f"{self.path}: {key!r} is {self[key]!r}, expected {kind.__name__}")
+        return self[key]
 
 
 def read_container(path, kind: str):

@@ -180,6 +180,60 @@ def test_cli_reports_nested_metadata_it_cannot_load(capsys, tmp_path, command, a
     assert code == 1 and err.startswith(f"error: {path}: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("load, artifact, kind, key, value, expected", [
+    (zk.load_plan, "plan", "perturbation-plan", "segment_count", "four", "int"),
+    (zk.load_plan, "plan", "perturbation-plan", "verified_model_ids", 5, "list"),
+    (zk.load_plan, "plan", "perturbation-plan", "seed", "5", "int"),
+    (zk.load_plan, "plan", "perturbation-plan", "fingerprint", 5, "str"),
+    (zk.load_model, "model", "mlp-model", "architecture", 5, "list"),
+    (zk.load_model, "model", "mlp-model", "model_id", 5, "str"),
+    (zk.load_model, "model", "mlp-model", "metadata", [1], "dict"),
+    (zk.load_dataset, "dataset", "dataset", "class_count", "3", "int"),
+    (zk.load_dataset, "dataset", "dataset", "class_count", 3.5, "int"),
+    (zk.load_dataset, "dataset", "dataset", "class_count", True, "int"),
+    (zk.load_signature, "signature", "lime-signature", "model_id", 5, "str"),
+    (zk.load_signature, "signature", "lime-signature", "plan_fingerprint", [1], "str"),
+    (zk.load_batch, "batch", "adversarial-batch", "epsilon", "x", "float"),
+    (zk.load_batch, "batch", "adversarial-batch", "surrogate_id", 7, "str"),
+    # a truthy string would widen the epsilon tolerance by the quantization slack
+    (zk.load_batch, "batch", "adversarial-batch", "quantized", "no", "bool"),
+], ids=["plan-segment_count", "plan-verified_model_ids", "plan-seed", "plan-fingerprint",
+        "model-architecture", "model-model_id", "model-metadata", "dataset-class_count-str",
+        "dataset-class_count-float", "dataset-class_count-bool", "signature-model_id",
+        "signature-plan_fingerprint", "batch-epsilon", "batch-surrogate_id",
+        "batch-quantized"])
+def test_loader_raises_integrity_error_for_a_meta_value_of_the_wrong_type(
+        tmp_path, load, artifact, kind, key, value, expected):
+    path = _saved_with_nested_edit(tmp_path / "x", artifact, kind,
+                                   lambda meta: meta.update({key: value}))
+    with pytest.raises(IntegrityError) as err:
+        load(path)
+    assert str(err.value) == f"{path}: {key!r} is {value!r}, expected {expected}"
+
+
+def test_a_batch_epsilon_may_be_an_int(tmp_path):
+    path = _saved_with_nested_edit(tmp_path / "x", "batch", "adversarial-batch",
+                                   lambda meta: meta.update(epsilon=1))
+    assert zk.load_batch(path).epsilon == 1
+
+
+@pytest.mark.parametrize("command, artifact, kind, key, value", [
+    ("sign", "plan", "perturbation-plan", "segment_count", "four"),
+    ("attack", "dataset", "dataset", "class_count", "3"),
+], ids=["sign", "attack"])
+def test_cli_reports_a_meta_value_of_the_wrong_type(capsys, tmp_path, command, artifact, kind,
+                                                    key, value):
+    path = _saved_with_nested_edit(tmp_path / "x", artifact, kind,
+                                   lambda meta: meta.update({key: value}))
+    model = tmp_path / "m.mlp"
+    zk.save_model(_model(), model)
+    argv = {"sign": ["--oracle", model, "--plan", path, "--out", tmp_path / "x.sig"],
+            "attack": ["--model", model, "--data", path, "--out", tmp_path / "x.adv"]}[command]
+    code = main([command, *map(str, argv)])
+    err = capsys.readouterr().err
+    assert code == 1 and err == f"error: {path}: {key!r} is {value!r}, expected int\n"
+
+
 def test_train_many_records_its_config_with_hidden_a_list():
     data = zk.Dataset(np.arange(16.0).reshape(8, 2) / 16, np.arange(8) % 2, 2)
     cfg = zk.TrainConfig(hidden=(3, 2), epochs=1, batch_size=4, learning_rate=0.5, rng_seed=9)

@@ -297,6 +297,37 @@ def test_usage_error_exits_two(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["train", "--hidden", "2x", "--out", "m.mlp"],
+     "argument --hidden: invalid widths value: '2x'"),
+    (["train", "--hidden", "8,0", "--out", "m.mlp"],
+     "argument --hidden: expected an integer in 1..inf, got 0"),
+    (["serve", "--model", "m.mlp", "--port", "99999"],
+     "argument --port: expected an integer in 0..65535, got 99999"),
+    (["serve", "--model", "m.mlp", "--port", "-1"],
+     "argument --port: expected an integer in 0..65535, got -1"),
+    (["serve", "--model", "m.mlp", "--port", "http"],
+     "argument --port: invalid integer value: 'http'"),
+    (["attack", "--model", "m.mlp", "--data", "d.ds", "--points", "0", "--out", "b.adv"],
+     "argument --points: expected an integer in 1..inf, got 0"),
+    (["attack", "--model", "m.mlp", "--data", "d.ds", "--points", "-3", "--out", "b.adv"],
+     "argument --points: expected an integer in 1..inf, got -3"),
+], ids=["hidden-not-an-int", "hidden-zero", "port-too-big", "port-negative", "port-not-an-int",
+        "points-zero",
+        "points-negative"])
+def test_malformed_option_value_exits_two(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == f"zestkit {argv[0]}: error: {message}"
+
+
+def test_plan_with_fewer_than_one_segment_exits_one(capsys, workspace, tmp_path):
+    code, out, err = run_cli(capsys, "plan", "--data", str(workspace / "train.ds"),
+                             "--n", "4", "--segments", "-2", "--out", str(tmp_path / "x.plan"))
+    assert (code, out, err) == (1, "", "error: cannot split 16 features into -2 segments\n")
+
+
 def test_operation_error_exits_one(capsys, tmp_path):
     code, out, err = run_cli(capsys, "dist", str(tmp_path / "missing_a.sig"),
                              str(tmp_path / "missing_b.sig"))

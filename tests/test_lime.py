@@ -64,6 +64,12 @@ def test_uniform_grid_rejects_too_many_segments():
         zk.SegmentGrid.uniform(4, 5)
 
 
+@pytest.mark.parametrize("count", [0, -2])
+def test_uniform_grid_rejects_fewer_than_one_segment(count):
+    with pytest.raises(ConfigError, match=rf"^cannot split 16 features into {count} segments$"):
+        zk.SegmentGrid.uniform(16, count)
+
+
 @pytest.mark.parametrize("assignment, count", [
     ([0, 0, 2, 2], 3),     # segment 1 missing
     ([1, 1, 2, 2], 2),     # does not start at 0
