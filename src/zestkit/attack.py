@@ -13,19 +13,19 @@ got right (already-misclassified points are excluded from the denominator
 and reported separately).
 """
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, IntegrityError, ShapeError
+from .errors import ConfigError, DomainError, ShapeError
 from .nn import (Dataset, MlpModel, _check_labels, as_matrix, logit_cross_entropy, logits,
                  loss_input_gradient, one_hot, softmax)
 # kept importable here: bench/spans.py patches zestkit.attack.input_gradient_batch,
 # .cross_entropy and .forward
 from .nn import cross_entropy, forward, input_gradient_batch  # noqa: F401
 from .oracle import QueryOracle
-from .util import (csv_text, derived_seed, owned_array, read_container, run_grouped,
-                   write_container)
+from .util import (csv_text, derived_seed, fields_spec, owned_array, read_container,
+                   run_grouped, stored_fields, write_container)
 
 QUANT_SLACK = 1.0 / 510.0  # worst-case L-inf shift from 8-bit rounding
 
@@ -40,8 +40,8 @@ class AttackConfig:
     quantize_8bit: bool = False
 
     def __post_init__(self):
-        if not self.epsilon >= 0:
-            raise ConfigError("epsilon must be >= 0")
+        if not 0 <= self.epsilon < np.inf:
+            raise ConfigError("epsilon must be >= 0 and finite")
         if not self.step_size > 0:
             raise ConfigError("step_size must be > 0")
         if self.epsilon > 0 and self.step_size > self.epsilon:
@@ -67,6 +67,8 @@ class AdversarialBatch:
     quantized: bool = False
 
     def __post_init__(self):
+        if not 0 <= self.epsilon < np.inf:  # NaN or inf would pass the budget check below
+            raise DomainError("epsilon must be >= 0 and finite")
         orig = as_matrix(owned_array(self, "originals", np.float64), name="originals")
         adv = as_matrix(owned_array(self, "adversarials", np.float64), cols=orig.shape[1],
                         name="adversarials")
@@ -248,12 +250,8 @@ def save_batch(batch: AdversarialBatch, path) -> None:
 
 def load_batch(path) -> AdversarialBatch:
     """The batch of a ``save_batch`` file; IntegrityError unless it holds exactly its fields."""
-    meta, arrays = read_container(path, "adversarial-batch")
-    keys, names = [*meta, *arrays], [f.name for f in fields(AdversarialBatch)]
-    if sorted(keys) != sorted(names):
-        raise IntegrityError(f"{path}: holds {sorted(keys)}, not the batch fields {names}")
-    return AdversarialBatch(**{f.name: meta.typed(f.name, f.type)
-                               for f in fields(AdversarialBatch) if f.name in meta}, **arrays)
+    return AdversarialBatch(**stored_fields(path, fields_spec(AdversarialBatch),
+                                            *read_container(path, "adversarial-batch")))
 
 
 def batch_summary_csv(batch: AdversarialBatch) -> str:

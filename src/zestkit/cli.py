@@ -218,11 +218,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train-size", type=int, default=600)
     p.add_argument("--noise", type=float, default=0.08)
     p.add_argument("--data-seed", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0, help="training seed")
-    p.add_argument("--hidden", type=widths, default="24", help="comma-separated layer widths")
-    p.add_argument("--epochs", type=int, default=40)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--learning-rate", type=float, default=0.1)
+    p.add_argument("--seed", type=int, default=TrainConfig.rng_seed, help="training seed")
+    p.add_argument("--hidden", type=widths, default=TrainConfig.hidden,
+                   help="comma-separated layer widths")
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--learning-rate", type=float, default=TrainConfig.learning_rate)
     p.add_argument("--model-id", default="model")
     p.add_argument("--save-data", default=None, help="also write the dataset")
     p.add_argument("--out", required=True)
@@ -231,12 +232,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plan", help="build a shared perturbation plan")
     p.add_argument("--data", required=True)
     p.add_argument("--n", type=int, required=True, help="reference points")
-    p.add_argument("--p", type=int, default=1000, help="perturbations per point")
+    p.add_argument("--p", type=int, default=LimeConfig.perturbations,
+                   help="perturbations per point")
     p.add_argument("--segments", type=int, default=16)
-    p.add_argument("--kernel-width", type=float, default=None)
-    p.add_argument("--ridge", type=float, default=1.0)
+    p.add_argument("--kernel-width", type=float, default=LimeConfig.kernel_width)
+    p.add_argument("--ridge", type=float, default=LimeConfig.ridge)
     p.add_argument("--replacement", choices=REPLACEMENT_POLICIES,
-                   default="segment_mean")
+                   default=LimeConfig.replacement)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--screen", nargs="*", default=None,
                    help="model files that must classify reference points correctly")
@@ -269,11 +271,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--points", type=_int_in(1), default=None, help="use only the first K points")
-    p.add_argument("--epsilon", type=float, default=0.1)
-    p.add_argument("--step-size", type=float, default=0.02)
-    p.add_argument("--steps", type=int, default=40)
-    p.add_argument("--restarts", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--epsilon", type=float, default=AttackConfig.epsilon)
+    p.add_argument("--step-size", type=float, default=AttackConfig.step_size)
+    p.add_argument("--steps", type=int, default=AttackConfig.steps)
+    p.add_argument("--restarts", type=int, default=AttackConfig.restarts)
+    p.add_argument("--seed", type=int, default=AttackConfig.rng_seed)
     p.add_argument("--quantize", action="store_true", help="round features to k/255")
     p.add_argument("--csv", default=None, help="write the per-point summary CSV")
     p.add_argument("--out", required=True)

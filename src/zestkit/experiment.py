@@ -23,7 +23,7 @@ from .lime import (REPLACEMENT_POLICIES, LimeConfig, SegmentGrid, correct_by_all
 from .nn import Dataset, TrainConfig, blob_centers, sample_blobs, save_model, train_many
 from .oracle import RemoteEndpoint, local_oracle, remote_oracle
 from .util import (ForkLanes, atomic_write_text, config_hash, csv_text, derived_seed,
-                   is_json_type, owned_array, pearson)
+                   fields_spec, owned_array, pearson, resolve)
 from .zest import DistanceMetric, SignatureStore, check_model_id, rank_signatures
 # kept importable here: bench/spans.py patches zestkit.experiment.train, .pgd, .forward,
 # .compute_signature and .select_surrogate
@@ -95,54 +95,13 @@ def compute_transfer_matrix(models, points_data: Dataset, cfg: AttackConfig) -> 
 
 # --- campaign -------------------------------------------------------------
 
-def _resolve(path, spec, value):
-    """`value` checked against `spec`, with every default filled in. A spec is
-    int, float (an int or a float, stored as a float), bool, str, a tuple of
-    the names allowed, a one-item list (a list of that spec) or a block {key:
-    (spec, default)}, where a default of ... marks a required key and one of
-    None also admits null. A block's "kind" entry {name: block} picks its
-    other keys by its kind, the first name when absent. A default goes through
-    its spec too, so no resolved config shares a mutable default."""
-    if isinstance(spec, list):
-        ok, expected = isinstance(value, list), "a list"
-    elif isinstance(spec, dict):
-        ok, expected = isinstance(value, dict), "an object"
-    elif isinstance(spec, tuple):
-        ok, expected = isinstance(value, str) and value in spec, f"one of {list(spec)}"
-    else:
-        ok, expected = is_json_type(value, spec), spec.__name__
-    if not ok:
-        raise ConfigError(f"{path}: expected {expected}, got {value!r}")
-    if isinstance(spec, list):
-        return [_resolve(f"{path}[{i}]", spec[0], item) for i, item in enumerate(value)]
-    if not isinstance(spec, dict):
-        try:
-            return float(value) if spec is float else value
-        except OverflowError:
-            raise ConfigError(f"{path}: expected float, got an int beyond its range") from None
-    if "kind" in spec:
-        kinds = tuple(spec["kind"])
-        kind = _resolve(f"{path}.kind", kinds, value.get("kind", kinds[0]))
-        spec = {"kind": (kinds, kinds[0]), **spec["kind"][kind]}
-    unknown = sorted(set(value) - set(spec), key=str)
-    if unknown:
-        raise ConfigError(f"{path}: unknown keys {unknown}")
-    resolved = {}
-    for key, (item, default) in spec.items():
-        given = value.get(key, default)
-        if given is ...:
-            raise ConfigError(f"{path}: missing key {key!r}")
-        resolved[key] = (None if given is None and default is None
-                         else _resolve(f"{path}.{key}", item, given))
-    return resolved
-
-
 # the TrainConfig fields that a local victim and each portfolio entry set
-_TRAINING = {"hidden": ([int], ...), "epochs": (int, 40), "batch_size": (int, 32),
-             "learning_rate": (float, 0.1)}
+_TRAINING = fields_spec(TrainConfig, hidden=([int], ...), rng_seed=None)
 
-# The only owner of the campaign config's keys, types and defaults. Value
-# bounds stay with what is built from it: TrainConfig, LimeConfig,
+# The only owner of the campaign config's keys, types and defaults, which the
+# lime, attack and training blocks take from LimeConfig, AttackConfig and
+# TrainConfig; only the campaign's own keys and its changes are written here.
+# Value bounds stay with what is built from it: TrainConfig, LimeConfig,
 # AttackConfig (both built at stage parse), make_plan, SegmentGrid.uniform
 # and _portfolio_dataset; _parse checks the dataset block, and attack.points
 # and lime's n, segments, p and replacement against it, before training.
@@ -155,12 +114,11 @@ _SCHEMA = {
                          "remote": {"url": (str, ...)}}}, ...),
     "portfolio": ([{"model_id": (str, ...), **_TRAINING, "train_fraction": (float, 1.0),
                     "label_noise": (float, 0.0)}], ...),
-    "lime": ({"n": (int, ...), "p": (int, ...), "segments": (int, 16),
-              "kernel_width": (float, None), "ridge": (float, 1.0),
-              "replacement": (REPLACEMENT_POLICIES, "segment_mean")}, ...),
+    "lime": (fields_spec(LimeConfig, perturbations=None, n=(int, ...), p=(int, ...),
+                         segments=(int, 16),
+                         replacement=(REPLACEMENT_POLICIES, LimeConfig.replacement)), ...),
     "metrics": ([str], ["cosine"]),
-    "attack": ({"epsilon": (float, 0.1), "step_size": (float, 0.02), "steps": (int, 40),
-                "restarts": (int, 5), "quantize_8bit": (bool, False), "points": (int, 100)}, ...),
+    "attack": (fields_spec(AttackConfig, rng_seed=None, points=(int, 100)), ...),
 }
 
 
@@ -224,7 +182,7 @@ def _write_stamped(s, name, text):
 # there and adds what it makes; _STAGES below gives their order.
 
 def _parse(s):
-    s.cfg = cfg = _resolve("config", _SCHEMA, s.config)
+    s.cfg = cfg = resolve("config", _SCHEMA, s.config)
     s.master = cfg["master_seed"]
     s.metrics = [DistanceMetric.parse(m) for m in cfg["metrics"]]
     if not s.metrics or len(set(s.metrics)) != len(s.metrics):
@@ -390,8 +348,10 @@ def run_campaign(config: dict, out_dir) -> CampaignResult:
     raises, the run writes a manifest with status "failed" that names the
     failing stage and the error, then re-raises.
 
-    Stage "parse" resolves `config` against `_SCHEMA`, the only owner of its
-    keys, types and defaults; later stages read only the resolved values.
+    Stage "parse" resolves `config` (``util.resolve``) against `_SCHEMA`, the
+    only owner of its keys, types and defaults, whose `lime` and `attack`
+    blocks and training keys take theirs from LimeConfig, AttackConfig and
+    TrainConfig; later stages read only the resolved values.
     Before anything is trained or billed, it raises ConfigError, naming the
     path (as in ``config.lime: unknown keys ['replacment']``), for an unknown
     or missing key, a block that is not an object, a value of the wrong type
@@ -402,7 +362,7 @@ def run_campaign(config: dict, out_dir) -> CampaignResult:
     tab or line break (``zest.check_model_id``); and for the
     value bounds of the LimeConfig and AttackConfig it builds from the
     `lime` and `attack` blocks (`p` < 1, a negative or NaN `ridge`, a
-    `kernel_width` that is not > 0; a negative or NaN `epsilon`, a
+    `kernel_width` that is not > 0; a negative, NaN or infinite `epsilon`, a
     `step_size` that is not > 0 or exceeds a positive `epsilon`, `steps` or
     `restarts` < 1), for a dataset block with `classes` < 2, `features` or
     `train_size` < 1, or a negative or NaN `noise`, for `attack.points`

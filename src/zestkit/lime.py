@@ -18,7 +18,7 @@ its PlanDesign, and reused by every signature taken under it.
 """
 
 import hashlib
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -26,8 +26,8 @@ from .errors import (ComparabilityError, ConfigError, IntegrityError, NumericalE
                      ShapeError, TransportError)
 from .nn import forward
 from .oracle import LocalOracle, QueryOracle
-from .util import (ForkLanes, canonical_json, csv_text, derived_seed, lane_count, owned_array,
-                   read_container, write_container)
+from .util import (ForkLanes, canonical_json, csv_text, derived_seed, fields_spec, lane_count,
+                   owned_array, read_container, stored_fields, write_container)
 
 REPLACEMENT_POLICIES = ("segment_mean", "zeros")
 # Answer rows a signing block holds, summed over the oracles it signs: the
@@ -642,16 +642,18 @@ def save_plan(plan: PerturbationPlan, path) -> None:
     write_container(path, "perturbation-plan", meta, arrays)
 
 
+# what save_plan writes
+_PLAN = {"seed": (int, ...), "segment_count": (int, ...), "config": (fields_spec(LimeConfig), ...),
+         "verified_model_ids": ([str], ...), "fingerprint": (str, ...),
+         "points": (np.ndarray, ...), "grid_assignment": (np.ndarray, ...)}
+
+
 def load_plan(path) -> PerturbationPlan:
-    meta, arrays = read_container(path, "perturbation-plan")
-    grid = SegmentGrid(arrays["grid_assignment"], meta.typed("segment_count", int))
-    config, names = meta.typed("config", dict), [f.name for f in fields(LimeConfig)]
-    if sorted(config) != sorted(names):
-        raise IntegrityError(f"{path}: config {config!r} does not hold exactly the "
-                             f"LimeConfig fields {names}")
-    plan = PerturbationPlan(arrays["points"], grid, LimeConfig(**config), meta.typed("seed", int),
-                            meta.typed("verified_model_ids", list))
-    if plan.fingerprint() != meta.typed("fingerprint", str):
+    got = stored_fields(path, _PLAN, *read_container(path, "perturbation-plan"))
+    grid = SegmentGrid(got["grid_assignment"], got["segment_count"])
+    plan = PerturbationPlan(got["points"], grid, LimeConfig(**got["config"]), got["seed"],
+                            got["verified_model_ids"])
+    if plan.fingerprint() != got["fingerprint"]:
         raise ComparabilityError(f"{path}: stored fingerprint does not match contents")
     return plan
 
@@ -668,11 +670,21 @@ def save_signature(sig: Signature, path) -> None:
     write_container(path, "lime-signature", meta, arrays)
 
 
+# what save_signature writes: n, class_count and segment_count repeat coef's shape
+_SIGNATURE = {"model_id": (str, ...), "plan_fingerprint": (str, ...), "n": (int, ...),
+              "class_count": (int, ...), "segment_count": (int, ...),
+              "coef": (np.ndarray, ...), "intercept": (np.ndarray, ...)}
+
+
 def load_signature(path) -> Signature:
-    meta, arrays = read_container(path, "lime-signature")
-    return Signature.from_arrays(meta.typed("model_id", str),
-                                 meta.typed("plan_fingerprint", str),
-                                 arrays["coef"], arrays["intercept"])
+    got = stored_fields(path, _SIGNATURE, *read_container(path, "lime-signature"))
+    sig = Signature.from_arrays(got["model_id"], got["plan_fingerprint"], got["coef"],
+                                got["intercept"])
+    shape = got["n"], got["class_count"], got["segment_count"]
+    if shape != sig.coef.shape:
+        raise IntegrityError(f"{path}: n, class_count and segment_count {shape} do not match "
+                             f"coef's shape {sig.coef.shape}")
+    return sig
 
 
 def signature_summary_csv(sig: Signature) -> str:

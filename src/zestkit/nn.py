@@ -14,8 +14,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DomainError, IntegrityError, ShapeError
-from .util import (ForkLanes, lane_count, owned_array, read_container, run_grouped,
-                   write_container)
+from .util import (ForkLanes, fields_spec, lane_count, owned_array, read_container,
+                   run_grouped, stored_fields, write_container)
 
 ACTIVATIONS = ("relu", "identity")
 
@@ -106,8 +106,8 @@ class Dataset:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    hidden: "tuple[int, ...]" = (16,)
-    epochs: int = 30
+    hidden: "tuple[int, ...]" = (24,)
+    epochs: int = 40
     batch_size: int = 32
     learning_rate: float = 0.1
     rng_seed: int = 0
@@ -439,15 +439,25 @@ def save_model(model: MlpModel, path) -> None:
     write_container(path, "mlp-model", meta, arrays)
 
 
+# what save_model writes as meta; the arrays are w{i} and b{i} of each listed layer
+_MODEL_META = {"model_id": (str, ...), "metadata": (dict, ...), "architecture": (
+    [{"fan_in": (int, ...), "fan_out": (int, ...), "activation": (str, ...)}], ...)}
+
+
 def load_model(path) -> MlpModel:
     meta, arrays = read_container(path, "mlp-model")
+    meta = stored_fields(path, _MODEL_META, meta, {})
+    arch = meta["architecture"]
+    arrays = stored_fields(path, {f"{p}{i}": (np.ndarray, ...) for i in range(len(arch))
+                                  for p in "wb"}, {}, arrays)
     layers = []
-    for i, entry in enumerate(meta.typed("architecture", list)):
-        if not (isinstance(entry, dict) and "activation" in entry):
-            raise IntegrityError(f"{path}: architecture entry {i} has no activation")
-        layers.append(Layer(arrays[f"w{i}"], arrays[f"b{i}"], entry["activation"]))
-    return MlpModel(tuple(layers), model_id=meta.typed("model_id", str),
-                    metadata=meta.typed("metadata", dict))
+    for i, entry in enumerate(arch):
+        w = arrays[f"w{i}"]
+        if w.shape != (entry["fan_in"], entry["fan_out"]):
+            raise IntegrityError(f"{path}: w{i} has shape {w.shape}, but architecture entry "
+                                 f"{i} says ({entry['fan_in']}, {entry['fan_out']})")
+        layers.append(Layer(w, arrays[f"b{i}"], entry["activation"]))
+    return MlpModel(tuple(layers), model_id=meta["model_id"], metadata=meta["metadata"])
 
 
 def save_dataset(data: Dataset, path) -> None:
@@ -456,8 +466,7 @@ def save_dataset(data: Dataset, path) -> None:
 
 
 def load_dataset(path) -> Dataset:
-    meta, arrays = read_container(path, "dataset")
-    return Dataset(arrays["points"], arrays["labels"], meta.typed("class_count", int))
+    return Dataset(**stored_fields(path, fields_spec(Dataset), *read_container(path, "dataset")))
 
 
 def blob_centers(class_count: int, n_features: int, seed: int) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Small shared helpers: seed derivation, canonical JSON, CSV text, atomic
 binary files, correlation coefficients, running work in groups of like
-items or in forked lanes, and the read-only arrays of frozen value types.
+items or in forked lanes, the read-only arrays of frozen value types, and
+checking a config or a container's contents against a spec (``resolve``).
 
 Every artifact file in the toolkit (models, plans, signatures, adversarial
 batches) uses one container layout so round trips are bit-exact:
@@ -24,6 +25,7 @@ import struct
 import tempfile
 import threading
 import warnings
+from dataclasses import MISSING, fields
 
 import numpy as np
 
@@ -351,34 +353,86 @@ def write_container(path, kind: str, meta: dict, arrays: "dict[str, np.ndarray]"
     atomic_write_bytes(path, container_bytes(kind, meta, arrays))
 
 
-def is_json_type(value, kind: type) -> bool:
-    """Whether ``value`` is a ``kind``, as a config or container meta value: an int
-    passes as a float, and a bool as neither."""
-    return (isinstance(value, (int, float) if kind is float else kind)
-            and isinstance(value, bool) == (kind is bool))
+def resolve(path, spec, value, stored=False):
+    """``value`` checked against ``spec``, with every default filled in; raises
+    ConfigError naming the path (as in ``config.lime: unknown keys ['x']``).
+
+    A spec is int, float (an int or a float, resolved to a float), bool,
+    str, another type (np.ndarray, dict: an instance of it), a tuple of the
+    names allowed, a one-item list (a list of that spec) or a block {key:
+    (spec, default)}, where a default of ... marks a required key and one of
+    None also admits null. A bool is neither an int nor a float here. A
+    block's "kind" entry {name: block} picks its other keys by its kind, the
+    first name when absent. A default goes through its spec too, so no
+    resolved config shares a mutable default. ``stored`` resolves what a
+    saver wrote: every key is required, and each value keeps its JSON type,
+    so re-saving the result gives the same bytes.
+    """
+    if isinstance(spec, list):
+        ok, expected = isinstance(value, list), "a list"
+    elif isinstance(spec, dict):
+        ok, expected = isinstance(value, dict), "an object"
+    elif isinstance(spec, tuple):
+        ok, expected = isinstance(value, str) and value in spec, f"one of {list(spec)}"
+    else:
+        ok, expected = (isinstance(value, (int, float) if spec is float else spec)
+                        and isinstance(value, bool) == (spec is bool)), spec.__name__
+    if not ok:
+        raise ConfigError(f"{path}: expected {expected}, got {value!r}")
+    if isinstance(spec, list):
+        return [resolve(f"{path}[{i}]", spec[0], item, stored) for i, item in enumerate(value)]
+    if not isinstance(spec, dict):
+        try:
+            number = float(value) if spec is float else value
+        except OverflowError:
+            raise ConfigError(f"{path}: expected float, got an int beyond its range") from None
+        return value if stored else number
+    if "kind" in spec:
+        kinds = tuple(spec["kind"])
+        kind = resolve(f"{path}.kind", kinds, value.get("kind", kinds[0]), stored)
+        spec = {"kind": (kinds, kinds[0]), **spec["kind"][kind]}
+    unknown = sorted(set(value) - set(spec), key=str)
+    if unknown:
+        raise ConfigError(f"{path}: unknown keys {unknown}")
+    resolved = {}
+    for key, (item, default) in spec.items():
+        given = value.get(key, ... if stored else default)
+        if given is ...:
+            raise ConfigError(f"{path}: missing key {key!r}")
+        resolved[key] = (None if given is None and default is None
+                         else resolve(f"{path}.{key}", item, given, stored))
+    return resolved
 
 
-class _Entries(dict):
-    """A container's meta or arrays: looking up a key it lacks raises IntegrityError."""
+def fields_spec(cls, **overrides) -> dict:
+    """A ``resolve`` block of dataclass ``cls``'s fields: each field's
+    annotation as its spec and its default as its default (... for none),
+    then ``overrides``, {key: (spec, default)}, replacing or adding entries;
+    an override of None drops its field."""
+    block = {f.name: (f.type, ... if f.default is MISSING else f.default) for f in fields(cls)}
+    block.update(overrides)
+    return {key: entry for key, entry in block.items() if entry is not None}
 
-    def __init__(self, path, entries=()):
-        super().__init__(entries)
-        self.path = path
 
-    def __missing__(self, key):
-        raise IntegrityError(f"{self.path}: container lacks {key!r}")
-
-    def typed(self, key, kind: type):
-        """``self[key]``, IntegrityError unless ``is_json_type(self[key], kind)``."""
-        if not is_json_type(self[key], kind):
-            raise IntegrityError(f"{self.path}: {key!r} is {self[key]!r}, expected {kind.__name__}")
-        return self[key]
+def stored_fields(path, spec, meta, arrays) -> dict:
+    """The ``meta`` and ``arrays`` that ``read_container`` gave for file
+    ``path``, as one dict resolved against block ``spec``: its np.ndarray
+    entries name the arrays, the others the meta keys. Both must hold exactly
+    those keys, each of its type; values come back as stored. IntegrityError
+    names the file."""
+    try:
+        return {**resolve("arrays", {k: v for k, v in spec.items() if v[0] is np.ndarray},
+                          arrays, stored=True),
+                **resolve("meta", {k: v for k, v in spec.items() if v[0] is not np.ndarray},
+                          meta, stored=True)}
+    except ConfigError as e:
+        raise IntegrityError(f"{path}: {e}") from None
 
 
 def read_container(path, kind: str):
     """Load a container, verifying magic, kind, and payload checksum.
 
-    Returns ``(meta, arrays)``, dicts whose missing key raises IntegrityError;
+    Returns ``(meta, arrays)``, which a loader checks with ``stored_fields``;
     bool arrays come back as uint8 and must be reinterpreted by the caller
     that stored them.
     """
@@ -407,7 +461,7 @@ def read_container(path, kind: str):
         raise IntegrityError(f"{path}: header has no meta object")
     if not isinstance(directory, list):
         raise IntegrityError(f"{path}: header has no array list")
-    arrays = _Entries(path)
+    arrays = {}
     offset = 0
     for entry in directory:
         if not (isinstance(entry, dict) and {"name", "dtype", "shape"} <= entry.keys()):
@@ -424,7 +478,7 @@ def read_container(path, kind: str):
         arr = np.frombuffer(payload, dtype=dtype, count=count, offset=offset)
         arrays[entry["name"]] = arr.reshape(shape).copy()
         offset += nbytes
-    return _Entries(path, meta), arrays
+    return meta, arrays
 
 
 def sha256_file(path) -> str:

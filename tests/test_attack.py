@@ -319,6 +319,24 @@ def test_batch_invariants_enforced():
             epsilon=0.1, surrogate_id="s")
 
 
+def test_attack_config_rejects_an_infinite_epsilon():
+    with pytest.raises(ConfigError, match="^epsilon must be >= 0 and finite$"):
+        zk.AttackConfig(epsilon=float("inf"))
+
+
+@pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), -0.5])
+def test_batch_rejects_an_epsilon_that_is_not_finite_and_at_least_zero(epsilon):
+    # the budget check `distortion > epsilon + tol` is false for NaN and inf,
+    # so such a batch would pass any distortion, here 0.5
+    x = np.full((2, 3), 0.25)
+    with pytest.raises(DomainError, match="^epsilon must be >= 0 and finite$"):
+        AdversarialBatch(
+            originals=x, labels=np.array([0, 1]),
+            adversarials=x + 0.5, local_success=np.array([True, True]),
+            achieved_loss=np.zeros(2), restart_index=np.zeros(2, np.int64),
+            epsilon=epsilon, surrogate_id="s")
+
+
 # --- transfer evaluation ---------------------------------------------------
 
 def test_self_transfer_equals_local_success(blob_world):

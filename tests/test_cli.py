@@ -328,6 +328,14 @@ def test_plan_with_fewer_than_one_segment_exits_one(capsys, workspace, tmp_path)
     assert (code, out, err) == (1, "", "error: cannot split 16 features into -2 segments\n")
 
 
+def test_attack_with_an_infinite_epsilon_exits_one(capsys, workspace, tmp_path):
+    code, out, err = run_cli(capsys, "attack", "--model", str(workspace / "proxy.mlp"),
+                             "--data", str(workspace / "train.ds"), "--epsilon", "inf",
+                             "--out", str(tmp_path / "x.adv"))
+    assert (code, out, err) == (1, "", "error: epsilon must be >= 0 and finite\n")
+    assert not (tmp_path / "x.adv").exists()
+
+
 def test_operation_error_exits_one(capsys, tmp_path):
     code, out, err = run_cli(capsys, "dist", str(tmp_path / "missing_a.sig"),
                              str(tmp_path / "missing_b.sig"))

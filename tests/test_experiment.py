@@ -479,6 +479,7 @@ _BAD_PARSE = {
     # value bounds of the LimeConfig and AttackConfig that stage parse builds
     "epsilon-negative": (_edit("attack", epsilon=-1), "epsilon must be >= 0"),
     "epsilon-nan": (_edit("attack", epsilon=float("nan")), "epsilon must be >= 0"),
+    "epsilon-inf": (_edit("attack", epsilon=float("inf")), "epsilon must be >= 0 and finite"),
     "step-above-epsilon": (_edit("attack", step_size=0.5), "step_size cannot exceed epsilon"),
     "steps-zero": (_edit("attack", steps=0), "steps must be >= 1"),
     "restarts-zero": (_edit("attack", restarts=0), "restarts must be >= 1"),

@@ -413,8 +413,7 @@ def test_train_many_divergence_in_a_mixed_group_rejected(monkeypatch):
 
 def _bundled_jobs(master):
     """The jobs ``run_campaign`` trains for the bundled config at ``master``."""
-    cfg = zk.experiment._resolve("config", zk.experiment._SCHEMA,
-                                 zk.bundled_campaign_config())
+    cfg = zk.util.resolve("config", zk.experiment._SCHEMA, zk.bundled_campaign_config())
     ds = cfg["dataset"]
     centers = zk.blob_centers(ds["classes"], ds["features"],
                               zk.derived_seed(master, "data.centers"))
