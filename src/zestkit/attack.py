@@ -24,8 +24,8 @@ from .nn import (Dataset, MlpModel, _check_labels, as_matrix, logit_cross_entrop
 # .cross_entropy and .forward
 from .nn import cross_entropy, forward, input_gradient_batch  # noqa: F401
 from .oracle import QueryOracle
-from .util import (csv_text, derived_seed, fields_spec, owned_array, read_container,
-                   run_grouped, stored_fields, write_container)
+from .util import (F8, I8, U1, csv_text, derived_seed, fields_spec, owned_array,
+                   read_container, run_grouped, stored_fields, stored_value, write_container)
 
 QUANT_SLACK = 1.0 / 510.0  # worst-case L-inf shift from 8-bit rounding
 
@@ -69,6 +69,8 @@ class AdversarialBatch:
     def __post_init__(self):
         if not 0 <= self.epsilon < np.inf:  # NaN or inf would pass the budget check below
             raise DomainError("epsilon must be >= 0 and finite")
+        if not self.surrogate_id:
+            raise ConfigError("surrogate_id must not be empty")
         orig = as_matrix(owned_array(self, "originals", np.float64), name="originals")
         adv = as_matrix(owned_array(self, "adversarials", np.float64), cols=orig.shape[1],
                         name="adversarials")
@@ -250,8 +252,11 @@ def save_batch(batch: AdversarialBatch, path) -> None:
 
 def load_batch(path) -> AdversarialBatch:
     """The batch of a ``save_batch`` file; IntegrityError unless it holds exactly its fields."""
-    return AdversarialBatch(**stored_fields(path, fields_spec(AdversarialBatch),
-                                            *read_container(path, "adversarial-batch")))
+    spec = fields_spec(AdversarialBatch, originals=(F8, ...), labels=(I8, ...),
+                       adversarials=(F8, ...), local_success=(U1, ...),
+                       achieved_loss=(F8, ...), restart_index=(I8, ...))
+    return stored_value(path, AdversarialBatch,
+                        **stored_fields(path, spec, *read_container(path, "adversarial-batch")))
 
 
 def batch_summary_csv(batch: AdversarialBatch) -> str:

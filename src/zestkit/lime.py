@@ -24,19 +24,20 @@ import numpy as np
 
 from .errors import (ComparabilityError, ConfigError, IntegrityError, NumericalError,
                      ShapeError, TransportError)
-from .nn import forward
+from .nn import STACK_ROWS, forward, forward_stack
 from .oracle import LocalOracle, QueryOracle
-from .util import (ForkLanes, canonical_json, csv_text, derived_seed, fields_spec, lane_count,
-                   owned_array, read_container, stored_fields, write_container)
+from .util import (F8, I8, ForkLanes, canonical_json, claim, csv_text, derived_seed,
+                   fields_spec, lane_count, offer, owned_array, read_container, stored_fields,
+                   stored_value, write_container)
 
 REPLACEMENT_POLICIES = ("segment_mean", "zeros")
 # Answer rows a signing block holds, summed over the oracles it signs: the
 # fastest of 1000-32768 rows at N=128, P=1000, S=16 with one oracle. A
 # portfolio's block then holds no more answers than one oracle's, the
-# scratch buffer a signing run reuses is sized by its largest block, and the
-# Gram build works in blocks of BLOCK_ROWS / 4 mask rows. Blocks batch the
-# local work only; the oracle is still called per point, because its output
-# bits may depend on how many rows one call carries.
+# scratch buffer a signing run reuses is sized by its largest block. An
+# exact LocalOracle answers a block in stacked forwards (nn.STACK_ROWS rows a
+# pass); any other oracle is still called per point, because its output bits
+# may depend on how many rows one call carries.
 BLOCK_ROWS = 8192
 
 
@@ -164,6 +165,10 @@ class PerturbationPlan:
             np.less(rng.random(out=draws), 0.5, out=point[0])
             bits[i:i + 1], ones[i:i + 1] = _pack(point)
         return bits, ones
+
+    def __getstate__(self):
+        """Pickled without its design, which the receiver builds on first use."""
+        return {**self.__dict__, "_design": None}
 
     def fingerprint(self) -> str:
         """Hash pinning everything that shapes the queries and regression."""
@@ -347,10 +352,10 @@ def _unpack(bits: np.ndarray, p: int, s: int) -> np.ndarray:
             .view(bool).reshape(len(bits), p, s))
 
 
-def _point_blocks(n: int, p: int):
+def _point_blocks(n: int, p: int, rows: int = BLOCK_ROWS):
     """Slices of consecutive points of ``p`` rows each, holding about
-    BLOCK_ROWS rows (one point when ``p`` alone exceeds it)."""
-    step = max(1, BLOCK_ROWS // p)
+    ``rows`` rows (one point when ``p`` alone exceeds it)."""
+    step = max(1, rows // p)
     return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
@@ -380,10 +385,10 @@ def _build_design(bits: np.ndarray, ones: np.ndarray, s: int, cfg: LimeConfig) -
     ``_pack`` gives them; it takes ``bits`` and ``ones`` as they are.
 
     The weight table is mask_kernel_weights of S+1 masks with 0..S ones.
-    The Grams are built in blocks of at most BLOCK_ROWS / 4 mask rows (one
+    The Grams are built in blocks of at most nn.STACK_ROWS mask rows (one
     point when P alone exceeds that), each unpacked anew and holding two
     (rows, S+1) float temporaries, [masks | 1] and its weighted copy, with
-    no scratch buffer: this runs once per plan. Blocks of BLOCK_ROWS / 2
+    no scratch buffer: this runs once per plan. Blocks twice that size
     left the bundled campaign's peak RSS about 0.6 MiB higher.
 
     Raises NumericalError for a singular Gram here, before any query is sent.
@@ -391,7 +396,7 @@ def _build_design(bits: np.ndarray, ones: np.ndarray, s: int, cfg: LimeConfig) -
     b, p = ones.shape
     table = mask_kernel_weights(np.tri(s + 1, s, -1, dtype=bool), cfg.resolved_kernel_width(s))
     grams = np.empty((b, s + 1, s + 1))
-    for blk in _point_blocks(b, 4 * p):
+    for blk in _point_blocks(b, p, STACK_ROWS):
         x = _design_rows(_unpack(bits[blk], p, s))
         grams[blk] = np.swapaxes(x, 1, 2) @ (x * table[ones[blk]][..., None])
     grams[:, np.arange(s), np.arange(s)] += cfg.ridge
@@ -410,9 +415,13 @@ def _sign_points(oracles, points: np.ndarray, design: PlanDesign, grid: SegmentG
     Each block takes one masked_batch call, then each oracle in turn gets,
     per point and in point order, the baseline row (billed as
     signature_baseline) and then the P masked rows (billed as signature).
-    One weighted design serves every oracle's fit: the block's answers are
-    joined along the class axis, so all oracles take one matmul and one
-    stacked ridge solve, split into each oracle's arrays.
+    An exact LocalOracle, whose answers depend only on its model and each
+    row, is instead sent the block's baseline rows in one call, and its
+    masked rows are answered with ``nn.forward_stack`` and billed to its
+    ledger: the same bill, each answer bitwise the same. One weighted
+    design serves every oracle's fit: the block's answers are joined along
+    the class axis, so all oracles take one matmul and one stacked ridge
+    solve, split into each oracle's arrays.
 
     The masked rows and then the weighted design are written into one
     float64 scratch buffer, allocated once per call and sized for the
@@ -433,6 +442,11 @@ def _sign_points(oracles, points: np.ndarray, design: PlanDesign, grid: SegmentG
                                 out=scratch[:b * p * d].reshape(b, p, d))
         targets = []
         for oracle in oracles:
+            if type(oracle) is LocalOracle:
+                oracle.predict_proba(points[blk], purpose="signature_baseline")
+                targets.append(forward_stack(oracle.model, variants))
+                oracle.ledger.add("signature", b * p)
+                continue
             answers = []
             for i, x, rows in zip(range(blk.start, blk.stop), points[blk], variants):
                 try:
@@ -456,13 +470,29 @@ def _sign_points(oracles, points: np.ndarray, design: PlanDesign, grid: SegmentG
     return coefs, intercepts
 
 
-def _sign_lane(models, points, design, grid, policy, blocks):
-    """``_sign_points`` through private LocalOracles of ``models``, plus each
-    one's ledger breakdown: one lane of ``sign_many``, run in a forked worker
-    or, when that fails, in this process."""
+_lane_plan = None  # the last plan a lane worker signed under, with the design it built
+
+
+def _sign_lane(models, plan, queue, blocks):
+    """One lane of ``sign_many``, run in a forked worker or, when that fails,
+    in this process: ``blocks[k]`` for each ``k`` claimed from ``queue``
+    until it is empty, each through ``_sign_points`` and private LocalOracles
+    of ``models``. Returns [(k, coefs, intercepts)] and each oracle's ledger
+    breakdown.
+
+    The plan comes pickled without its design: a worker keeps the last plan
+    it signed under and the design it built for it, and takes that design
+    for any plan of the same fingerprint.
+    """
+    global _lane_plan
     oracles = [LocalOracle(model) for model in models]
-    coefs, intercepts = _sign_points(oracles, points, design, grid, policy, blocks)
-    return coefs, intercepts, [oracle.ledger.breakdown() for oracle in oracles]
+    signed = []
+    for k in iter(lambda: claim(queue), None):
+        if _lane_plan is None or _lane_plan.fingerprint() != plan.fingerprint():
+            _lane_plan = plan
+        signed.append((k, *_sign_points(oracles, plan.points, _lane_plan.design(), plan.grid,
+                                         plan.config.replacement, [blocks[k]])))
+    return signed, [oracle.ledger.breakdown() for oracle in oracles]
 
 
 def fit_point_model(oracle: QueryOracle, x, masks, grid: SegmentGrid,
@@ -522,6 +552,8 @@ class Signature:
         return sig
 
     def _own(self, model_id, plan_fingerprint, coef, intercept):
+        if not model_id:
+            raise ConfigError("model_id must not be empty")
         object.__setattr__(self, "model_id", model_id)
         object.__setattr__(self, "plan_fingerprint", plan_fingerprint)
         object.__setattr__(self, "coef", coef)
@@ -577,44 +609,53 @@ def sign_many(oracles, plan: PerturbationPlan) -> "list[Signature]":
     so a portfolio's block has as many answers in memory as one oracle's.
 
     When every oracle is exactly a LocalOracle, whose answers depend only on
-    its model and the rows, the blocks are split into one contiguous run
-    per lane. The lane count is ``min(lane_count(), P-row blocks)``, the
-    blocks of one oracle, whatever the portfolio's size: a portfolio that
-    one oracle's rows would not split is signed in process, not in a lane
-    forked beside the campaign's PGD lane, which measured slower. Run 0 is
-    signed here, every other run in a ``ForkLanes`` worker through private
-    LocalOracles of the same models; a run whose worker fails is signed here
-    again. A worker runs the code as it stood when it was forked, and is
-    kept for the next call, so a warm signature forks nothing. A run's rows
-    are billed to the caller's oracles when its answers reach this process,
-    so a redone run is billed once and a run that raises bills nothing. The
-    same code fits the same blocks at any lane count, so the signatures do
-    not depend on it. Any other oracle gets all its calls from this process,
-    in the order above.
+    its model and the rows, the blocks are shared out among lanes. The lane
+    count is ``min(lane_count(), P-row blocks)``, the blocks of one oracle,
+    whatever the portfolio's size: a portfolio that one oracle's rows would
+    not split is signed in process, not in a lane forked beside the
+    campaign's PGD lane, which measured slower. With more than one lane,
+    this process and each ``ForkLanes`` worker claim the next block from
+    one shared queue (``util.offer``) until it is empty, so a lane on a
+    slower CPU signs fewer blocks; a worker signs through private
+    LocalOracles of the same models, and this process signs here any block
+    a failed worker claimed. A worker runs the code as it stood when it was
+    forked, and is kept for the next call, so a warm signature forks
+    nothing. A worker's blocks are billed to the caller's oracles when its
+    answers reach this process, so a block redone here is billed once and
+    one that raises bills nothing. The same code fits each block alone, at
+    any lane count, so the signatures do not depend on it. Any other oracle
+    gets all its calls from this process, in the order above.
     """
     oracles = list(oracles)
     for oracle in oracles:
         if oracle.input_dim != plan.grid.n_features:
             raise ShapeError(f"oracle expects {oracle.input_dim} features, "
                              f"plan has {plan.grid.n_features}")
-    # built once, here: a worker is sent it with its run and builds none
     args = (plan.points, plan.design(), plan.grid, plan.config.replacement)
-    fingerprint = plan.fingerprint()
+    fingerprint = plan.fingerprint()  # before the plan is pickled, so a worker hashes nothing
     blocks = _point_blocks(plan.n, plan.p * max(1, len(oracles)))
     local = oracles and all(type(oracle) is LocalOracle for oracle in oracles)
-    count = min(lane_count(), len(_point_blocks(plan.n, plan.p))) if local else 1
-    runs = [blocks[k * len(blocks) // count:(k + 1) * len(blocks) // count]
-            for k in range(count)]
-    with ForkLanes() as forked:
-        later = [forked.run(_sign_lane, [oracle.model for oracle in oracles], *args, run)
-                 for run in runs[1:]]
-        got = [_sign_points(oracles, *args, runs[0])]
-        for take in later:
-            *lane, bills = take()
-            for oracle, bill in zip(oracles, bills):
-                for purpose, rows in bill.items():
-                    oracle.ledger.add(purpose, rows)
-            got.append(lane)
+    lanes = min(lane_count(), len(_point_blocks(plan.n, plan.p))) if local else 1
+    queue = offer(len(blocks)) if lanes > 1 else None
+    if queue is None:
+        parts = {0: _sign_points(oracles, *args, blocks)}
+    else:
+        parts = {}  # block index -> per-oracle (coefs, intercepts)
+        with ForkLanes() as forked:
+            later = [forked.run(_sign_lane, [oracle.model for oracle in oracles], plan, queue,
+                                blocks) for _ in range(lanes - 1)]
+            for k in iter(lambda: claim(queue), None):
+                parts[k] = _sign_points(oracles, *args, [blocks[k]])
+            for take in later:
+                signed, bills = take()
+                for oracle, bill in zip(oracles, bills):
+                    for purpose, rows in bill.items():
+                        oracle.ledger.add(purpose, rows)
+                parts.update((k, part) for k, *part in signed)
+        for k, blk in enumerate(blocks):  # claimed by a worker that failed
+            if k not in parts:
+                parts[k] = _sign_points(oracles, *args, [blk])
+    got = [parts[k] for k in sorted(parts)]
     return [Signature.from_arrays(oracle.oracle_id, fingerprint,
                                   np.concatenate([coefs[j] for coefs, _ in got]),
                                   np.concatenate([intercepts[j] for _, intercepts in got]))
@@ -645,7 +686,7 @@ def save_plan(plan: PerturbationPlan, path) -> None:
 # what save_plan writes
 _PLAN = {"seed": (int, ...), "segment_count": (int, ...), "config": (fields_spec(LimeConfig), ...),
          "verified_model_ids": ([str], ...), "fingerprint": (str, ...),
-         "points": (np.ndarray, ...), "grid_assignment": (np.ndarray, ...)}
+         "points": (F8, ...), "grid_assignment": (I8, ...)}
 
 
 def load_plan(path) -> PerturbationPlan:
@@ -673,13 +714,13 @@ def save_signature(sig: Signature, path) -> None:
 # what save_signature writes: n, class_count and segment_count repeat coef's shape
 _SIGNATURE = {"model_id": (str, ...), "plan_fingerprint": (str, ...), "n": (int, ...),
               "class_count": (int, ...), "segment_count": (int, ...),
-              "coef": (np.ndarray, ...), "intercept": (np.ndarray, ...)}
+              "coef": (F8, ...), "intercept": (F8, ...)}
 
 
 def load_signature(path) -> Signature:
     got = stored_fields(path, _SIGNATURE, *read_container(path, "lime-signature"))
-    sig = Signature.from_arrays(got["model_id"], got["plan_fingerprint"], got["coef"],
-                                got["intercept"])
+    sig = stored_value(path, Signature.from_arrays, got["model_id"], got["plan_fingerprint"],
+                       got["coef"], got["intercept"])
     shape = got["n"], got["class_count"], got["segment_count"]
     if shape != sig.coef.shape:
         raise IntegrityError(f"{path}: n, class_count and segment_count {shape} do not match "

@@ -102,7 +102,14 @@ class QueryOracle(ABC):
 
 
 class LocalOracle(QueryOracle):
-    """Wraps a local model behind the query interface (no network)."""
+    """Wraps a local model behind the query interface (no network).
+
+    Its answers depend only on the model and each row, so signing sends an
+    exact LocalOracle a block's baseline rows in one call and answers the
+    block's masked rows with ``nn.forward_stack``, billed to its ledger
+    (``lime._sign_points``). A subclass, which may override ``predict_proba``,
+    gets the per-point calls of any other oracle.
+    """
 
     def __init__(self, model: MlpModel):
         self._model = model

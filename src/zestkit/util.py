@@ -36,6 +36,7 @@ _VERSION = 1
 
 # dtypes allowed in containers; bools are widened to u1 on disk
 _DTYPES = ("<f8", "<i8", "|u1")
+F8, I8, U1 = map(np.dtype, _DTYPES)
 
 
 def derived_seed(master: int, label: str) -> int:
@@ -132,6 +133,15 @@ class ForkLanes:
     exception, kills and reaps every worker whose result was not taken;
     ``close_lanes`` stops the idle ones, as this process's exit does, and a
     child this process forks starts with an empty pool.
+
+    Lanes may share out work through this process's block queue: ``offer(n)``
+    puts tokens 0..n-1 on it and returns its read end, which is passed to
+    the calls, and each lane, this process's among them, ``claim``s the next
+    token until none is left. The queue is a pipe made before this process
+    forks its first worker, so every worker shares it. Its read end does not
+    block and a claim is one 4-byte read, so it needs no lock that a killed
+    worker could hold; a token a failed worker claimed is simply gone, and
+    the caller must do that work itself.
     """
 
     def __init__(self):
@@ -179,6 +189,49 @@ class ForkLanes:
 
 _workers = []  # (pid, request pipe, reply pipe) of each live worker of this process
 _idle = []     # the idle ones, which the next call may take
+_queue = None  # (pid, read end, write end, capacity in bytes) of the block queue
+
+
+def _own_queue():
+    """This process's block queue, made on first use: one a forked child
+    inherits is its parent's, which a worker claims from but never offers on."""
+    global _queue
+    if _queue is None or _queue[0] != os.getpid():
+        r, w = os.pipe()
+        os.set_blocking(r, False)
+        try:
+            import fcntl  # only here: import zestkit does not load fcntl
+            size = fcntl.fcntl(w, fcntl.F_GETPIPE_SZ)
+        except (AttributeError, OSError):
+            size = 4096  # a pipe holds at least a page
+        _queue = (os.getpid(), r, w, size)
+    return _queue
+
+
+def offer(count: int):
+    """Put tokens 0..count-1 on this process's block queue, after dropping any
+    a failed call left there, and return the read end that ``claim`` takes;
+    None when they would not all fit in the pipe at once, where the writer
+    would wait for a reader."""
+    _, r, w, size = _own_queue()
+    try:
+        while os.read(r, size):
+            pass
+    except BlockingIOError:
+        pass  # empty
+    if 4 * count > size:
+        return None
+    os.write(w, struct.pack(f"<{count}I", *range(count)))
+    return r
+
+
+def claim(queue):
+    """The next token of the block queue whose read end is ``queue``, None
+    when it is empty."""
+    try:
+        return struct.unpack("<I", os.read(queue, 4))[0]
+    except BlockingIOError:
+        return None
 
 
 def close_lanes() -> None:
@@ -222,12 +275,12 @@ def _fork():
     """A new worker, None when the fork fails. It answers each ``(fn, args)``
     pickled on its request pipe with the pickle of ``fn(*args)`` on its reply
     pipe."""
+    _own_queue()  # before the fork, so the worker shares it
     (call_r, call_w), (reply_r, reply_w) = os.pipe(), os.pipe()
     try:
         import fcntl  # only here: import zestkit does not load fcntl
         # room for a whole call and a whole reply, so neither writer waits for its reader:
-        # taking the campaign's PGD lane (170 kB) went 4.4 -> 0.2 ms, sending a
-        # sign-local run (0.7 MB) 1.3 -> 0.5 ms (2-vCPU x86_64)
+        # taking the campaign's PGD lane (170 kB) went 4.4 -> 0.2 ms (2-vCPU x86_64)
         fcntl.fcntl(call_w, fcntl.F_SETPIPE_SZ, 1 << 20)
         fcntl.fcntl(reply_w, fcntl.F_SETPIPE_SZ, 1 << 20)
     except (AttributeError, OSError):
@@ -358,8 +411,8 @@ def resolve(path, spec, value, stored=False):
     ConfigError naming the path (as in ``config.lime: unknown keys ['x']``).
 
     A spec is int, float (an int or a float, resolved to a float), bool,
-    str, another type (np.ndarray, dict: an instance of it), a tuple of the
-    names allowed, a one-item list (a list of that spec) or a block {key:
+    str, another type (dict: an instance of it), an np.dtype (an array of
+    exactly that dtype), a tuple of the names allowed, a one-item list (a list of that spec) or a block {key:
     (spec, default)}, where a default of ... marks a required key and one of
     None also admits null. A bool is neither an int nor a float here. A
     block's "kind" entry {name: block} picks its other keys by its kind, the
@@ -374,11 +427,14 @@ def resolve(path, spec, value, stored=False):
         ok, expected = isinstance(value, dict), "an object"
     elif isinstance(spec, tuple):
         ok, expected = isinstance(value, str) and value in spec, f"one of {list(spec)}"
+    elif isinstance(spec, np.dtype):
+        ok, expected = isinstance(value, np.ndarray) and value.dtype == spec, f"{spec.str} array"
     else:
         ok, expected = (isinstance(value, (int, float) if spec is float else spec)
                         and isinstance(value, bool) == (spec is bool)), spec.__name__
     if not ok:
-        raise ConfigError(f"{path}: expected {expected}, got {value!r}")
+        shown = value.dtype.str if isinstance(value, np.ndarray) else value  # not its contents
+        raise ConfigError(f"{path}: expected {expected}, got {shown!r}")
     if isinstance(spec, list):
         return [resolve(f"{path}[{i}]", spec[0], item, stored) for i, item in enumerate(value)]
     if not isinstance(spec, dict):
@@ -416,15 +472,27 @@ def fields_spec(cls, **overrides) -> dict:
 
 def stored_fields(path, spec, meta, arrays) -> dict:
     """The ``meta`` and ``arrays`` that ``read_container`` gave for file
-    ``path``, as one dict resolved against block ``spec``: its np.ndarray
-    entries name the arrays, the others the meta keys. Both must hold exactly
-    those keys, each of its type; values come back as stored. IntegrityError
-    names the file."""
+    ``path``, as one dict resolved against block ``spec``: its np.dtype
+    entries name the arrays, each with the dtype its saver writes (F8, I8 or
+    U1: a cast on load would re-save to other bytes), the others the meta
+    keys. Both must hold exactly those keys, each of its type; values come
+    back as stored. IntegrityError names the file."""
+    is_array = {k: isinstance(v[0], np.dtype) for k, v in spec.items()}
     try:
-        return {**resolve("arrays", {k: v for k, v in spec.items() if v[0] is np.ndarray},
+        return {**resolve("arrays", {k: v for k, v in spec.items() if is_array[k]},
                           arrays, stored=True),
-                **resolve("meta", {k: v for k, v in spec.items() if v[0] is not np.ndarray},
+                **resolve("meta", {k: v for k, v in spec.items() if not is_array[k]},
                           meta, stored=True)}
+    except ConfigError as e:
+        raise IntegrityError(f"{path}: {e}") from None
+
+
+def stored_value(path, make, *args, **kwargs):
+    """``make(*args, **kwargs)``: the value a loader builds from the contents of
+    file ``path``, where a ConfigError the value type raises (an empty id, say)
+    becomes an IntegrityError naming the file."""
+    try:
+        return make(*args, **kwargs)
     except ConfigError as e:
         raise IntegrityError(f"{path}: {e}") from None
 

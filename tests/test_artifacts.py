@@ -312,3 +312,84 @@ def test_train_many_records_its_config_with_hidden_a_list():
     assert train_config == {"hidden": [3, 2], "epochs": 1, "batch_size": 4,
                             "learning_rate": 0.5, "rng_seed": 9}
     assert type(train_config["hidden"]) is list
+
+
+def _saved_with_array(path, artifact, kind, name, array):
+    """``path``, holding the saved ``artifact`` with its array ``name`` replaced."""
+    save, value = _artifacts()[artifact]
+    save(value, path)
+    meta, arrays = read_container(path, kind)
+    arrays[name] = array
+    write_container(path, kind, meta, arrays)
+    return path
+
+
+@pytest.mark.parametrize("load, artifact, kind, name, array, want", [
+    (zk.load_signature, "signature", "lime-signature", "coef",
+     np.arange(24).reshape(2, 3, 4), "<f8"),
+    (zk.load_model, "model", "mlp-model", "w0", np.arange(6).reshape(2, 3), "<f8"),
+    (zk.load_dataset, "dataset", "dataset", "labels", np.arange(6.0) % 3, "<i8"),
+    (zk.load_plan, "plan", "perturbation-plan", "grid_assignment", np.arange(4.0) // 2,
+     "<i8"),
+    (zk.load_batch, "batch", "adversarial-batch", "local_success", np.arange(3) % 2, "|u1"),
+], ids=["signature", "model", "dataset", "plan", "batch"])
+def test_loader_rejects_an_array_of_another_dtype(tmp_path, load, artifact, kind, name,
+                                                   array, want):
+    # each loads as its cast at a loader that does not check: the file's bytes do not re-save
+    path = _saved_with_array(tmp_path / "x", artifact, kind, name, array)
+    with pytest.raises(IntegrityError) as err:
+        load(path)
+    assert str(err.value) == (f"{path}: arrays.{name}: expected {want} array, "
+                              f"got {array.dtype.str!r}")
+
+
+def _empty_id_values():
+    layer = zk.nn.Layer(np.eye(2), np.zeros(2), "identity")
+    batch = vars(_batch(False))
+    return {
+        "model": lambda: zk.MlpModel((layer,), model_id=""),
+        "signature": lambda: zk.Signature.from_arrays("", "f", np.zeros((1, 2, 2)),
+                                                      np.zeros((1, 2))),
+        "signature-of-point-models": lambda: zk.Signature(
+            "", "f", (zk.lime.PointModel(np.zeros((2, 2)), np.zeros(2)),)),
+        "batch": lambda: zk.AdversarialBatch(**{**batch, "surrogate_id": ""}),
+    }
+
+
+@pytest.mark.parametrize("value", _empty_id_values())
+def test_value_types_reject_an_empty_id(value):
+    with pytest.raises(zk.errors.ConfigError, match="_id must not be empty$"):
+        _empty_id_values()[value]()
+
+
+@pytest.mark.parametrize("load, artifact, kind, key", [
+    (zk.load_model, "model", "mlp-model", "model_id"),
+    (zk.load_signature, "signature", "lime-signature", "model_id"),
+    (zk.load_batch, "batch", "adversarial-batch", "surrogate_id"),
+], ids=["model", "signature", "batch"])
+def test_loader_raises_integrity_error_for_an_empty_id(tmp_path, load, artifact, kind, key):
+    path = _saved_with_nested_edit(tmp_path / "x", artifact, kind,
+                                   lambda meta: meta.update({key: ""}))
+    with pytest.raises(IntegrityError) as err:
+        load(path)
+    assert str(err.value) == f"{path}: {key} must not be empty"
+
+
+@pytest.mark.parametrize("command, artifact, kind, key", [
+    ("dist", "signature", "lime-signature", "model_id"),
+    ("transfer", "batch", "adversarial-batch", "surrogate_id"),
+    ("transfer", "model", "mlp-model", "model_id"),
+], ids=["dist", "transfer-batch", "transfer-model"])
+def test_cli_reports_an_empty_id(capsys, tmp_path, command, artifact, kind, key):
+    path = _saved_with_nested_edit(tmp_path / "x", artifact, kind,
+                                   lambda meta: meta.update({key: ""}))
+    model, batch, sig = tmp_path / "m.mlp", tmp_path / "b.adv", tmp_path / "s.sig"
+    zk.save_model(_model(), model)
+    zk.save_batch(_batch(False), batch)
+    zk.save_signature(_artifacts()["signature"][1], sig)
+    argv = {"dist": [sig, path],
+            "transfer": (["--victim", model, "--batch", path] if artifact == "batch"
+                         else ["--victim", path, "--batch", batch])}[command]
+    code = main([command, *map(str, argv)])
+    err = capsys.readouterr().err
+    assert code == 1 and err == f"error: {path}: {key} must not be empty\n"

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -15,7 +16,7 @@ from zestkit.errors import (ComparabilityError, ConfigError, NumericalError, Sha
 from zestkit.lime import BLOCK_ROWS, PointModel, masked_batch, _replacement_values
 from zestkit.oracle import QueryLedger, QueryOracle
 
-from conftest import assert_no_children, count_forks, fork_pids, tiny_net, use_cpus
+from conftest import assert_no_children, count_forks, tiny_net, use_cpus
 
 
 class ArrayOracle(QueryOracle):
@@ -664,25 +665,73 @@ def test_sign_many_same_bytes_and_bill_on_one_two_and_three_lanes(monkeypatch):
         _assert_same_signatures(sigs, runs[0])
 
 
-def test_sign_many_signs_a_failed_child_lane_again_and_bills_it_once(monkeypatch):
+def _signed_blocks_log(monkeypatch, where, lanes=1, before=None):
+    """Make every process that signs through ``_sign_points`` after this call
+    append "pid first-point" per block to a log under ``where``; returns a
+    function that reads [(pid, first point)] back.
+
+    At its first block since the last ``_new_round(where)``, a process marks
+    its claim with the block's first point, then waits until ``lanes``
+    processes have marked one, so that each of ``lanes`` lanes signs a block
+    however the processes are scheduled. ``before(blk)`` runs next, then the
+    block is logged and signed.
+    """
+    where.mkdir(exist_ok=True)
+    log, sign_points = where / "signed.log", zk.lime._sign_points
+
+    def logged(*args):
+        for blk in args[-1]:
+            mark = where / f"claimed.{os.getpid()}"
+            if not mark.exists():
+                mark.write_text(str(blk.start))
+                deadline = time.monotonic() + 30
+                while len(list(where.glob("claimed.*"))) < lanes:
+                    assert time.monotonic() < deadline, "a lane claimed no block"
+                    time.sleep(0.002)
+            if before is not None:
+                before(blk)
+            fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+            os.write(fd, f"{os.getpid()} {blk.start}\n".encode())
+            os.close(fd)
+        return sign_points(*args)
+
+    monkeypatch.setattr(zk.lime, "_sign_points", logged)
+    return lambda: ([tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+                    if log.exists() else [])
+
+
+def _claims(where):
+    """{pid: first point of the first block it claimed} this round."""
+    return {int(mark.suffix[1:]): int(mark.read_text()) for mark in where.glob("claimed.*")}
+
+
+def _new_round(where):
+    """Let each process mark and wait at its next block again."""
+    for mark in where.glob("claimed.*"):
+        mark.unlink()
+
+
+def test_sign_many_signs_a_failed_child_lane_again_and_bills_it_once(monkeypatch, tmp_path):
     plan = _lane_plan()
     use_cpus(monkeypatch, 1)
     want, _ = _sign_locally(plan)
     use_cpus(monkeypatch, 2)
     forks = count_forks(monkeypatch)
-    parent, sign_points = os.getpid(), zk.lime._sign_points
-    calls = []
+    parent = os.getpid()
 
-    def fails_in_children(*args):
+    def fails_in_children(blk):
         if os.getpid() != parent:
             raise RuntimeError("child")
-        calls.append(1)
-        return sign_points(*args)
 
-    monkeypatch.setattr(zk.lime, "_sign_points", fails_in_children)
+    signed = _signed_blocks_log(monkeypatch, tmp_path, 2, fails_in_children)
     sigs, oracles = _sign_locally(plan)
     _assert_same_signatures(sigs, want)
-    assert len(forks) == 1 and len(calls) == 2  # run 0, then the failed run 1
+    got = signed()
+    [lost] = [start for pid, start in _claims(tmp_path).items() if pid != parent]
+    starts = [start for _, start in got]
+    # every block once, here; the failed worker's block last, after the queue
+    assert len(forks) == 1 and {pid for pid, _ in got} == {parent}
+    assert sorted(starts) == list(range(0, plan.n, 4)) and starts[-1] == lost
     for oracle in oracles:
         assert oracle.ledger.breakdown() == _bill(plan.n, plan.p)
     assert_no_children()
@@ -732,32 +781,138 @@ def test_sign_many_signs_in_the_same_worker_twice(monkeypatch):
     assert_no_children()
 
 
-def test_sign_many_redoes_the_run_of_a_killed_idle_worker_once(monkeypatch):
+def test_sign_many_redoes_the_run_of_a_killed_idle_worker_once(monkeypatch, tmp_path):
     plan = _lane_plan()
     use_cpus(monkeypatch, 1)
     want, _ = _sign_locally(plan)
     use_cpus(monkeypatch, 2)
-    pids = fork_pids(monkeypatch)
-    parent, sign_points = os.getpid(), zk.lime._sign_points
-    calls = []
-
-    def counted(*args):
-        if os.getpid() == parent:
-            calls.append(1)
-        return sign_points(*args)
-
-    monkeypatch.setattr(zk.lime, "_sign_points", counted)
+    parent = os.getpid()
+    signed = _signed_blocks_log(monkeypatch, tmp_path, 2)
     _sign_locally(plan)
-    assert len(pids) == 1 and len(calls) == 1  # run 1 in the worker, which goes idle
-    os.kill(pids[0], signal.SIGKILL)
+    [worker] = {pid for pid, _ in signed()} - {parent}  # signed a block, now idle
+    os.kill(worker, signal.SIGKILL)
+    done = len(signed())
     sigs, oracles = _sign_locally(plan)
     _assert_same_signatures(sigs, want)
-    assert len(pids) == 1 and len(calls) == 3  # run 0, then run 1 here, not in the dead worker
+    got = signed()[done:]  # every block once, here, none in the dead worker
+    assert {pid for pid, _ in got} == {parent}
+    assert sorted(start for _, start in got) == list(range(0, plan.n, 4))
     for oracle in oracles:
         assert oracle.ledger.breakdown() == _bill(plan.n, plan.p)
-    sigs, _ = _sign_locally(plan)
+    _new_round(tmp_path)
+    done = len(signed())
+    sigs, oracles = _sign_locally(plan)
     _assert_same_signatures(sigs, want)
-    assert len(pids) == 2 and len(calls) == 4  # a fresh worker signs run 1
+    got = signed()[done:]
+    assert sorted(start for _, start in got) == list(range(0, plan.n, 4))
+    assert len({pid for pid, _ in got} - {parent, worker}) == 1  # a fresh worker signed
+    for oracle in oracles:
+        assert oracle.ledger.breakdown() == _bill(plan.n, plan.p)
+    assert_no_children()
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_the_queue_signs_every_block_exactly_once(monkeypatch, tmp_path, cpus):
+    plan = _lane_plan()
+    use_cpus(monkeypatch, 1)
+    want, _ = _sign_locally(plan)
+    use_cpus(monkeypatch, cpus)
+    signed = _signed_blocks_log(monkeypatch, tmp_path, cpus)
+    sigs, oracles = _sign_locally(plan)
+    _assert_same_signatures(sigs, want)
+    for oracle in oracles:
+        assert oracle.ledger.breakdown() == _bill(plan.n, plan.p)
+    got = signed()
+    assert sorted(start for _, start in got) == list(range(0, plan.n, 4))
+    assert len({pid for pid, _ in got}) == cpus  # each lane signed a block
+    assert_no_children()
+
+
+def test_a_worker_killed_mid_call_has_its_blocks_signed_here_once(monkeypatch, tmp_path):
+    plan = _lane_plan()
+    use_cpus(monkeypatch, 1)
+    want, _ = _sign_locally(plan)
+    use_cpus(monkeypatch, 2)
+    parent = os.getpid()
+
+    def killed_in_the_worker(blk):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)  # with a block claimed
+
+    signed = _signed_blocks_log(monkeypatch, tmp_path, 2, killed_in_the_worker)
+    start = time.monotonic()
+    sigs, oracles = _sign_locally(plan)
+    _assert_same_signatures(sigs, want)
+    for oracle in oracles:
+        assert oracle.ledger.breakdown() == _bill(plan.n, plan.p)
+    got = signed()
+    [lost] = [first for pid, first in _claims(tmp_path).items() if pid != parent]
+    starts = [first for _, first in got]
+    assert {pid for pid, _ in got} == {parent}
+    # the killed worker's block last, after the queue
+    assert sorted(starts) == list(range(0, plan.n, 4)) and starts[-1] == lost
+    assert zk.util.claim(zk.util._queue[1]) is None  # no token left
+    monkeypatch.undo()
+    use_cpus(monkeypatch, 2)
+    sigs, oracles = _sign_locally(plan)  # a fresh worker
+    _assert_same_signatures(sigs, want)
+    for oracle in oracles:
+        assert oracle.ledger.breakdown() == _bill(plan.n, plan.p)
+    assert time.monotonic() - start < 30
+    assert_no_children()
+
+
+def test_a_call_that_raises_leaves_no_token_to_the_next(monkeypatch):
+    plan = _lane_plan()
+    use_cpus(monkeypatch, 1)
+    want, _ = _sign_locally(plan)
+    use_cpus(monkeypatch, 2)
+    parent, sign_points = os.getpid(), zk.lime._sign_points
+
+    def fails_here(*args):
+        if os.getpid() == parent:
+            raise RuntimeError("here")
+        time.sleep(60)  # still signing when the parent gives up
+
+    monkeypatch.setattr(zk.lime, "_sign_points", fails_here)
+    with pytest.raises(RuntimeError, match="^here$"):
+        _sign_locally(plan)
+    monkeypatch.setattr(zk.lime, "_sign_points", sign_points)
+    start = time.monotonic()
+    sigs, oracles = _sign_locally(plan)  # the three tokens left are dropped, not signed
+    assert time.monotonic() - start < 30
+    _assert_same_signatures(sigs, want)
+    for oracle in oracles:
+        assert oracle.ledger.breakdown() == _bill(plan.n, plan.p)
+    assert_no_children()
+
+
+def test_a_worker_keeps_the_design_of_the_last_plan(monkeypatch, tmp_path):
+    plan = _lane_plan()
+    sent = pickle.loads(pickle.dumps(plan))
+    assert sent._design is None and sent.fingerprint() == plan.fingerprint()
+    plan.design()
+    assert len(pickle.dumps(plan)) < 8 * plan.n * 16 + 4096  # the points, not the design
+    use_cpus(monkeypatch, 2)
+    log, build = tmp_path / "built.log", zk.lime._build_design
+
+    def logged(*args):
+        fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+        os.write(fd, f"{os.getpid()}\n".encode())
+        os.close(fd)
+        return build(*args)
+
+    monkeypatch.setattr(zk.lime, "_build_design", logged)
+    signed = _signed_blocks_log(monkeypatch, tmp_path, 2)
+    other = zk.PerturbationPlan(plan.points, plan.grid, zk.LimeConfig(perturbations=999),
+                                seed=20)
+    for p in (plan, plan, other, plan):
+        _new_round(tmp_path)  # the worker signs a block in each call
+        _sign_locally(p)
+    workers = {pid for pid, _ in signed()} - {os.getpid()}
+    assert len(workers) == 1
+    # the worker builds each plan's design once it lacks it, keeping only the last
+    assert [int(pid) for pid in log.read_text().split()].count(workers.pop()) == 3
     assert_no_children()
 
 
@@ -819,6 +974,31 @@ def test_sign_many_forks_only_for_exact_local_oracles(monkeypatch):
         for oracle in oracles:
             assert oracle.ledger.breakdown() == _bill(plan.n, plan.p)
     assert forks == []
+
+
+def test_only_an_exact_local_oracle_is_sent_a_block_at_once(monkeypatch):
+    plan = _lane_plan()  # one oracle's blocks hold 8, 8 and 4 points
+    use_cpus(monkeypatch, 1)
+    calls, predict = [], zk.LocalOracle.predict_proba
+
+    def recorded(self, batch, purpose="other"):
+        calls.append((purpose, len(batch)))
+        return predict(self, batch, purpose)
+
+    class Subclassed(zk.LocalOracle):
+        pass
+
+    monkeypatch.setattr(zk.LocalOracle, "predict_proba", recorded)
+    model = _LANE_MODELS[1]
+    exact, subclassed = zk.LocalOracle(model), Subclassed(model)
+    want = zk.sign_many([subclassed], plan)
+    assert calls == [("signature_baseline", 1), ("signature", plan.p)] * plan.n
+    del calls[:]
+    _assert_same_signatures(zk.sign_many([exact], plan), want)
+    assert calls == [("signature_baseline", 8), ("signature_baseline", 8),
+                     ("signature_baseline", 4)]
+    for oracle in (exact, subclassed):
+        assert oracle.ledger.breakdown() == _bill(plan.n, plan.p)
 
 
 def test_signature_from_point_models_equals_from_arrays(tmp_path):

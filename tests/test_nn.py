@@ -115,6 +115,60 @@ def test_softmax_bitwise_matches_reduce(shape):
     assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("k", range(2, 13))
+@pytest.mark.parametrize("rows", [(3,), (300,), (2, 200)])
+def test_softmax_class_sum_is_the_reduce_bitwise(k, rows):
+    rng = np.random.default_rng(k)
+    z = rng.normal(0.0, 20.0, size=rows + (k,))
+    flat = z.reshape(-1, k)
+    # after the shift and exp this row is (1, 1e-16, 1e-16, ...): its sum is 1.0 added
+    # left to right and 1.0000000000000002 with the two small terms added first
+    flat[0] = np.log(1e-16)
+    flat[0, 0] = 0.0
+    e = np.exp(flat[0] - flat[0].max())
+    assert k == 2 or (e[0] + e[1]) + e[2] != e[0] + (e[1] + e[2])
+    flat[1:len(_extreme_rows(k)) + 1] = _extreme_rows(k)[:len(flat) - 1]
+    shifted = np.exp(z - z.max(axis=-1, keepdims=True))
+    want = shifted / np.add.reduce(shifted, axis=-1, keepdims=True)
+    assert zk.softmax(z).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("stack_rows", [1, 2048, 10 ** 6])
+def test_forward_stack_is_each_matrix_forward_bitwise(monkeypatch, stack_rows):
+    monkeypatch.setattr(zk.nn, "STACK_ROWS", stack_rows)
+    model = tiny_net(3, input_dim=7, class_count=4, hidden=(9, 5))
+    stack = np.random.default_rng(3).random((5, 300, 7))
+    got = zk.nn.forward_stack(model, stack)
+    assert got.shape == (5, 300, 4)
+    for mat, probs in zip(stack, got):
+        assert probs.tobytes() == zk.forward(model, mat).tobytes()
+
+
+@pytest.mark.parametrize("hidden", [(8,), (24, 16)])
+@pytest.mark.parametrize("k", [2, 3, 5, 9])
+@pytest.mark.parametrize("p", [1, 7, 1000])
+def test_forward_stack_is_a_local_oracles_per_point_answers_bitwise(p, k, hidden):
+    model = tiny_net(k, input_dim=6, class_count=k, hidden=hidden)
+    rows = np.random.default_rng(p).random((5, p, 6))
+    got = zk.nn.forward_stack(model, rows)
+    assert got.shape == (5, p, k)
+    oracle = zk.LocalOracle(model)
+    for variants, answers in zip(rows, got):
+        assert answers.tobytes() == oracle.predict_proba(variants).tobytes()
+
+
+def test_forward_stack_checks_its_stack():
+    model = tiny_net(3, input_dim=7)
+    with pytest.raises(ShapeError, match="3-D"):
+        zk.nn.forward_stack(model, np.zeros((4, 7)))
+    with pytest.raises(ShapeError, match="7 columns"):
+        zk.nn.forward_stack(model, np.zeros((2, 4, 6)))
+    bad = np.zeros((2, 4, 7))
+    bad[1, 2, 3] = np.nan
+    with pytest.raises(DomainError):
+        zk.nn.forward_stack(model, bad)
+
+
 def test_logit_cross_entropy_is_cross_entropy_bitwise():
     model = tiny_net(5, input_dim=6, class_count=4)
     rng = np.random.default_rng(5)
