@@ -101,10 +101,11 @@ _TRAINING = fields_spec(TrainConfig, hidden=([int], ...), rng_seed=None)
 # The only owner of the campaign config's keys, types and defaults, which the
 # lime, attack and training blocks take from LimeConfig, AttackConfig and
 # TrainConfig; only the campaign's own keys and its changes are written here.
-# Value bounds stay with what is built from it: TrainConfig, LimeConfig,
-# AttackConfig (both built at stage parse), make_plan, SegmentGrid.uniform
-# and _portfolio_dataset; _parse checks the dataset block, and attack.points
-# and lime's n, segments, p and replacement against it, before training.
+# Value bounds stay with what is built from it: TrainConfig, LimeConfig and
+# AttackConfig (all built at stage parse), make_plan and SegmentGrid.uniform;
+# _parse checks the dataset block, each portfolio entry's train_fraction and
+# label_noise, and attack.points and lime's n, segments, p and replacement
+# against the dataset block, before training.
 _SCHEMA = {
     "master_seed": (int, ...),
     "dataset": ({"kind": {"blobs": {"classes": (int, ...), "features": (int, ...),
@@ -122,34 +123,29 @@ _SCHEMA = {
 }
 
 
-def _train_jobs(cfg: dict, data: Dataset, master: int) -> list:
-    """train_many's jobs: each portfolio entry on its view of `data`, then a local victim."""
-    views = [(_portfolio_dataset(data, entry, master), entry) for entry in cfg["portfolio"]]
-    if cfg["victim"]["kind"] == "local":
-        views.append((data, cfg["victim"]))
-    return [(view, TrainConfig(**{k: entry[k] for k in _TRAINING},
-                               rng_seed=derived_seed(master, f"train.{entry['model_id']}")),
-             entry["model_id"]) for view, entry in views]
+def _train_jobs(s) -> list:
+    """train_many's jobs: each portfolio entry on its view of the training
+    data, then a local victim on all of it, each with the TrainConfig that
+    stage parse built."""
+    views = [_portfolio_dataset(s.train_data, entry, s.master) for entry in s.cfg["portfolio"]]
+    if s.endpoint is None:
+        views.append(s.train_data)
+    return [(view, cfg, mid) for view, (mid, cfg) in zip(views, s.train_configs.items())]
 
 
 def _portfolio_dataset(data: Dataset, entry: dict, master: int) -> Dataset:
-    """Per-surrogate training view: optional subset and label noise."""
+    """Per-surrogate training view: optional subset and label noise, whose
+    ranges stage parse checked."""
     mid = entry["model_id"]
     out = data
-    fraction = entry["train_fraction"]
-    if not 0.0 < fraction <= 1.0:
-        raise ConfigError(f"{mid}: train_fraction must be in (0,1]")
-    if fraction < 1.0:
+    if entry["train_fraction"] < 1.0:
         rng = np.random.default_rng(derived_seed(master, f"subset.{mid}"))
-        take = max(1, int(round(fraction * len(data))))
+        take = max(1, int(round(entry["train_fraction"] * len(data))))
         out = out.subset(np.sort(rng.choice(len(data), size=take, replace=False)))
-    noise = entry["label_noise"]
-    if not 0.0 <= noise <= 1.0:
-        raise ConfigError(f"{mid}: label_noise must be in [0,1]")
-    if noise > 0.0:
+    if entry["label_noise"] > 0.0:
         rng = np.random.default_rng(derived_seed(master, f"labelnoise.{mid}"))
         labels = out.labels.copy()
-        flip = rng.random(len(out)) < noise
+        flip = rng.random(len(out)) < entry["label_noise"]
         labels[flip] = (labels[flip] + rng.integers(
             1, out.class_count, size=int(flip.sum()))) % out.class_count
         out = Dataset(out.points, labels, out.class_count)
@@ -191,6 +187,12 @@ def _parse(s):
     if not cfg["portfolio"]:
         raise ConfigError("portfolio must list at least one surrogate")
     s.portfolio_ids = [check_model_id(entry["model_id"]) for entry in cfg["portfolio"]]
+    for i, entry in enumerate(cfg["portfolio"]):
+        for key, ok, bounds in (("train_fraction", 0 < entry["train_fraction"] <= 1, "(0, 1]"),
+                                ("label_noise", 0 <= entry["label_noise"] <= 1, "[0, 1]")):
+            if not ok:
+                raise ConfigError(f"config.portfolio[{i}].{key}: must be in {bounds}, "
+                                  f"got {entry[key]}")
     lime, attack = cfg["lime"], cfg["attack"]
     s.lime_cfg = LimeConfig(perturbations=lime["p"], kernel_width=lime["kernel_width"],
                             ridge=lime["ridge"], replacement=lime["replacement"])
@@ -225,6 +227,17 @@ def _parse(s):
            for mid in file_ids):
         raise ConfigError(f"model ids name files in models/: none may be empty, '.' or "
                           f"'..', or hold a path separator: {file_ids}")
+    trained = [(f"config.portfolio[{i}]", entry) for i, entry in enumerate(cfg["portfolio"])]
+    if local_victim:
+        trained.append(("config.victim", cfg["victim"]))
+    s.train_configs = {}  # model id -> its TrainConfig, in train_many's job order
+    for where, entry in trained:
+        try:
+            s.train_configs[entry["model_id"]] = TrainConfig(
+                **{k: entry[k] for k in _TRAINING},
+                rng_seed=derived_seed(s.master, f"train.{entry['model_id']}"))
+        except ConfigError as e:
+            raise ConfigError(f"{where}: {e}") from None
 
 
 def _dataset(s):
@@ -239,7 +252,7 @@ def _dataset(s):
 def _train(s):
     models_dir = os.path.join(s.out_dir, "models")
     os.makedirs(models_dir, exist_ok=True)
-    models = train_many(_train_jobs(s.cfg, s.train_data, s.master))
+    models = train_many(_train_jobs(s))
     s.proxies = models[:len(s.portfolio_ids)]
     for model in models:
         save_model(model, os.path.join(models_dir, f"{model.model_id}.mlp"))

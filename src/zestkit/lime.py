@@ -8,9 +8,11 @@ bits to the returned probability. Masks, reference points, and regression
 settings live in a PerturbationPlan; two signatures are comparable only if
 they came from the same plan (enforced via a fingerprint).
 
-Query cost per signature: N*P perturbation rows plus N baseline rows (the
-unperturbed reference is sent once per point as the weighting anchor and
-billed under its own ledger purpose, keeping the N*P headline comparable).
+Query cost per signature: N*P perturbation rows plus N baseline rows. Each
+unperturbed reference point is sent as its own row, billed under its own
+ledger purpose so the N*P headline stays comparable, and its answer enters
+no fit. Most oracles get one baseline call per point; an exact LocalOracle
+gets one per signing block, holding the block's points.
 
 Everything that depends on the plan's masks alone (the masks, bit-packed,
 their kernel weights and the ridge Gram matrices) is built once per plan, as
@@ -33,8 +35,8 @@ from .util import (F8, I8, ForkLanes, canonical_json, claim, csv_text, derived_s
 REPLACEMENT_POLICIES = ("segment_mean", "zeros")
 # Answer rows a signing block holds, summed over the oracles it signs: the
 # fastest of 1000-32768 rows at N=128, P=1000, S=16 with one oracle. A
-# portfolio's block then holds no more answers than one oracle's, the
-# scratch buffer a signing run reuses is sized by its largest block. An
+# portfolio's block then holds no more answers than one oracle's, nor does
+# the scratch buffer each block is signed in (_sign_points). An
 # exact LocalOracle answers a block in stacked forwards (nn.STACK_ROWS rows a
 # pass); any other oracle is still called per point, because its output bits
 # may depend on how many rows one call carries.
@@ -318,8 +320,8 @@ class PlanDesign:
     kernel weight is table[its count of ones]: B*ceil(P*S/8) + B*P +
     8*(S+1) + 8*B*(S+1)^2 bytes with S < 256, 0.65 MiB at N=128, P=1000,
     S=16. Signing unpacks one block at a time and builds the block's masked
-    rows and weighted design in a scratch buffer of its own, one per
-    signing run (_sign_points). Only _build_design makes a design, from
+    rows and weighted design in a scratch buffer sized for that block, one
+    per _sign_points call. Only _build_design makes a design, from
     arrays nothing else holds, so they are made read-only in place.
     """
 
@@ -405,14 +407,14 @@ def _build_design(bits: np.ndarray, ones: np.ndarray, s: int, cfg: LimeConfig) -
 
 
 def _sign_points(oracles, points: np.ndarray, design: PlanDesign, grid: SegmentGrid,
-                 policy: str, blocks) -> "tuple[list[np.ndarray], list[np.ndarray]]":
-    """Query and fit, for each oracle, the points of ``blocks``: consecutive
-    slices of points (B, d), as ``_point_blocks`` gives them. Returns
-    per-oracle coef (R, K, S) and intercept (R, K) for the R points the
-    blocks cover, in order, where K is the oracle's class_count; a block
-    whose answers have another width raises ShapeError.
+                 policy: str, blk: slice) -> "list[tuple[np.ndarray, np.ndarray]]":
+    """Query and fit, for each oracle, the points of ``blk``: one slice of
+    consecutive points (B, d), as ``_point_blocks`` gives them. Returns each
+    oracle's coef (b, K, S) and intercept (b, K) for the block's b points,
+    where K is the oracle's class_count; answers of another width raise
+    ShapeError.
 
-    Each block takes one masked_batch call, then each oracle in turn gets,
+    The block takes one masked_batch call, then each oracle in turn gets,
     per point and in point order, the baseline row (billed as
     signature_baseline) and then the P masked rows (billed as signature).
     An exact LocalOracle, whose answers depend only on its model and each
@@ -424,50 +426,42 @@ def _sign_points(oracles, points: np.ndarray, design: PlanDesign, grid: SegmentG
     solve, split into each oracle's arrays.
 
     The masked rows and then the weighted design are written into one
-    float64 scratch buffer, allocated once per call and sized for the
-    largest block, so no block faults in fresh pages for either. An oracle
-    therefore must not keep the rows it is sent past its call.
+    float64 scratch buffer sized for the block, so neither takes an
+    allocation of its own. An oracle therefore must not keep the rows it is
+    sent past its call.
     """
     p, d = design.ones.shape[1], points.shape[1]
     s = design.table.size - 1
-    lo = blocks[0].start
-    scratch = np.empty(max(blk.stop - blk.start for blk in blocks) * p * max(d, s + 1))
+    b = blk.stop - blk.start
+    scratch = np.empty(b * p * max(d, s + 1))
+    masks = design.masks(blk)
+    variants = masked_batch(points[blk], masks, grid, policy,
+                            out=scratch[:b * p * d].reshape(b, p, d))
+    targets = []
+    for oracle in oracles:
+        if type(oracle) is LocalOracle:
+            oracle.predict_proba(points[blk], purpose="signature_baseline")
+            targets.append(forward_stack(oracle.model, variants))
+            oracle.ledger.add("signature", b * p)
+            continue
+        answers = []
+        for i, x, rows in zip(range(blk.start, blk.stop), points[blk], variants):
+            try:
+                oracle.predict_proba(x[None, :], purpose="signature_baseline")
+                answers.append(oracle.predict_proba(rows, purpose="signature"))
+            except TransportError as e:
+                e.points_completed = i
+                raise
+        targets.append(np.stack(answers))
     classes = [oracle.class_count for oracle in oracles]
-    coefs = [np.empty((blocks[-1].stop - lo, k, s)) for k in classes]
-    intercepts = [np.empty(c.shape[:2]) for c in coefs]
-    for blk in blocks:
-        b = blk.stop - blk.start
-        masks = design.masks(blk)
-        variants = masked_batch(points[blk], masks, grid, policy,
-                                out=scratch[:b * p * d].reshape(b, p, d))
-        targets = []
-        for oracle in oracles:
-            if type(oracle) is LocalOracle:
-                oracle.predict_proba(points[blk], purpose="signature_baseline")
-                targets.append(forward_stack(oracle.model, variants))
-                oracle.ledger.add("signature", b * p)
-                continue
-            answers = []
-            for i, x, rows in zip(range(blk.start, blk.stop), points[blk], variants):
-                try:
-                    oracle.predict_proba(x[None, :], purpose="signature_baseline")
-                    answers.append(oracle.predict_proba(rows, purpose="signature"))
-                except TransportError as e:
-                    e.points_completed = i
-                    raise
-            targets.append(np.stack(answers))
-        if [t.shape[2] for t in targets] != classes:
-            raise ShapeError("oracle answered with other than its class count")
-        xw = _design_rows(masks, out=scratch[:b * p * (s + 1)].reshape(b, p, s + 1))
-        xw *= design.table[design.ones[blk]][..., None]
-        beta = _ridge_solve(design.grams[blk],
-                            np.swapaxes(xw, 1, 2) @ np.concatenate(targets, axis=2))
-        at = slice(blk.start - lo, blk.stop - lo)
-        for coef, intercept, part in zip(coefs, intercepts,
-                                         np.split(beta, np.cumsum(classes)[:-1], axis=2)):
-            coef[at] = np.swapaxes(part[:, :s], 1, 2)
-            intercept[at] = part[:, s]
-    return coefs, intercepts
+    if [t.shape[2] for t in targets] != classes:
+        raise ShapeError("oracle answered with other than its class count")
+    xw = _design_rows(masks, out=scratch[:b * p * (s + 1)].reshape(b, p, s + 1))
+    xw *= design.table[design.ones[blk]][..., None]
+    beta = _ridge_solve(design.grams[blk],
+                        np.swapaxes(xw, 1, 2) @ np.concatenate(targets, axis=2))
+    return [(np.swapaxes(part[:, :s], 1, 2), part[:, s])
+            for part in np.split(beta, np.cumsum(classes)[:-1], axis=2)]
 
 
 _lane_plan = None  # the last plan a lane worker signed under, with the design it built
@@ -477,8 +471,8 @@ def _sign_lane(models, plan, queue, blocks):
     """One lane of ``sign_many``, run in a forked worker or, when that fails,
     in this process: ``blocks[k]`` for each ``k`` claimed from ``queue``
     until it is empty, each through ``_sign_points`` and private LocalOracles
-    of ``models``. Returns [(k, coefs, intercepts)] and each oracle's ledger
-    breakdown.
+    of ``models``. Returns [(k, each oracle's (coef, intercept))] and each
+    oracle's ledger breakdown.
 
     The plan comes pickled without its design: a worker keeps the last plan
     it signed under and the design it built for it, and takes that design
@@ -490,8 +484,8 @@ def _sign_lane(models, plan, queue, blocks):
     for k in iter(lambda: claim(queue), None):
         if _lane_plan is None or _lane_plan.fingerprint() != plan.fingerprint():
             _lane_plan = plan
-        signed.append((k, *_sign_points(oracles, plan.points, _lane_plan.design(), plan.grid,
-                                         plan.config.replacement, [blocks[k]])))
+        signed.append((k, _sign_points(oracles, plan.points, _lane_plan.design(), plan.grid,
+                                       plan.config.replacement, blocks[k])))
     return signed, [oracle.ledger.breakdown() for oracle in oracles]
 
 
@@ -511,10 +505,9 @@ def fit_point_model(oracle: QueryOracle, x, masks, grid: SegmentGrid,
         raise ShapeError(f"x must be a vector of length {grid.n_features}")
     if oracle.input_dim != grid.n_features:
         raise ShapeError("oracle input_dim does not match the segment grid")
-    (coef,), (intercept,) = _sign_points([oracle], x[None, :],
-                                         _build_design(*_pack(masks[None]),
-                                                       grid.segment_count, cfg), grid,
-                                         cfg.replacement, [slice(0, 1)])
+    ((coef, intercept),) = _sign_points([oracle], x[None, :],
+                                        _build_design(*_pack(masks[None]), grid.segment_count,
+                                                      cfg), grid, cfg.replacement, slice(0, 1))
     return PointModel(coef[0], intercept[0])
 
 
@@ -617,14 +610,17 @@ def sign_many(oracles, plan: PerturbationPlan) -> "list[Signature]":
     this process and each ``ForkLanes`` worker claim the next block from
     one shared queue (``util.offer``) until it is empty, so a lane on a
     slower CPU signs fewer blocks; a worker signs through private
-    LocalOracles of the same models, and this process signs here any block
-    a failed worker claimed. A worker runs the code as it stood when it was
-    forked, and is kept for the next call, so a warm signature forks
-    nothing. A worker's blocks are billed to the caller's oracles when its
-    answers reach this process, so a block redone here is billed once and
-    one that raises bills nothing. The same code fits each block alone, at
-    any lane count, so the signatures do not depend on it. Any other oracle
-    gets all its calls from this process, in the order above.
+    LocalOracles of the same models. After the lanes, one loop here signs,
+    in block order, every block that no lane signed: all of them when no
+    lane ran, else each block a failed worker claimed. Every lane and that
+    loop sign a block with one ``_sign_points`` call. A worker runs the
+    code as it stood when it was forked, and is kept for the next call, so
+    a warm signature forks nothing. A worker's blocks are billed to the
+    caller's oracles when its answers reach this process, so a block redone
+    here is billed once and one that raises bills nothing. The same code
+    fits each block alone, at any lane count, so the signatures do not
+    depend on it. Any other oracle gets all its calls from this process, in
+    the order above.
     """
     oracles = list(oracles)
     for oracle in oracles:
@@ -637,36 +633,36 @@ def sign_many(oracles, plan: PerturbationPlan) -> "list[Signature]":
     local = oracles and all(type(oracle) is LocalOracle for oracle in oracles)
     lanes = min(lane_count(), len(_point_blocks(plan.n, plan.p))) if local else 1
     queue = offer(len(blocks)) if lanes > 1 else None
-    if queue is None:
-        parts = {0: _sign_points(oracles, *args, blocks)}
-    else:
-        parts = {}  # block index -> per-oracle (coefs, intercepts)
+    parts = {}  # block index -> each oracle's (coef, intercept)
+    if queue is not None:
         with ForkLanes() as forked:
             later = [forked.run(_sign_lane, [oracle.model for oracle in oracles], plan, queue,
                                 blocks) for _ in range(lanes - 1)]
             for k in iter(lambda: claim(queue), None):
-                parts[k] = _sign_points(oracles, *args, [blocks[k]])
+                parts[k] = _sign_points(oracles, *args, blocks[k])
             for take in later:
                 signed, bills = take()
                 for oracle, bill in zip(oracles, bills):
                     for purpose, rows in bill.items():
                         oracle.ledger.add(purpose, rows)
-                parts.update((k, part) for k, *part in signed)
-        for k, blk in enumerate(blocks):  # claimed by a worker that failed
-            if k not in parts:
-                parts[k] = _sign_points(oracles, *args, [blk])
-    got = [parts[k] for k in sorted(parts)]
+                parts.update(signed)
+    for k, blk in enumerate(blocks):  # every block when no lane ran, else a failed worker's
+        if k not in parts:
+            parts[k] = _sign_points(oracles, *args, blk)
     return [Signature.from_arrays(oracle.oracle_id, fingerprint,
-                                  np.concatenate([coefs[j] for coefs, _ in got]),
-                                  np.concatenate([intercepts[j] for _, intercepts in got]))
+                                  np.concatenate([parts[k][j][0] for k in range(len(blocks))]),
+                                  np.concatenate([parts[k][j][1] for k in range(len(blocks))]))
             for j, oracle in enumerate(oracles)]
 
 
 def compute_signature(oracle: QueryOracle, plan: PerturbationPlan) -> Signature:
     """Fit all N point models in plan order (ledger: N*P + N rows).
 
-    The oracle sees the same calls as N fit_point_model calls would send; the
-    masks, kernel weights and Grams come from the plan's design.
+    An oracle other than an exact LocalOracle sees the same calls as N
+    fit_point_model calls would send; an exact LocalOracle gets one baseline
+    call per signing block and its masked rows through stacked forwards,
+    with the same bill and the same answers. The masks, kernel weights and
+    Grams come from the plan's design.
     """
     return sign_many([oracle], plan)[0]
 
@@ -691,9 +687,9 @@ _PLAN = {"seed": (int, ...), "segment_count": (int, ...), "config": (fields_spec
 
 def load_plan(path) -> PerturbationPlan:
     got = stored_fields(path, _PLAN, *read_container(path, "perturbation-plan"))
-    grid = SegmentGrid(got["grid_assignment"], got["segment_count"])
-    plan = PerturbationPlan(got["points"], grid, LimeConfig(**got["config"]), got["seed"],
-                            got["verified_model_ids"])
+    plan = stored_value(path, lambda: PerturbationPlan(
+        got["points"], SegmentGrid(got["grid_assignment"], got["segment_count"]),
+        LimeConfig(**got["config"]), got["seed"], got["verified_model_ids"]))
     if plan.fingerprint() != got["fingerprint"]:
         raise ComparabilityError(f"{path}: stored fingerprint does not match contents")
     return plan

@@ -497,7 +497,7 @@ def load_model(path) -> MlpModel:
         if w.shape != (entry["fan_in"], entry["fan_out"]):
             raise IntegrityError(f"{path}: w{i} has shape {w.shape}, but architecture entry "
                                  f"{i} says ({entry['fan_in']}, {entry['fan_out']})")
-        layers.append(Layer(w, arrays[f"b{i}"], entry["activation"]))
+        layers.append(stored_value(path, Layer, w, arrays[f"b{i}"], entry["activation"]))
     return stored_value(path, MlpModel, tuple(layers), model_id=meta["model_id"],
                         metadata=meta["metadata"])
 
@@ -508,8 +508,9 @@ def save_dataset(data: Dataset, path) -> None:
 
 
 def load_dataset(path) -> Dataset:
-    return Dataset(**stored_fields(path, fields_spec(Dataset, points=(F8, ...), labels=(I8, ...)),
-                                   *read_container(path, "dataset")))
+    spec = fields_spec(Dataset, points=(F8, ...), labels=(I8, ...))
+    got = stored_fields(path, spec, *read_container(path, "dataset"))
+    return stored_value(path, Dataset, **got)
 
 
 def blob_centers(class_count: int, n_features: int, seed: int) -> np.ndarray:

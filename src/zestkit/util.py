@@ -29,7 +29,7 @@ from dataclasses import MISSING, fields
 
 import numpy as np
 
-from .errors import ConfigError, IntegrityError, UndefinedCorrelationError
+from .errors import ConfigError, IntegrityError, UndefinedCorrelationError, ZestError
 
 _MAGIC = b"ZSTK"
 _VERSION = 1
@@ -489,11 +489,12 @@ def stored_fields(path, spec, meta, arrays) -> dict:
 
 def stored_value(path, make, *args, **kwargs):
     """``make(*args, **kwargs)``: the value a loader builds from the contents of
-    file ``path``, where a ConfigError the value type raises (an empty id, say)
-    becomes an IntegrityError naming the file."""
+    file ``path``, where any toolkit error the value type raises (an empty id,
+    a NaN weight, a short array, say) becomes an IntegrityError naming the
+    file."""
     try:
         return make(*args, **kwargs)
-    except ConfigError as e:
+    except ZestError as e:
         raise IntegrityError(f"{path}: {e}") from None
 
 

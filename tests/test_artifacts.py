@@ -7,7 +7,7 @@ import pytest
 
 import zestkit as zk
 from zestkit.cli import main
-from zestkit.errors import DomainError, IntegrityError
+from zestkit.errors import IntegrityError
 from zestkit.util import read_container, write_container
 
 
@@ -226,8 +226,9 @@ def test_cli_reports_a_meta_value_of_the_wrong_type(capsys, tmp_path, command, a
 def test_load_batch_rejects_an_epsilon_that_is_not_finite(tmp_path, epsilon):
     path = _saved_with_nested_edit(tmp_path / "x", "batch", "adversarial-batch",
                                    lambda meta: meta.update(epsilon=epsilon))
-    with pytest.raises(DomainError, match="^epsilon must be >= 0 and finite$"):
+    with pytest.raises(IntegrityError) as err:
         zk.load_batch(path)
+    assert str(err.value) == f"{path}: epsilon must be >= 0 and finite"
 
 
 def test_a_batch_saved_with_an_int_epsilon_re_saves_to_the_same_bytes(tmp_path):
@@ -393,3 +394,74 @@ def test_cli_reports_an_empty_id(capsys, tmp_path, command, artifact, kind, key)
     code = main([command, *map(str, argv)])
     err = capsys.readouterr().err
     assert code == 1 and err == f"error: {path}: {key} must not be empty\n"
+
+
+def _nan_at_0(a):
+    a = a.copy()
+    a.flat[0] = np.nan
+    return a
+
+
+def _moved_past_epsilon(meta, arrays):
+    arrays["adversarials"][0, 0] = arrays["originals"][0, 0] + meta["epsilon"] + 0.5
+
+
+@pytest.mark.parametrize("artifact, kind, edit, message", [
+    ("plan", "perturbation-plan", lambda meta, arrays: meta["config"].update(perturbations=0),
+     "perturbations must be >= 1"),
+    ("plan", "perturbation-plan", lambda meta, arrays: meta["config"].update(perturbations=1),
+     "need perturbations >= segment count for a solvable regression"),
+    ("plan", "perturbation-plan",
+     lambda meta, arrays: arrays.update(grid_assignment=np.zeros(4, dtype=np.int64)),
+     "segments must cover 0..1"),
+    ("plan", "perturbation-plan",
+     lambda meta, arrays: arrays.update(grid_assignment=np.arange(5) // 3),
+     "points have 4 features but grid covers 5"),
+    ("plan", "perturbation-plan", lambda meta, arrays: meta["config"].update(kernel_width=0),
+     "kernel_width must be > 0"),
+    ("model", "mlp-model", lambda meta, arrays: arrays.update(b0=np.arange(4.0)),
+     "layer weights (2, 3) / bias (4,) inconsistent"),
+    ("model", "mlp-model", lambda meta, arrays: arrays.update(w0=_nan_at_0(arrays["w0"])),
+     "layer parameters contain non-finite entries"),
+    ("signature", "lime-signature",
+     lambda meta, arrays: arrays.update(coef=_nan_at_0(arrays["coef"])),
+     "signature has non-finite coefficients"),
+    ("signature", "lime-signature",
+     lambda meta, arrays: arrays.update(intercept=arrays["intercept"][:1]),
+     "signature coef (2, 3, 4) / intercept (1, 3) must be (N, K, S) / (N, K) with N >= 1"),
+    ("batch", "adversarial-batch", lambda meta, arrays: arrays.update(labels=arrays["labels"][:2]),
+     "labels must have one entry per point"),
+    ("batch", "adversarial-batch", _moved_past_epsilon,
+     "adversarial point exceeds the epsilon budget"),
+    ("dataset", "dataset", lambda meta, arrays: meta.update(class_count=2),
+     "labels must lie in [0,2)"),
+], ids=["plan-perturbations-0", "plan-perturbations-below-segments", "plan-segment-missing",
+        "plan-grid-wider", "plan-kernel_width-0", "model-bias-long", "model-weight-nan",
+        "signature-coef-nan", "signature-intercept-short", "batch-labels-short",
+        "batch-past-epsilon", "dataset-label-out-of-range"])
+def test_loader_and_cli_name_the_file_for_a_bad_stored_value(capsys, tmp_path, artifact, kind,
+                                                             edit, message):
+    # each file re-sealed, so only the value type's own check sees the fault
+    save, value = _artifacts()[artifact]
+    path = tmp_path / "x"
+    save(value, path)
+    meta, arrays = read_container(path, kind)
+    edit(meta, arrays)
+    write_container(path, kind, meta, arrays)
+    load = {"plan": zk.load_plan, "model": zk.load_model, "signature": zk.load_signature,
+            "batch": zk.load_batch, "dataset": zk.load_dataset}[artifact]
+    with pytest.raises(IntegrityError) as err:
+        load(path)
+    assert str(err.value) == f"{path}: {message}"
+    model, batch, sig = tmp_path / "m.mlp", tmp_path / "b.adv", tmp_path / "s.sig"
+    zk.save_model(_model(), model)
+    zk.save_batch(_batch(False), batch)
+    zk.save_signature(_artifacts()["signature"][1], sig)
+    argv = {"plan": ["sign", "--oracle", model, "--plan", path, "--out", tmp_path / "x.sig"],
+            "model": ["transfer", "--victim", path, "--batch", batch],
+            "signature": ["dist", sig, path],
+            "batch": ["transfer", "--victim", model, "--batch", path],
+            "dataset": ["attack", "--model", model, "--data", path, "--out", tmp_path / "x.adv"],
+            }[artifact]
+    code = main(list(map(str, argv)))
+    assert code == 1 and capsys.readouterr().err == f"error: {path}: {message}\n"

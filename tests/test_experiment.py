@@ -487,6 +487,30 @@ _BAD_PARSE = {
     "ridge-negative": (_edit("lime", ridge=-1), "ridge penalty must be >= 0"),
     "ridge-nan": (_edit("lime", ridge=float("nan")), "ridge penalty must be >= 0"),
     "lime-p-zero": (_edit("lime", p=0), "perturbations must be >= 1"),
+    # the training bounds of each model trained: its TrainConfig, built at stage parse,
+    # and a portfolio entry's view of the training data
+    "epochs-zero": (_edit("portfolio", 0, epochs=0), "config.portfolio[0]: epochs must be >= 1"),
+    "victim-epochs-zero": (_edit("victim", epochs=0), "config.victim: epochs must be >= 1"),
+    "learning-rate-zero": (_edit("portfolio", 1, learning_rate=0),
+                           "config.portfolio[1]: learning_rate must be > 0"),
+    "learning-rate-negative": (_edit("victim", learning_rate=-0.1),
+                               "config.victim: learning_rate must be > 0"),
+    "learning-rate-nan": (_edit("portfolio", 2, learning_rate=float("nan")),
+                          "config.portfolio[2]: learning_rate must be > 0"),
+    "hidden-zero": (_edit("portfolio", 1, hidden=[12, 0]),
+                    "config.portfolio[1]: hidden widths must be >= 1"),
+    "victim-hidden-zero": (_edit("victim", hidden=[0]),
+                           "config.victim: hidden widths must be >= 1"),
+    "train-fraction-zero": (_edit("portfolio", 2, train_fraction=0.0),
+                            "config.portfolio[2].train_fraction: must be in (0, 1], got 0.0"),
+    "train-fraction-above-one": (_edit("portfolio", 0, train_fraction=1.5),
+                                 "config.portfolio[0].train_fraction: must be in (0, 1]"),
+    "train-fraction-nan": (_edit("portfolio", 0, train_fraction=float("nan")),
+                           "config.portfolio[0].train_fraction: must be in (0, 1]"),
+    "label-noise-negative": (_edit("portfolio", 1, label_noise=-0.1),
+                             "config.portfolio[1].label_noise: must be in [0, 1], got -0.1"),
+    "label-noise-above-one": (_edit("portfolio", 2, label_noise=1.5),
+                              "config.portfolio[2].label_noise: must be in [0, 1]"),
     # lime bounds the dataset block sets: 240 training rows, 8 features
     "lime-n-zero": (_edit("lime", n=0), "config.lime.n: "),
     "lime-n-above-train-size": (_edit("lime", n=300), "config.lime.n: "),
@@ -720,7 +744,3 @@ def test_portfolio_dataset_views():
     flipped = (noisy.labels != data.labels).mean()
     assert 0.1 < flipped < 0.5
     assert np.array_equal(noisy.points, data.points)
-    with pytest.raises(ConfigError):
-        _portfolio_dataset(data, entry(train_fraction=0.0), 1)
-    with pytest.raises(ConfigError):
-        _portfolio_dataset(data, entry(label_noise=1.5), 1)

@@ -588,12 +588,14 @@ def test_sign_many_blocks_hold_block_rows_across_all_oracles(monkeypatch, p, n):
     use_cpus(monkeypatch, 1)
     sign_points, seen = zk.lime._sign_points, []
 
-    def recording(oracles, points, design, grid, policy, blocks):
-        seen.extend(blocks)
-        return sign_points(oracles, points, design, grid, policy, blocks)
+    def recording(oracles, points, design, grid, policy, blk):
+        seen.append(blk)
+        return sign_points(oracles, points, design, grid, policy, blk)
 
     monkeypatch.setattr(zk.lime, "_sign_points", recording)
     zk.sign_many(oracles, plan)
+    # the one loop where no lane runs: one call per block, each once, in block order
+    assert seen == zk.lime._point_blocks(n, p * len(oracles))
     assert [i for blk in seen for i in range(blk.start, blk.stop)] == list(range(n))
     for blk in seen:  # a block of one point may hold more: its rows cannot be split
         rows = (blk.stop - blk.start) * p * len(oracles)
@@ -665,10 +667,38 @@ def test_sign_many_same_bytes_and_bill_on_one_two_and_three_lanes(monkeypatch):
         _assert_same_signatures(sigs, runs[0])
 
 
+def _per_point(model):
+    """An oracle of ``model`` that sign_many signs point by point, in this process."""
+    return ArrayOracle(lambda b: zk.forward(model, b), 16, model.class_count, model.model_id)
+
+
+@pytest.mark.parametrize("make", [zk.LocalOracle, _per_point], ids=["local", "per-point"])
+@pytest.mark.parametrize("k", [0, 2, 4])
+def test_a_block_that_raises_leaves_its_earlier_blocks_billed(monkeypatch, make, k):
+    plan = _lane_plan()
+    use_cpus(monkeypatch, 1)
+    sign_points, signed = zk.lime._sign_points, []
+
+    def raises_at_block_k(*args):
+        if len(signed) == k:
+            raise RuntimeError(f"block {k}")
+        signed.append(args[-1])
+        return sign_points(*args)
+
+    monkeypatch.setattr(zk.lime, "_sign_points", raises_at_block_k)
+    oracles = [make(model) for model in _LANE_MODELS]
+    with pytest.raises(RuntimeError, match=f"^block {k}$"):
+        zk.sign_many(oracles, plan)
+    # blocks 0..k-1, 4 points each: b*P + b rows a block, and none of block k's
+    assert [blk.start for blk in signed] == list(range(0, 4 * k, 4))
+    for oracle in oracles:
+        assert oracle.ledger.breakdown() == _bill(4 * k, plan.p)
+
+
 def _signed_blocks_log(monkeypatch, where, lanes=1, before=None):
     """Make every process that signs through ``_sign_points`` after this call
-    append "pid first-point" per block to a log under ``where``; returns a
-    function that reads [(pid, first point)] back.
+    append "pid first-point" per block it signs to a log under ``where``;
+    returns a function that reads [(pid, first point)] back.
 
     At its first block since the last ``_new_round(where)``, a process marks
     its claim with the block's first point, then waits until ``lanes``
@@ -680,19 +710,19 @@ def _signed_blocks_log(monkeypatch, where, lanes=1, before=None):
     log, sign_points = where / "signed.log", zk.lime._sign_points
 
     def logged(*args):
-        for blk in args[-1]:
-            mark = where / f"claimed.{os.getpid()}"
-            if not mark.exists():
-                mark.write_text(str(blk.start))
-                deadline = time.monotonic() + 30
-                while len(list(where.glob("claimed.*"))) < lanes:
-                    assert time.monotonic() < deadline, "a lane claimed no block"
-                    time.sleep(0.002)
-            if before is not None:
-                before(blk)
-            fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
-            os.write(fd, f"{os.getpid()} {blk.start}\n".encode())
-            os.close(fd)
+        blk = args[-1]
+        mark = where / f"claimed.{os.getpid()}"
+        if not mark.exists():
+            mark.write_text(str(blk.start))
+            deadline = time.monotonic() + 30
+            while len(list(where.glob("claimed.*"))) < lanes:
+                assert time.monotonic() < deadline, "a lane claimed no block"
+                time.sleep(0.002)
+        if before is not None:
+            before(blk)
+        fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+        os.write(fd, f"{os.getpid()} {blk.start}\n".encode())
+        os.close(fd)
         return sign_points(*args)
 
     monkeypatch.setattr(zk.lime, "_sign_points", logged)
@@ -748,7 +778,7 @@ def test_sign_many_kills_and_reaps_children_when_run_0_raises(monkeypatch):
         if os.getpid() != parent:
             time.sleep(60)  # still signing when the parent gives up
             return sign_points(*args)
-        run_0.extend(args[-1])
+        run_0.append(args[-1])
         sign_points(*args)
         raise RuntimeError("run 0")
 

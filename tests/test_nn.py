@@ -2,6 +2,7 @@ import os
 import threading
 import time
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -466,14 +467,12 @@ def test_train_many_divergence_in_a_mixed_group_rejected(monkeypatch):
 # --- training lanes --------------------------------------------------------
 
 def _bundled_jobs(master):
-    """The jobs ``run_campaign`` trains for the bundled config at ``master``."""
-    cfg = zk.util.resolve("config", zk.experiment._SCHEMA, zk.bundled_campaign_config())
-    ds = cfg["dataset"]
-    centers = zk.blob_centers(ds["classes"], ds["features"],
-                              zk.derived_seed(master, "data.centers"))
-    data = zk.sample_blobs(centers, ds["train_size"], ds["noise"],
-                           zk.derived_seed(master, "data.train"))
-    return zk.experiment._train_jobs(cfg, data, master)
+    """The jobs ``run_campaign`` trains for the bundled config at ``master``:
+    those of its stages parse and dataset."""
+    s = SimpleNamespace(config={**zk.bundled_campaign_config(), "master_seed": master})
+    zk.experiment._parse(s)
+    zk.experiment._dataset(s)
+    return zk.experiment._train_jobs(s)
 
 
 @pytest.mark.parametrize("master", [202, 303])
