@@ -19,7 +19,7 @@ from .lime import (REPLACEMENT_POLICIES, LimeConfig, SegmentGrid, compute_signat
                    load_plan, load_signature, make_plan, save_plan, save_signature)
 from .nn import (TrainConfig, blob_centers, load_dataset, load_model, sample_blobs,
                  save_dataset, save_model, train)
-from .oracle import PURPOSES, RemoteEndpoint, local_oracle, remote_oracle, serve
+from .oracle import PURPOSES, RemoteEndpoint, RemoteOracle, local_oracle, serve
 from .util import atomic_write_text, csv_text, derived_seed
 from .zest import DistanceMetric, SignatureStore, select_surrogate, zest_distance
 
@@ -30,7 +30,7 @@ def _is_url(s: str) -> bool:
 
 def _oracle_from(locator: str):
     if _is_url(locator):
-        return remote_oracle(RemoteEndpoint(locator))
+        return RemoteOracle(RemoteEndpoint(locator))
     return local_oracle(load_model(locator))
 
 

@@ -21,9 +21,9 @@ from .errors import ConfigError
 from .lime import (REPLACEMENT_POLICIES, LimeConfig, SegmentGrid, correct_by_all, make_plan,
                    save_plan, save_signature, sign_many)
 from .nn import Dataset, TrainConfig, blob_centers, sample_blobs, save_model, train_many
-from .oracle import RemoteEndpoint, local_oracle, remote_oracle
+from .oracle import RemoteEndpoint, RemoteOracle, local_oracle
 from .util import (ForkLanes, atomic_write_text, config_hash, csv_text, derived_seed,
-                   fields_spec, owned_array, pearson, resolve)
+                   fields_spec, pearson, resolve)
 from .zest import DistanceMetric, SignatureStore, check_model_id, rank_signatures
 # kept importable here: bench/spans.py patches zestkit.experiment.train, .pgd, .forward,
 # .compute_signature and .select_surrogate
@@ -45,28 +45,6 @@ class CorrelationRecord:
     sample_count: int
 
 
-@dataclass(frozen=True)
-class TransferMatrix:
-    """rate[i][j]: transfer success from surrogate i to victim j."""
-
-    model_ids: "tuple[str, ...]"
-    rates: np.ndarray
-
-    def __post_init__(self):
-        r = owned_array(self, "rates", np.float64)
-        n = len(self.model_ids)
-        if r.shape != (n, n):
-            raise ConfigError(f"rates must be {n}x{n}")
-        if r.size and (r.min() < 0.0 or r.max() > 1.0):
-            raise ConfigError("transfer rates must lie in [0,1]")
-        object.__setattr__(self, "model_ids", tuple(self.model_ids))
-
-    def to_csv(self) -> str:
-        return csv_text(["surrogate\\victim", *self.model_ids],
-                        ([mid, *row]
-                         for mid, row in zip(self.model_ids, self.rates)))
-
-
 def select_attack_points(models, data: Dataset, count: int) -> Dataset:
     """First `count` points (dataset order) all models classify correctly."""
     return data.subset(correct_by_all(models, data, count)[:count])
@@ -79,18 +57,6 @@ def _craft(proxies, points: Dataset, acfg: AttackConfig, master: int):
         [(model, replace(acfg, rng_seed=derived_seed(master, f"pgd.{model.model_id}")))
          for model in proxies], points)
     return [vars(batch) for batch in crafted]
-
-
-def compute_transfer_matrix(models, points_data: Dataset, cfg: AttackConfig) -> TransferMatrix:
-    """All-pairs transfer among local models on a shared point set."""
-    batches = pgd_many([(model, cfg) for model in models], points_data)
-    n = len(models)
-    rates = np.zeros((n, n))
-    for j, victim_model in enumerate(models):
-        victim = local_oracle(victim_model)
-        for i in range(n):
-            rates[i, j] = transfer_eval(victim, batches[i]).success_rate
-    return TransferMatrix(tuple(m.model_id for m in models), rates)
 
 
 # --- campaign -------------------------------------------------------------
@@ -174,6 +140,15 @@ def _write_stamped(s, name, text):
     atomic_write_text(os.path.join(s.out_dir, name), f"# config_hash: {s.chash}\n" + text)
 
 
+def _built(where: str, cls, **fields):
+    """cls(**fields), whose ConfigError for a value out of bounds names the
+    config path `where`, as in ``config.attack: steps must be >= 1``."""
+    try:
+        return cls(**fields)
+    except ConfigError as e:
+        raise ConfigError(f"{where}: {e}") from None
+
+
 # Each stage takes the run's one namespace `s`, reads what earlier stages put
 # there and adds what it makes; _STAGES below gives their order.
 
@@ -184,8 +159,9 @@ def _parse(s):
     if not s.metrics or len(set(s.metrics)) != len(s.metrics):
         raise ConfigError(f"metrics must name at least one metric, each once: "
                           f"{[m.value for m in s.metrics]}")
-    if not cfg["portfolio"]:
-        raise ConfigError("portfolio must list at least one surrogate")
+    if len(cfg["portfolio"]) < 2:  # stage correlation's pearson needs two samples
+        raise ConfigError(f"config.portfolio: must list at least two surrogates, "
+                          f"got {len(cfg['portfolio'])}")
     s.portfolio_ids = [check_model_id(entry["model_id"]) for entry in cfg["portfolio"]]
     for i, entry in enumerate(cfg["portfolio"]):
         for key, ok, bounds in (("train_fraction", 0 < entry["train_fraction"] <= 1, "(0, 1]"),
@@ -194,9 +170,11 @@ def _parse(s):
                 raise ConfigError(f"config.portfolio[{i}].{key}: must be in {bounds}, "
                                   f"got {entry[key]}")
     lime, attack = cfg["lime"], cfg["attack"]
-    s.lime_cfg = LimeConfig(perturbations=lime["p"], kernel_width=lime["kernel_width"],
-                            ridge=lime["ridge"], replacement=lime["replacement"])
-    s.attack_cfg = AttackConfig(**{k: v for k, v in attack.items() if k != "points"})
+    s.lime_cfg = _built("config.lime", LimeConfig, perturbations=lime["p"],
+                        kernel_width=lime["kernel_width"], ridge=lime["ridge"],
+                        replacement=lime["replacement"])
+    s.attack_cfg = _built("config.attack", AttackConfig,
+                          **{k: v for k, v in attack.items() if k != "points"})
     ds = cfg["dataset"]
     for key, low in (("classes", 2), ("features", 1), ("train_size", 1)):
         if ds[key] < low:
@@ -232,12 +210,9 @@ def _parse(s):
         trained.append(("config.victim", cfg["victim"]))
     s.train_configs = {}  # model id -> its TrainConfig, in train_many's job order
     for where, entry in trained:
-        try:
-            s.train_configs[entry["model_id"]] = TrainConfig(
-                **{k: entry[k] for k in _TRAINING},
-                rng_seed=derived_seed(s.master, f"train.{entry['model_id']}"))
-        except ConfigError as e:
-            raise ConfigError(f"{where}: {e}") from None
+        s.train_configs[entry["model_id"]] = _built(
+            where, TrainConfig, **{k: entry[k] for k in _TRAINING},
+            rng_seed=derived_seed(s.master, f"train.{entry['model_id']}"))
 
 
 def _dataset(s):
@@ -258,7 +233,7 @@ def _train(s):
         save_model(model, os.path.join(models_dir, f"{model.model_id}.mlp"))
         log.info("trained %s: accuracy %.3f", model.model_id,
                  model.metadata["train_accuracy"])
-    s.victim = local_oracle(models[-1]) if s.endpoint is None else remote_oracle(s.endpoint)
+    s.victim = local_oracle(models[-1]) if s.endpoint is None else RemoteOracle(s.endpoint)
 
 
 def _plan(s):
@@ -370,14 +345,19 @@ def run_campaign(config: dict, out_dir) -> CampaignResult:
     or missing key, a block that is not an object, a value of the wrong type
     (a bool is not an int; an int must be integral), an unknown dataset or
     victim kind or replacement, a key the victim's kind does not take, and a
-    remote victim's malformed URL; for an empty or repeated `metrics` list
-    and model ids that repeat, cannot name a file in models/ or hold a
-    tab or line break (``zest.check_model_id``); and for the
+    remote victim's malformed URL; for an empty or repeated `metrics` list,
+    a `portfolio` of fewer than two surrogates (stage "correlation" takes a
+    Pearson r over them), and model ids that repeat, cannot name a file in
+    models/ or hold a tab or line break (``zest.check_model_id``); for the
     value bounds of the LimeConfig and AttackConfig it builds from the
     `lime` and `attack` blocks (`p` < 1, a negative or NaN `ridge`, a
     `kernel_width` that is not > 0; a negative, NaN or infinite `epsilon`, a
     `step_size` that is not > 0 or exceeds a positive `epsilon`, `steps` or
-    `restarts` < 1), for a dataset block with `classes` < 2, `features` or
+    `restarts` < 1) and of each trained model's TrainConfig, each message
+    prefixed with the block's path (``config.lime: ridge penalty must be
+    >= 0``, ``config.portfolio[0]: epochs must be >= 1``); for each
+    portfolio entry's `train_fraction` outside (0, 1] and `label_noise`
+    outside [0, 1]; and for a dataset block with `classes` < 2, `features` or
     `train_size` < 1, or a negative or NaN `noise`, for `attack.points`
     < 1 or above `dataset.test_size`, for `lime.n` < 1 or above
     `dataset.train_size`, for `lime.segments` < 1 or above

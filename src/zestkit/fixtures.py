@@ -53,12 +53,6 @@ class ReferenceFixture:
     matrices: dict
     closest: dict
 
-    def sizes(self):
-        return tuple(sorted({n for _, n in self.matrices}, reverse=True))
-
-    def metrics(self):
-        return tuple(sorted({m for m, _ in self.matrices}))
-
     def distance(self, metric: DistanceMetric, n: int, a: str, b: str) -> float:
         key = (DistanceMetric.parse(metric), int(n))
         if key not in self.matrices:

@@ -233,17 +233,6 @@ def make_plan(data, n: int, grid: SegmentGrid, cfg: LimeConfig, seed: int,
                             verified_model_ids=verified)
 
 
-def apply_mask(x, mask, grid: SegmentGrid, policy: str = "segment_mean") -> np.ndarray:
-    """Keep features in on-segments; replace off-segments per policy."""
-    x = np.asarray(x, dtype=np.float64)
-    mask = np.asarray(mask)
-    if x.ndim != 1 or x.shape[0] != grid.n_features:
-        raise ShapeError(f"x must be a vector of length {grid.n_features}")
-    if mask.shape != (grid.segment_count,):
-        raise ShapeError(f"mask must have {grid.segment_count} bits")
-    return masked_batch(x, mask.astype(bool)[None, :], grid, policy)[0]
-
-
 def _replacement_values(x: np.ndarray, grid: SegmentGrid, policy: str) -> np.ndarray:
     if policy == "zeros":
         return np.zeros(grid.segment_count)
@@ -591,7 +580,8 @@ class Signature:
 
 
 def sign_many(oracles, plan: PerturbationPlan) -> "list[Signature]":
-    """One signature per oracle, in input order, in one pass over the plan.
+    """One signature per oracle, in input order, in one pass over the plan;
+    none, with nothing built or sent, for no oracle.
 
     Each block's masked rows are built once and sent to every oracle in
     turn; each oracle sees exactly the calls compute_signature would send it
@@ -623,14 +613,16 @@ def sign_many(oracles, plan: PerturbationPlan) -> "list[Signature]":
     the order above.
     """
     oracles = list(oracles)
+    if not oracles:
+        return []
     for oracle in oracles:
         if oracle.input_dim != plan.grid.n_features:
             raise ShapeError(f"oracle expects {oracle.input_dim} features, "
                              f"plan has {plan.grid.n_features}")
     args = (plan.points, plan.design(), plan.grid, plan.config.replacement)
     fingerprint = plan.fingerprint()  # before the plan is pickled, so a worker hashes nothing
-    blocks = _point_blocks(plan.n, plan.p * max(1, len(oracles)))
-    local = oracles and all(type(oracle) is LocalOracle for oracle in oracles)
+    blocks = _point_blocks(plan.n, plan.p * len(oracles))
+    local = all(type(oracle) is LocalOracle for oracle in oracles)
     lanes = min(lane_count(), len(_point_blocks(plan.n, plan.p))) if local else 1
     queue = offer(len(blocks)) if lanes > 1 else None
     parts = {}  # block index -> each oracle's (coef, intercept)

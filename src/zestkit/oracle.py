@@ -64,11 +64,6 @@ class QueryLedger:
         with self._lock:
             self._counts[purpose] += int(rows)
 
-    @property
-    def total_queries(self) -> int:
-        with self._lock:
-            return sum(self._counts.values())
-
     def breakdown(self) -> dict:
         with self._lock:
             return dict(self._counts)
@@ -279,10 +274,6 @@ def _error_detail(payload: bytes) -> str:
         answer = None
     return (answer.get("error", "") if isinstance(answer, dict)
             else payload.decode("utf-8", "replace")[:200])
-
-
-def remote_oracle(endpoint: RemoteEndpoint) -> RemoteOracle:
-    return RemoteOracle(endpoint)
 
 
 @functools.cache

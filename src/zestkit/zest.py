@@ -179,13 +179,6 @@ class SignatureStore:
             return sorted(mid for mid, (fp, _, _) in self._index.items()
                           if fp == fingerprint)
 
-    def fingerprints(self) -> "dict[str, list[str]]":
-        with self._lock:
-            groups = {}
-            for mid, (fp, _, _) in sorted(self._index.items()):
-                groups.setdefault(fp, []).append(mid)
-            return groups
-
 
 def rank_candidates(scored):
     """Sort (proxy_id, distance) pairs by distance then id; flag exact ties.

@@ -32,7 +32,7 @@ import zestkit as zk
 from zestkit.attack import AdversarialBatch, batch_summary_csv
 from zestkit.lime import mask_kernel_weights, masked_batch
 from zestkit.nn import Dataset
-from zestkit.oracle import ModelServer, RemoteEndpoint, remote_oracle
+from zestkit.oracle import ModelServer, RemoteEndpoint, RemoteOracle
 from zestkit.util import atomic_write_text
 from zestkit.zest import DistanceMetric, vector_distance
 
@@ -297,16 +297,16 @@ def test_criterion_5_query_accounting():
             b = local.ledger.breakdown()
             assert b["signature"] == expected
             assert b["signature_baseline"] == n
-            assert local.ledger.total_queries == expected + n
+            assert local.ledger.snapshot()["total"] == expected + n
 
         with ModelServer(model, port=0) as server:
             for n, expected in ((128, 128_000), (32, 32_000)):
-                remote = remote_oracle(RemoteEndpoint(server.base_url))
+                remote = RemoteOracle(RemoteEndpoint(server.base_url))
                 zk.compute_signature(remote, plans[n])
                 b = remote.ledger.breakdown()
                 assert b["signature"] == expected
                 assert b["signature_baseline"] == n
-                assert remote.ledger.total_queries == expected + n
+                assert remote.ledger.snapshot()["total"] == expected + n
 
 
 def test_criterion_6_pgd_budget_and_strength(artifacts, blob_world):

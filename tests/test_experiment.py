@@ -83,23 +83,6 @@ def test_spearman_monotone_and_reversed():
         zk.pearson(_average_ranks(a), _average_ranks(b)))
 
 
-# --- transfer matrix -------------------------------------------------------
-
-def test_transfer_matrix_validation():
-    with pytest.raises(ConfigError):
-        zk.TransferMatrix(("a", "b"), np.zeros((2, 3)))
-    with pytest.raises(ConfigError):
-        zk.TransferMatrix(("a",), np.array([[1.5]]))
-
-
-def test_transfer_matrix_csv():
-    tm = zk.TransferMatrix(("a", "b"), np.array([[0.5, 1.0], [0.0, 0.25]]))
-    lines = tm.to_csv().strip().split("\n")
-    assert lines[0] == "surrogate\\victim,a,b"
-    assert lines[1] == "a,0.5,1.0"
-    assert lines[2] == "b,0.0,0.25"
-
-
 def test_select_attack_points_screen(blob_world):
     models = [blob_world["victim"], blob_world["proxy"]]
     data = blob_world["test"]
@@ -120,19 +103,6 @@ def test_select_attack_points_impossible(blob_world):
     models = [blob_world["victim"]]
     with pytest.raises(ConfigError):
         zk.select_attack_points(models, blob_world["test"], 10 ** 6)
-
-
-def test_transfer_matrix_diagonal_is_local_success(blob_world):
-    models = [blob_world["victim"], blob_world["proxy"]]
-    points = zk.select_attack_points(models, blob_world["test"], 20)
-    cfg = zk.AttackConfig(epsilon=0.12, step_size=0.03, steps=10, restarts=2,
-                          rng_seed=0)
-    tm = zk.compute_transfer_matrix(models, points, cfg)
-    assert tm.model_ids == ("victim", "proxy")
-    for i, model in enumerate(models):
-        batch = zk.pgd(model, points, cfg)
-        assert tm.rates[i, i] == pytest.approx(batch.local_success_rate)
-    assert tm.rates.min() >= 0.0 and tm.rates.max() <= 1.0
 
 
 def test_identity_surrogate_selected_at_distance_zero(tmp_path, blob_world,
@@ -476,17 +446,25 @@ _BAD_PARSE = {
     "remote-victim-with-hidden": (
         _edit(victim={"kind": "remote", "url": "http://127.0.0.1:9", "hidden": [12]}),
         "config.victim: unknown keys ['hidden']"),
+    # correlation needs a transfer rate and a distance from at least two surrogates
+    "no-surrogate": (_edit(portfolio=[]),
+                     "config.portfolio: must list at least two surrogates, got 0"),
+    "one-surrogate": (lambda c: c.update(portfolio=c["portfolio"][:1]),
+                      "config.portfolio: must list at least two surrogates, got 1"),
     # value bounds of the LimeConfig and AttackConfig that stage parse builds
-    "epsilon-negative": (_edit("attack", epsilon=-1), "epsilon must be >= 0"),
-    "epsilon-nan": (_edit("attack", epsilon=float("nan")), "epsilon must be >= 0"),
-    "epsilon-inf": (_edit("attack", epsilon=float("inf")), "epsilon must be >= 0 and finite"),
-    "step-above-epsilon": (_edit("attack", step_size=0.5), "step_size cannot exceed epsilon"),
-    "steps-zero": (_edit("attack", steps=0), "steps must be >= 1"),
-    "restarts-zero": (_edit("attack", restarts=0), "restarts must be >= 1"),
+    "epsilon-negative": (_edit("attack", epsilon=-1), "config.attack: epsilon must be >= 0"),
+    "epsilon-nan": (_edit("attack", epsilon=float("nan")),
+                    "config.attack: epsilon must be >= 0"),
+    "epsilon-inf": (_edit("attack", epsilon=float("inf")),
+                    "config.attack: epsilon must be >= 0 and finite"),
+    "step-above-epsilon": (_edit("attack", step_size=0.5),
+                           "config.attack: step_size cannot exceed epsilon"),
+    "steps-zero": (_edit("attack", steps=0), "config.attack: steps must be >= 1"),
+    "restarts-zero": (_edit("attack", restarts=0), "config.attack: restarts must be >= 1"),
     "points-zero": (_edit("attack", points=0), "config.attack.points: "),
-    "ridge-negative": (_edit("lime", ridge=-1), "ridge penalty must be >= 0"),
-    "ridge-nan": (_edit("lime", ridge=float("nan")), "ridge penalty must be >= 0"),
-    "lime-p-zero": (_edit("lime", p=0), "perturbations must be >= 1"),
+    "ridge-negative": (_edit("lime", ridge=-1), "config.lime: ridge penalty must be >= 0"),
+    "ridge-nan": (_edit("lime", ridge=float("nan")), "config.lime: ridge penalty must be >= 0"),
+    "lime-p-zero": (_edit("lime", p=0), "config.lime: perturbations must be >= 1"),
     # the training bounds of each model trained: its TrainConfig, built at stage parse,
     # and a portfolio entry's view of the training data
     "epochs-zero": (_edit("portfolio", 0, epochs=0), "config.portfolio[0]: epochs must be >= 1"),

@@ -15,10 +15,10 @@ def fixture():
 
 def test_fixture_shape(fixture):
     assert len(fixture.model_ids) == 13
-    assert fixture.sizes() == (128, 64, 32)
-    assert set(fixture.metrics()) == {DistanceMetric.COSINE, DistanceMetric.LINF}
+    metrics = {DistanceMetric.COSINE, DistanceMetric.LINF}
+    assert set(fixture.matrices) == {(m, n) for m in metrics for n in (128, 64, 32)}
     # full symmetric pairwise table at every (metric, n)
-    for metric in fixture.metrics():
+    for metric in metrics:
         for n in REFERENCE_SIZES:
             for a in fixture.model_ids:
                 for b in fixture.model_ids:

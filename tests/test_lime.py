@@ -198,32 +198,35 @@ def test_plan_round_trip(tmp_path, small_plan):
 def test_apply_mask_identity():
     grid = zk.SegmentGrid.uniform(4, 2)
     x = np.array([0.2, 0.4, 0.9, 0.1])
-    assert np.array_equal(zk.apply_mask(x, np.array([1, 1], bool), grid), x)
+    assert np.array_equal(masked_batch(x, np.array([[1, 1]], bool), grid, "segment_mean"),
+                          [x])
 
 
 def test_apply_mask_zeros_policy():
     grid = zk.SegmentGrid.uniform(4, 2)
     x = np.array([0.2, 0.4, 0.9, 0.1])
-    out = zk.apply_mask(x, np.array([0, 0], bool), grid, policy="zeros")
-    assert np.array_equal(out, np.zeros(4))
+    out = masked_batch(x, np.array([[0, 0]], bool), grid, "zeros")
+    assert np.array_equal(out, np.zeros((1, 4)))
 
 
 def test_apply_mask_segment_mean_hand_example():
     grid = zk.SegmentGrid.uniform(4, 2)
     x = np.array([0.2, 0.4, 0.9, 0.1])
-    out = zk.apply_mask(x, np.array([1, 0], bool), grid, policy="segment_mean")
-    assert np.allclose(out, [0.2, 0.4, 0.5, 0.5])
+    out = masked_batch(x, np.array([[1, 0]], bool), grid, "segment_mean")
+    assert np.allclose(out, [[0.2, 0.4, 0.5, 0.5]])
 
 
-def test_masked_batch_matches_apply_mask():
+def test_masked_batch_matches_a_per_row_where():
     grid = zk.SegmentGrid.uniform(6, 3)
     rng = np.random.default_rng(0)
     x = rng.random(6)
     masks = rng.random((10, 3)) < 0.5
-    batch = masked_batch(x, masks, grid, "segment_mean")
-    for i in range(10):
-        assert np.array_equal(batch[i], zk.apply_mask(x, masks[i], grid,
-                                                      "segment_mean"))
+    # each feature's fill: the mean of its segment's features, or 0
+    means = np.array([x[grid.assignment == s].mean() for s in grid.assignment])
+    for policy, fill in (("segment_mean", means), ("zeros", np.zeros(6))):
+        batch = masked_batch(x, masks, grid, policy)
+        for i in range(10):
+            assert np.array_equal(batch[i], np.where(masks[i][grid.assignment], x, fill))
 
 
 def _masked_batch_where(x, masks, grid, policy):
@@ -420,7 +423,7 @@ def test_signature_ledger_exactly_np_plus_n(blob_world, small_plan):
     b = oracle.ledger.breakdown()
     assert b["signature"] == small_plan.n * small_plan.p == 720
     assert b["signature_baseline"] == small_plan.n == 6
-    assert oracle.ledger.total_queries == 726
+    assert oracle.ledger.snapshot()["total"] == 726
 
 
 def test_identical_models_identical_signatures(blob_world, small_plan):
@@ -560,6 +563,16 @@ def test_sign_many_matches_compute_signature_bitwise(p, n):
         assert len(many) == len(solo) == 2 * n
         for (pa, ra), (pb, rb) in zip(many, solo):
             assert pa == pb and ra.tobytes() == rb.tobytes()
+
+
+def test_sign_many_of_no_oracle_is_empty_and_builds_no_design(monkeypatch):
+    plan = zk.PerturbationPlan(np.random.default_rng(3).random((3, 16)),
+                               zk.SegmentGrid.uniform(16, 8), zk.LimeConfig(perturbations=40),
+                               seed=3)
+    use_cpus(monkeypatch, 2)
+    forks = count_forks(monkeypatch)
+    assert zk.sign_many([], plan) == []
+    assert plan._design is None and forks == []
 
 
 def test_sign_many_transport_error_names_the_failing_oracles_progress(small_plan,
@@ -1146,10 +1159,10 @@ def test_singular_gram_fails_before_any_query(blob_world):
     oracle = zk.local_oracle(blob_world["victim"])
     with pytest.raises(NumericalError, match="set ridge > 0"):
         zk.compute_signature(oracle, plan)
-    assert oracle.ledger.total_queries == 0
+    assert oracle.ledger.snapshot()["total"] == 0
     ridged = zk.PerturbationPlan(points, grid, zk.LimeConfig(perturbations=4), seed=0)
     zk.compute_signature(oracle, ridged)
-    assert oracle.ledger.total_queries == 3 * 4 + 3
+    assert oracle.ledger.snapshot()["total"] == 3 * 4 + 3
 
 
 def test_transport_error_carries_progress(small_plan, blob_world):

@@ -28,7 +28,7 @@ def test_ledger_accumulates_by_purpose():
     led.add("signature", 100)
     led.add("signature", 28)
     led.add("attack_eval", 7)
-    assert led.total_queries == 135
+    assert led.snapshot()["total"] == 135
     b = led.breakdown()
     assert b["signature"] == 128 and b["attack_eval"] == 7 and b["other"] == 0
     snap = led.snapshot()
@@ -55,7 +55,7 @@ def test_ledger_monotone_under_threads():
         t.start()
     for t in threads:
         t.join()
-    assert led.total_queries == 8 * 500 * 2
+    assert led.snapshot()["total"] == 8 * 500 * 2
 
 
 # --- local oracle ----------------------------------------------------------
@@ -82,7 +82,7 @@ def test_local_oracle_empty_batch():
     oracle = zk.local_oracle(tiny_net(1))
     out = oracle.predict_proba(np.zeros((0, oracle.input_dim)))
     assert out.shape == (0, oracle.class_count)
-    assert oracle.ledger.total_queries == 0
+    assert oracle.ledger.snapshot()["total"] == 0
 
 
 def test_local_oracle_rejects_bad_batches_unbilled():
@@ -93,7 +93,7 @@ def test_local_oracle_rejects_bad_batches_unbilled():
     bad[1, 2] = np.nan
     with pytest.raises(DomainError):
         oracle.predict_proba(bad)
-    assert oracle.ledger.total_queries == 0
+    assert oracle.ledger.snapshot()["total"] == 0
 
 
 # --- serve + remote --------------------------------------------------------
@@ -114,15 +114,15 @@ def test_info_endpoint(served):
 
 def test_remote_matches_local(served):
     model, server = served
-    remote = zk.remote_oracle(zk.RemoteEndpoint(server.base_url))
+    remote = zk.RemoteOracle(zk.RemoteEndpoint(server.base_url))
     x = np.random.default_rng(3).random((17, model.input_dim))
     assert np.abs(remote.predict_proba(x) - zk.forward(model, x)).max() < 1e-9
-    assert remote.ledger.total_queries == 17
+    assert remote.ledger.snapshot()["total"] == 17
 
 
 def test_remote_chunking_counts_rows_once(served):
     model, server = served
-    remote = zk.remote_oracle(zk.RemoteEndpoint(server.base_url, max_batch_rows=1000))
+    remote = zk.RemoteOracle(zk.RemoteEndpoint(server.base_url, max_batch_rows=1000))
     x = np.random.default_rng(4).random((2500, model.input_dim))
     out = remote.predict_proba(x, purpose="signature")
     assert out.shape == (2500, model.class_count)
@@ -133,10 +133,10 @@ def test_remote_chunking_counts_rows_once(served):
 
 def test_remote_rejects_wrong_width(served):
     model, server = served
-    remote = zk.remote_oracle(zk.RemoteEndpoint(server.base_url))
+    remote = zk.RemoteOracle(zk.RemoteEndpoint(server.base_url))
     with pytest.raises((ProtocolError, ShapeError)):
         remote.predict_proba(np.zeros((2, model.input_dim + 1)))
-    assert remote.ledger.total_queries == 0
+    assert remote.ledger.snapshot()["total"] == 0
 
 
 def test_server_rejects_malformed_request(served):
@@ -180,7 +180,7 @@ def test_server_answers_413_above_request_cap(served):
         assert reply.will_close
     finally:
         conn.close()
-    remote = zk.remote_oracle(zk.RemoteEndpoint(server.base_url))
+    remote = zk.RemoteOracle(zk.RemoteEndpoint(server.base_url))
     assert remote.predict_proba(np.zeros((2, model.input_dim))).shape == (2, 3)
 
 
@@ -257,7 +257,7 @@ plan = zk.make_plan(data, 2, zk.SegmentGrid.uniform(8, 4), zk.LimeConfig(perturb
 zk.compute_signature(zk.local_oracle(model), plan)
 loaded = sorted(sys.modules)
 with zk.oracle.ModelServer(model) as server:
-    remote = zk.remote_oracle(zk.RemoteEndpoint(server.base_url, timeout=5))
+    remote = zk.RemoteOracle(zk.RemoteEndpoint(server.base_url, timeout=5))
     served = remote.predict_proba(data.points[:3])
 print(json.dumps({"loaded": loaded,
                   "served": bool((served == zk.forward(model, data.points[:3])).all())}))
@@ -279,7 +279,7 @@ def test_import_loads_no_third_party_http_client():
 
 
 def test_unreachable_endpoint_transport_error():
-    remote = zk.remote_oracle(zk.RemoteEndpoint("http://127.0.0.1:9",
+    remote = zk.RemoteOracle(zk.RemoteEndpoint("http://127.0.0.1:9",
                                                 timeout=0.2, retries=1))
     with pytest.raises(TransportError) as err:
         remote.predict_proba(np.zeros((3, 2)))
@@ -292,7 +292,7 @@ def test_concurrent_clients_consistent(served):
     expected = zk.forward(model, x)
     results = [None] * 6
     def hit(i):
-        remote = zk.remote_oracle(zk.RemoteEndpoint(server.base_url))
+        remote = zk.RemoteOracle(zk.RemoteEndpoint(server.base_url))
         results[i] = remote.predict_proba(x)
     threads = [threading.Thread(target=hit, args=(i,)) for i in range(6)]
     for t in threads:
@@ -308,7 +308,7 @@ def test_server_lifecycle_releases_port():
     server = ModelServer(model, port=0)
     server.start()
     port = server.port
-    remote = zk.remote_oracle(zk.RemoteEndpoint(server.base_url))
+    remote = zk.RemoteOracle(zk.RemoteEndpoint(server.base_url))
     remote.predict_proba(np.zeros((1, model.input_dim)))
     server.stop()
     # port is free again: a new server can bind it immediately
@@ -375,7 +375,7 @@ def scripted():
 
 def _scripted_client(httpd, **kw):
     host, port = httpd.server_address[:2]
-    return zk.remote_oracle(zk.RemoteEndpoint(f"http://{host}:{port}", timeout=5, **kw))
+    return zk.RemoteOracle(zk.RemoteEndpoint(f"http://{host}:{port}", timeout=5, **kw))
 
 
 def test_remote_retries_server_error_and_bills_once(scripted):
@@ -394,7 +394,7 @@ def test_remote_client_error_carries_server_text(scripted):
     with pytest.raises(ProtocolError, match=r"\(400\): inputs must be rows of 2 numbers$"):
         remote.predict_proba(np.zeros((4, 2)))
     assert scripted.posts == [4]
-    assert remote.ledger.total_queries == 0
+    assert remote.ledger.snapshot()["total"] == 0
 
 
 def test_remote_client_error_413_bills_nothing(scripted):
@@ -403,7 +403,7 @@ def test_remote_client_error_413_bills_nothing(scripted):
     with pytest.raises(ProtocolError, match=r"\(413\): request body too large$"):
         remote.predict_proba(np.zeros((4, 2)))
     assert scripted.posts == [4]
-    assert remote.ledger.total_queries == 0
+    assert remote.ledger.snapshot()["total"] == 0
 
 
 @pytest.mark.parametrize("body, reason", [
@@ -417,7 +417,7 @@ def test_remote_server_error_reason_reaches_transport_error(scripted, body, reas
         remote.predict_proba(np.zeros((4, 2)), purpose="signature")
     assert str(err.value).endswith(f"failed after 3 attempts: server error 503: {reason}")
     assert err.value.rows_counted == 0
-    assert remote.ledger.total_queries == 0
+    assert remote.ledger.snapshot()["total"] == 0
     assert scripted.posts == [4, 4, 4]
 
 
@@ -431,7 +431,7 @@ def test_remote_client_error_non_object_json(scripted, body):
         remote.predict_proba(np.zeros((4, 2)))
     assert str(err.value) == f"oracle rejected request (400): {body.decode()[:200]}"
     assert scripted.posts == [4]
-    assert remote.ledger.total_queries == 0
+    assert remote.ledger.snapshot()["total"] == 0
 
 
 @pytest.mark.parametrize("reply, message", [
@@ -445,7 +445,7 @@ def test_remote_rejects_bad_answers(scripted, reply, message):
     with pytest.raises(ProtocolError, match=message):
         remote.predict_proba(np.zeros((4, 2)))
     assert scripted.posts == [4]
-    assert remote.ledger.total_queries == 0
+    assert remote.ledger.snapshot()["total"] == 0
 
 
 @pytest.mark.parametrize("info, message", [
@@ -459,7 +459,7 @@ def test_remote_rejects_bad_info(scripted, info, message):
     with pytest.raises(ProtocolError, match=message):
         remote.predict_proba(np.zeros((4, 2)))
     assert scripted.posts == []
-    assert remote.ledger.total_queries == 0
+    assert remote.ledger.snapshot()["total"] == 0
 
 
 def test_remote_empty_batch_sends_and_bills_nothing(scripted):
@@ -467,7 +467,7 @@ def test_remote_empty_batch_sends_and_bills_nothing(scripted):
     out = remote.predict_proba(np.zeros((0, 2)), purpose="signature")
     assert out.shape == (0, 3)
     assert scripted.posts == []
-    assert remote.ledger.total_queries == 0
+    assert remote.ledger.snapshot()["total"] == 0
 
 
 def test_remote_dropped_connection_bills_answered_chunks(scripted):
@@ -476,7 +476,7 @@ def test_remote_dropped_connection_bills_answered_chunks(scripted):
     with pytest.raises(TransportError) as err:
         remote.predict_proba(np.zeros((6, 2)), purpose="signature")
     assert err.value.rows_counted == 3
-    assert remote.ledger.total_queries == 3
+    assert remote.ledger.snapshot()["total"] == 3
     assert scripted.posts == [3, 3, 3, 3]
 
 
@@ -493,7 +493,7 @@ def test_server_answers_500_when_forward_raises(monkeypatch, caplog):
     monkeypatch.setattr(oracle_mod, "forward", failing_forward)
     with ModelServer(model, port=0) as server, \
             caplog.at_level(logging.ERROR, logger=oracle_mod.log.name):
-        remote = zk.remote_oracle(zk.RemoteEndpoint(server.base_url, timeout=5,
+        remote = zk.RemoteOracle(zk.RemoteEndpoint(server.base_url, timeout=5,
                                                     max_batch_rows=3, retries=1))
         with pytest.raises(TransportError) as err:
             remote.predict_proba(np.zeros((6, 2)), purpose="signature")

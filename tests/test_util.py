@@ -169,7 +169,6 @@ def _owned_cases():
         (zk.PerturbationPlan, dict(points=rng.random((2, 4)), grid=grid,
                                    config=zk.LimeConfig(perturbations=4), seed=0)),
         (zk.PointModel, dict(coef=rng.normal(size=(3, 2)), intercept=rng.normal(size=3))),
-        (zk.TransferMatrix, dict(model_ids=("a", "b"), rates=rng.random((2, 2)))),
         (zk.AdversarialBatch, dict(
             originals=pts, labels=np.array([0, 1, 2], dtype=np.int64),
             adversarials=np.clip(pts + 0.01, 0.0, 1.0),

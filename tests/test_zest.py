@@ -173,8 +173,6 @@ def test_store_fingerprint_partition(store):
     assert store.list_by_fingerprint("f1") == ["a", "b"]
     assert store.list_by_fingerprint("f2") == ["c"]
     assert store.model_ids() == ["a", "b", "c"]
-    groups = store.fingerprints()
-    assert groups == {"f1": ["a", "b"], "f2": ["c"]}
 
 
 def test_store_corruption_detected(store, tmp_path):
