@@ -175,6 +175,8 @@ def _parse(s):
                         replacement=lime["replacement"])
     s.attack_cfg = _built("config.attack", AttackConfig,
                           **{k: v for k, v in attack.items() if k != "points"})
+    if s.attack_cfg.epsilon == 0:  # PGD cannot move, so every transfer rate would be 0
+        raise ConfigError(f"config.attack.epsilon: must be > 0, got {attack['epsilon']}")
     ds = cfg["dataset"]
     for key, low in (("classes", 2), ("features", 1), ("train_size", 1)):
         if ds[key] < low:
@@ -355,7 +357,10 @@ def run_campaign(config: dict, out_dir) -> CampaignResult:
     `step_size` that is not > 0 or exceeds a positive `epsilon`, `steps` or
     `restarts` < 1) and of each trained model's TrainConfig, each message
     prefixed with the block's path (``config.lime: ridge penalty must be
-    >= 0``, ``config.portfolio[0]: epochs must be >= 1``); for each
+    >= 0``, ``config.portfolio[0]: epochs must be >= 1``); for an
+    `attack.epsilon` of 0, which AttackConfig allows but under which PGD
+    cannot move, so every transfer rate would be 0 and stage "correlation"
+    would fail after the victim was billed; for each
     portfolio entry's `train_fraction` outside (0, 1] and `label_noise`
     outside [0, 1]; and for a dataset block with `classes` < 2, `features` or
     `train_size` < 1, or a negative or NaN `noise`, for `attack.points`

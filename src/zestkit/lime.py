@@ -15,8 +15,9 @@ no fit. Most oracles get one baseline call per point; an exact LocalOracle
 gets one per signing block, holding the block's points.
 
 Everything that depends on the plan's masks alone (the masks, bit-packed,
-their kernel weights and the ridge Gram matrices) is built once per plan, as
-its PlanDesign, and reused by every signature taken under it.
+their kernel weights and the ridge Gram matrices) is built once per plan, in
+one pass over its points, as its PlanDesign, and reused by every signature
+taken under it.
 """
 
 import hashlib
@@ -24,9 +25,9 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import (ComparabilityError, ConfigError, IntegrityError, NumericalError,
-                     ShapeError, TransportError)
-from .nn import STACK_ROWS, forward, forward_stack
+from .errors import (ComparabilityError, ConfigError, DomainError, IntegrityError,
+                     NumericalError, ShapeError, TransportError)
+from .nn import forward, forward_stack
 from .oracle import LocalOracle, QueryOracle
 from .util import (F8, I8, ForkLanes, canonical_json, claim, csv_text, derived_seed,
                    fields_spec, lane_count, offer, owned_array, read_container, stored_fields,
@@ -36,10 +37,11 @@ REPLACEMENT_POLICIES = ("segment_mean", "zeros")
 # Answer rows a signing block holds, summed over the oracles it signs: the
 # fastest of 1000-32768 rows at N=128, P=1000, S=16 with one oracle. A
 # portfolio's block then holds no more answers than one oracle's, nor does
-# the scratch buffer each block is signed in (_sign_points). An
-# exact LocalOracle answers a block in stacked forwards (nn.STACK_ROWS rows a
-# pass); any other oracle is still called per point, because its output bits
-# may depend on how many rows one call carries.
+# the scratch buffer each block is signed in (_sign_points). It is
+# _point_blocks' only budget: an exact LocalOracle answers a block in stacked
+# forwards, whose passes nn.STACK_ROWS bounds; any other oracle is still
+# called per point, because its output bits may depend on how many rows one
+# call carries.
 BLOCK_ROWS = 8192
 
 
@@ -106,7 +108,14 @@ class LimeConfig:
 
 @dataclass(frozen=True)
 class PerturbationPlan:
-    """Seeded reference points + masks, shared across every model compared."""
+    """Seeded reference points + masks, shared across every model compared.
+
+    The points and their replacement values (segment means or zeros) must
+    be finite, so every masked row signing builds from them is, and the seed
+    an int (a numpy integer is stored as the int it equals): a plan that
+    could not be signed is refused where it is made, before any oracle is
+    billed.
+    """
 
     points: np.ndarray          # (N, d) reference inputs
     grid: SegmentGrid
@@ -123,6 +132,15 @@ class PerturbationPlan:
         if pts.shape[1] != self.grid.n_features:
             raise ShapeError(
                 f"points have {pts.shape[1]} features but grid covers {self.grid.n_features}")
+        if not np.all(np.isfinite(pts)):
+            raise DomainError("reference points contain non-finite entries")
+        # the masked rows hold these fills too: a sum past float64's range would reach the oracle
+        if not all(np.isfinite(_replacement_values(x, self.grid, self.config.replacement)).all()
+                   for x in pts):
+            raise DomainError("reference points have segment means that are not finite")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
+            raise ConfigError(f"plan seed must be an int, got {self.seed!r}")
+        object.__setattr__(self, "seed", int(self.seed))
         if self.config.perturbations < self.grid.segment_count:
             raise ConfigError("need perturbations >= segment count for a solvable regression")
         object.__setattr__(self, "verified_model_ids", tuple(self.verified_model_ids))
@@ -149,24 +167,13 @@ class PerturbationPlan:
     def design(self) -> "PlanDesign":
         """The plan's PlanDesign, built on first use and kept on the plan."""
         if self._design is None:
-            object.__setattr__(self, "_design", _build_design(*self._draw_masks(), self.s,
-                                                              self.config))
+            # one point at a time from one stream: the same bits as a single
+            # rng.random((N, P, S)) < 0.5, without its N*P*S float64 transient
+            rng = np.random.default_rng(derived_seed(self.seed, "plan.masks"))
+            masks = (rng.random((self.p, self.s)) < 0.5 for _ in range(self.n))
+            object.__setattr__(self, "_design",
+                               _build_design(masks, self.n, self.p, self.s, self.config))
         return self._design
-
-    def _draw_masks(self) -> "tuple[np.ndarray, np.ndarray]":
-        """The masks, as ``_pack`` gives them: each point's bits and counts of ones."""
-        # one point at a time from one stream: the same bits as a single
-        # rng.random((N, P, S)) < 0.5, packed as drawn, so neither its N*P*S
-        # float64 transient nor the N*P*S bools ever exist
-        rng = np.random.default_rng(derived_seed(self.seed, "plan.masks"))
-        bits = np.empty((self.n, -(-self.p * self.s // 8)), dtype=np.uint8)
-        ones = np.empty((self.n, self.p), dtype=np.min_scalar_type(self.s))
-        draws = np.empty((self.p, self.s))
-        point = np.empty((1, self.p, self.s), dtype=bool)
-        for i in range(self.n):
-            np.less(rng.random(out=draws), 0.5, out=point[0])
-            bits[i:i + 1], ones[i:i + 1] = _pack(point)
-        return bits, ones
 
     def __getstate__(self):
         """Pickled without its design, which the receiver builds on first use."""
@@ -308,10 +315,12 @@ class PlanDesign:
     unpenalized. The masks are kept packed, eight to a byte, and a mask's
     kernel weight is table[its count of ones]: B*ceil(P*S/8) + B*P +
     8*(S+1) + 8*B*(S+1)^2 bytes with S < 256, 0.65 MiB at N=128, P=1000,
-    S=16. Signing unpacks one block at a time and builds the block's masked
-    rows and weighted design in a scratch buffer sized for that block, one
-    per _sign_points call. Only _build_design makes a design, from
-    arrays nothing else holds, so they are made read-only in place.
+    S=16. Each point's row of every array depends on that point's masks
+    alone, which is what lets _build_design fill them in one pass. Signing
+    unpacks one block at a time and builds the block's masked rows and
+    weighted design in a scratch buffer sized for that block, one per
+    _sign_points call. Only _build_design makes a design, from arrays
+    nothing else holds, so they are made read-only in place.
     """
 
     bits: np.ndarray    # (B, ceil(P*S/8)) uint8, each point's (P, S) masks packed little-endian
@@ -325,33 +334,20 @@ class PlanDesign:
 
     def masks(self, blk: slice = slice(None)) -> np.ndarray:
         """(b, P, S) bool masks of the points in ``blk``, unpacked into a new array."""
-        return _unpack(self.bits[blk], self.ones.shape[1], self.table.size - 1)
+        bits, p, s = self.bits[blk], self.ones.shape[1], self.table.size - 1
+        return (np.unpackbits(bits, axis=-1, count=p * s, bitorder="little")
+                .view(bool).reshape(len(bits), p, s))
 
 
-def _pack(masks: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
-    """(B, P, S) bool masks as PlanDesign keeps them: the bits of each point,
-    packed little-endian, (B, ceil(P*S/8)) uint8, and each mask's count of
-    ones (B, P)."""
-    b, p, s = masks.shape
-    return (np.packbits(masks.reshape(b, p * s), axis=-1, bitorder="little"),
-            masks.sum(axis=-1, dtype=np.min_scalar_type(s)))
-
-
-def _unpack(bits: np.ndarray, p: int, s: int) -> np.ndarray:
-    """The inverse of ``_pack``'s bits: (B, ceil(P*S/8)) uint8 -> (B, P, S) bool."""
-    return (np.unpackbits(bits, axis=-1, count=p * s, bitorder="little")
-            .view(bool).reshape(len(bits), p, s))
-
-
-def _point_blocks(n: int, p: int, rows: int = BLOCK_ROWS):
+def _point_blocks(n: int, p: int):
     """Slices of consecutive points of ``p`` rows each, holding about
-    ``rows`` rows (one point when ``p`` alone exceeds it)."""
-    step = max(1, rows // p)
+    BLOCK_ROWS rows (one point when ``p`` alone exceeds it)."""
+    step = max(1, BLOCK_ROWS // p)
     return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
 def _design_rows(masks: np.ndarray, out: np.ndarray = None) -> np.ndarray:
-    """[masks | 1] as float64: (B, P, S) -> (B, P, S+1), into ``out`` when given."""
+    """[masks | 1] as float64: (..., S) -> (..., S+1), into ``out`` when given."""
     x = np.empty(masks.shape[:-1] + (masks.shape[-1] + 1,)) if out is None else out
     x[..., :-1] = masks
     x[..., -1] = 1.0
@@ -371,25 +367,26 @@ def _ridge_solve(grams: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return beta
 
 
-def _build_design(bits: np.ndarray, ones: np.ndarray, s: int, cfg: LimeConfig) -> PlanDesign:
-    """PlanDesign of B points under P masks over S segments each, packed as
-    ``_pack`` gives them; it takes ``bits`` and ``ones`` as they are.
+def _build_design(masks, b: int, p: int, s: int, cfg: LimeConfig) -> PlanDesign:
+    """PlanDesign of B points under P masks over S segments each, from
+    ``masks``, an iterable of each point's (P, S) bool masks in point order.
 
-    The weight table is mask_kernel_weights of S+1 masks with 0..S ones.
-    The Grams are built in blocks of at most nn.STACK_ROWS mask rows (one
-    point when P alone exceeds that), each unpacked anew and holding two
-    (rows, S+1) float temporaries, [masks | 1] and its weighted copy, with
-    no scratch buffer: this runs once per plan. Blocks twice that size
-    left the bundled campaign's peak RSS about 0.6 MiB higher.
+    One pass: each point's masks are packed, counted and added to that
+    point's Gram, then dropped, so only one point's masks, its [masks | 1]
+    and their weighted copy exist at a time. The weight table is
+    mask_kernel_weights of S+1 masks with 0..S ones.
 
     Raises NumericalError for a singular Gram here, before any query is sent.
     """
-    b, p = ones.shape
     table = mask_kernel_weights(np.tri(s + 1, s, -1, dtype=bool), cfg.resolved_kernel_width(s))
+    bits = np.empty((b, -(-p * s // 8)), dtype=np.uint8)
+    ones = np.empty((b, p), dtype=np.min_scalar_type(s))
     grams = np.empty((b, s + 1, s + 1))
-    for blk in _point_blocks(b, p, STACK_ROWS):
-        x = _design_rows(_unpack(bits[blk], p, s))
-        grams[blk] = np.swapaxes(x, 1, 2) @ (x * table[ones[blk]][..., None])
+    for i, m in enumerate(masks):
+        bits[i] = np.packbits(m, axis=None, bitorder="little")
+        ones[i] = m.sum(axis=-1)
+        x = _design_rows(m)
+        grams[i] = x.T @ (x * table[ones[i]][:, None])
     grams[:, np.arange(s), np.arange(s)] += cfg.ridge
     _ridge_solve(grams, np.zeros((b, s + 1, 1)))
     return PlanDesign(bits, ones, table, grams)
@@ -494,9 +491,9 @@ def fit_point_model(oracle: QueryOracle, x, masks, grid: SegmentGrid,
         raise ShapeError(f"x must be a vector of length {grid.n_features}")
     if oracle.input_dim != grid.n_features:
         raise ShapeError("oracle input_dim does not match the segment grid")
-    ((coef, intercept),) = _sign_points([oracle], x[None, :],
-                                        _build_design(*_pack(masks[None]), grid.segment_count,
-                                                      cfg), grid, cfg.replacement, slice(0, 1))
+    design = _build_design([masks], 1, masks.shape[0], grid.segment_count, cfg)
+    ((coef, intercept),) = _sign_points([oracle], x[None, :], design, grid, cfg.replacement,
+                                        slice(0, 1))
     return PointModel(coef[0], intercept[0])
 
 

@@ -18,19 +18,17 @@ from .util import (F8, I8, ForkLanes, fields_spec, lane_count, owned_array, read
                    run_grouped, stored_fields, stored_value, write_container)
 
 ACTIVATIONS = ("relu", "identity")
-# Rows one pass of forward_stack holds, whole matrices and at least one; the
-# Gram build of lime's plan design works in blocks of as many mask rows. One
+# Rows one pass of forward_stack holds, whole matrices and at least one. One
 # pass of 8,000 rows (8 signing points at P=1000) read sign-local peak RSS
 # 1.2-1.4 MiB higher than passes of 2 points.
 STACK_ROWS = 2048
 
 
-def as_matrix(x, cols=None, name="batch", ndim=2) -> np.ndarray:
-    """Validate a row-major float64 array of ``ndim`` dimensions (a matrix, or
-    for 3 a stack of them): finite, optionally fixed width."""
+def as_matrix(x, cols=None, name="batch") -> np.ndarray:
+    """Validate a row-major float64 matrix: finite, optionally fixed width."""
     arr = np.ascontiguousarray(np.asarray(x, dtype=np.float64))
-    if arr.ndim != ndim:
-        raise ShapeError(f"{name}: expected a {ndim}-D array, got ndim={arr.ndim}")
+    if arr.ndim != 2:
+        raise ShapeError(f"{name}: expected a 2-D array, got ndim={arr.ndim}")
     if not np.all(np.isfinite(arr)):
         raise DomainError(f"{name}: contains non-finite entries")
     if cols is not None and arr.shape[-1] != cols:
@@ -178,8 +176,13 @@ def forward(model: MlpModel, batch) -> np.ndarray:
     return softmax(logits(model, batch))
 
 
-def forward_stack(model: MlpModel, stack) -> np.ndarray:
-    """``forward`` of each (m, d) matrix of a (b, m, d) stack, as (b, m, K).
+def forward_stack(model: MlpModel, stack: np.ndarray) -> np.ndarray:
+    """``forward`` of each (m, d) matrix of a (b, m, d) float64 stack of
+    checked rows, as (b, m, K).
+
+    The rows are not validated again: the only caller, lime's signing, builds
+    them from a plan's points and their segment means or zeros, which the
+    plan checks finite when it is made.
 
     Each layer's matmul runs stacked over the matrices, which numpy does
     as one BLAS call per matrix, of the shape a ``forward`` call of it
@@ -189,11 +192,10 @@ def forward_stack(model: MlpModel, stack) -> np.ndarray:
     pass. Rows are never merged into one 2-D matmul: at 16,000 rows that
     changes the bits.
     """
-    x = as_matrix(stack, cols=model.input_dim, name="stack", ndim=3)
-    out = np.empty(x.shape[:2] + (model.class_count,))
-    step = max(1, STACK_ROWS // max(1, x.shape[1]))
-    for lo in range(0, x.shape[0], step):
-        out[lo:lo + step] = softmax(_layers(model, x[lo:lo + step]))
+    out = np.empty(stack.shape[:2] + (model.class_count,))
+    step = max(1, STACK_ROWS // max(1, stack.shape[1]))
+    for lo in range(0, stack.shape[0], step):
+        out[lo:lo + step] = softmax(_layers(model, stack[lo:lo + step]))
     return out
 
 

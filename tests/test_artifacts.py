@@ -419,6 +419,8 @@ def _moved_past_epsilon(meta, arrays):
      "points have 4 features but grid covers 5"),
     ("plan", "perturbation-plan", lambda meta, arrays: meta["config"].update(kernel_width=0),
      "kernel_width must be > 0"),
+    ("plan", "perturbation-plan", lambda meta, arrays: arrays.update(points=_nan_at_0(
+        arrays["points"])), "reference points contain non-finite entries"),
     ("model", "mlp-model", lambda meta, arrays: arrays.update(b0=np.arange(4.0)),
      "layer weights (2, 3) / bias (4,) inconsistent"),
     ("model", "mlp-model", lambda meta, arrays: arrays.update(w0=_nan_at_0(arrays["w0"])),
@@ -436,9 +438,9 @@ def _moved_past_epsilon(meta, arrays):
     ("dataset", "dataset", lambda meta, arrays: meta.update(class_count=2),
      "labels must lie in [0,2)"),
 ], ids=["plan-perturbations-0", "plan-perturbations-below-segments", "plan-segment-missing",
-        "plan-grid-wider", "plan-kernel_width-0", "model-bias-long", "model-weight-nan",
-        "signature-coef-nan", "signature-intercept-short", "batch-labels-short",
-        "batch-past-epsilon", "dataset-label-out-of-range"])
+        "plan-grid-wider", "plan-kernel_width-0", "plan-point-nan", "model-bias-long",
+        "model-weight-nan", "signature-coef-nan", "signature-intercept-short",
+        "batch-labels-short", "batch-past-epsilon", "dataset-label-out-of-range"])
 def test_loader_and_cli_name_the_file_for_a_bad_stored_value(capsys, tmp_path, artifact, kind,
                                                              edit, message):
     # each file re-sealed, so only the value type's own check sees the fault

@@ -249,13 +249,10 @@ def _closed_port_url():
 _FAILURES = [
     ("signatures", lambda c: c.update(victim={"kind": "remote", "url": _closed_port_url()}),
      TransportError),
-    # every transfer rate is 0, so the correlation is undefined
-    ("correlation", lambda c: c["attack"].update(epsilon=0.0), UndefinedCorrelationError),
 ]
 
 
-@pytest.mark.parametrize("stage, edit, error", _FAILURES,
-                         ids=["signatures", "correlation"])
+@pytest.mark.parametrize("stage, edit, error", _FAILURES, ids=["signatures"])
 def test_campaign_failure_manifest(tmp_path, stage, edit, error):
     cfg = _tiny_config()
     edit(cfg)
@@ -296,8 +293,9 @@ def test_campaign_too_few_attack_points_fail_at_plan_and_bill_nothing(tmp_path,
     (zk.experiment, "train_many", "train"),
     (zk.experiment, "rank_signatures", "distances"),
     (zk.experiment, "csv_text", "transfer-report"),
+    (zk.experiment, "pearson", "correlation"),
     (zk.oracle.QueryLedger, "snapshot", "manifest"),
-], ids=["dataset", "train", "distances", "transfer-report", "manifest"])
+], ids=["dataset", "train", "distances", "transfer-report", "correlation", "manifest"])
 def test_campaign_failure_manifest_names_the_stage_of_the_failing_call(
         tmp_path, monkeypatch, owner, name, stage):
     def fail(*args, **kwargs):
@@ -453,6 +451,8 @@ _BAD_PARSE = {
                       "config.portfolio: must list at least two surrogates, got 1"),
     # value bounds of the LimeConfig and AttackConfig that stage parse builds
     "epsilon-negative": (_edit("attack", epsilon=-1), "config.attack: epsilon must be >= 0"),
+    # AttackConfig allows 0 for library PGD; a campaign's transfer rates would all be 0
+    "epsilon-zero": (_edit("attack", epsilon=0.0), "config.attack.epsilon: must be > 0, got 0.0"),
     "epsilon-nan": (_edit("attack", epsilon=float("nan")),
                     "config.attack: epsilon must be >= 0"),
     "epsilon-inf": (_edit("attack", epsilon=float("inf")),
@@ -650,6 +650,31 @@ def test_campaign_failing_at_signatures_kills_the_pgd_lane(tmp_path, monkeypatch
     assert time.monotonic() - start < 30  # killed, not waited for
     assert json.loads((tmp_path / "fail" / "manifest.json").read_text())["stage"] == "signatures"
     assert forks == [1]  # the training lane's worker, killed while crafting
+    assert_no_children()
+
+
+def test_a_remote_victim_campaign_equals_the_local_one(tmp_path):
+    cfg = _tiny_config()
+    local = zk.run_campaign(cfg, tmp_path / "local")
+    server = ModelServer(zk.load_model(tmp_path / "local" / "models" / "victim.mlp")).start()
+    try:
+        remote = zk.run_campaign({**cfg, "victim": {"kind": "remote", "url": server.base_url}},
+                                 tmp_path / "remote")
+    finally:
+        server.stop()
+    assert remote.selected == local.selected and remote.distances == local.distances
+    assert remote.transfer_rates.keys() == local.transfer_rates.keys()
+    for mid, want in local.transfer_rates.items():
+        got = remote.transfer_rates[mid]
+        assert got.victim_id == server.base_url and want.victim_id == "victim"
+        assert {**vars(got), "victim_id": "victim"} == vars(want)
+    assert remote.victim_ledger == local.victim_ledger and local.victim_ledger["total"] == 486
+    assert [rec.r for rec in remote.correlations] == [rec.r for rec in local.correlations]
+    sigs = [zk.load_signature(tmp_path / run / "victim.sig") for run in ("local", "remote")]
+    assert sigs[0].coef.tobytes() == sigs[1].coef.tobytes()
+    assert sigs[0].intercept.tobytes() == sigs[1].intercept.tobytes()
+    for name in ("shared.plan", "selected.adv"):
+        assert (tmp_path / "local" / name).read_bytes() == (tmp_path / "remote" / name).read_bytes()
     assert_no_children()
 
 

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 import zestkit as zk
-from zestkit.errors import (ComparabilityError, ConfigError, NumericalError, ShapeError,
-                            TransportError)
+from zestkit.errors import (ComparabilityError, ConfigError, DomainError, NumericalError,
+                            ShapeError, TransportError)
 from zestkit.lime import BLOCK_ROWS, PointModel, masked_batch, _replacement_values
 from zestkit.oracle import QueryLedger, QueryOracle
 
@@ -1091,16 +1091,16 @@ def test_plan_design_built_once_read_only_and_per_plan(blob_world, monkeypatch):
     plan = zk.make_plan(blob_world["train"], 5, grid, cfg, seed=5)
     twin = zk.make_plan(blob_world["train"], 5, grid, cfg, seed=5)
     assert plan.fingerprint() == twin.fingerprint()
-    draws = []
-    draw = zk.PerturbationPlan._draw_masks
-    monkeypatch.setattr(zk.PerturbationPlan, "_draw_masks",
-                        lambda self: draws.append(self) or draw(self))
+    builds = []
+    build = zk.lime._build_design
+    monkeypatch.setattr(zk.lime, "_build_design",
+                        lambda *args: builds.append(args) or build(*args))
 
     oracle = zk.local_oracle(blob_world["victim"])
     first = zk.compute_signature(oracle, plan)
     design = plan.design()
     second = zk.compute_signature(oracle, plan)
-    assert len(draws) == 1
+    assert len(builds) == 1
     assert plan.design() is design
     assert np.array_equal(first.flatten(), second.flatten())
     arrays = (design.bits, design.ones, design.table, design.grams)
@@ -1115,11 +1115,63 @@ def test_plan_design_built_once_read_only_and_per_plan(blob_world, monkeypatch):
     assert np.array_equal(design.ones, masks.sum(axis=2))
 
     twin_design = twin.design()
-    assert len(draws) == 2
+    assert len(builds) == 2
     for a, b in zip(arrays, (twin_design.bits, twin_design.ones, twin_design.table,
                              twin_design.grams)):
         assert not np.shares_memory(a, b)
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("n, p, s", [(5, 64, 8), (3, 1000, 16), (2, 7, 3)])
+def test_each_points_design_built_alone_is_its_row_of_the_plans_bitwise(n, p, s):
+    # the one-pass build rests on it: a point's row depends on its masks alone
+    cfg = zk.LimeConfig(perturbations=p)
+    plan = zk.PerturbationPlan(np.random.default_rng(s).random((n, 2 * s)),
+                               zk.SegmentGrid.uniform(2 * s, s), cfg, seed=s)
+    design = plan.design()
+    for i, m in enumerate(plan.mask_tensor()):
+        alone = zk.lime._build_design([m], 1, p, s, cfg)
+        assert alone.bits.tobytes() == design.bits[i].tobytes()
+        assert alone.ones.tobytes() == design.ones[i].tobytes()
+        assert alone.grams.tobytes() == design.grams[i].tobytes()
+        assert alone.table.tobytes() == design.table.tobytes()
+
+
+@pytest.mark.parametrize("value, replacement, message", [
+    (np.nan, "zeros", "reference points contain non-finite entries"),
+    (np.inf, "segment_mean", "reference points contain non-finite entries"),
+    # finite, but a segment's sum, and so its mean, overflows float64
+    (1e308, "segment_mean", "reference points have segment means that are not finite"),
+], ids=["nan", "inf", "segment-mean-overflow"])
+def test_a_plan_with_a_non_finite_point_is_refused_and_bills_nothing(blob_world, value,
+                                                                     replacement, message):
+    class PerPoint(zk.LocalOracle):  # called per point, so billed point by point
+        pass
+
+    oracle = PerPoint(blob_world["victim"])
+    points = blob_world["train"].points[:3].copy()
+    points[1, :2] = value
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        zk.compute_signature(oracle, zk.PerturbationPlan(
+            points, zk.SegmentGrid.uniform(points.shape[1], 8),
+            zk.LimeConfig(perturbations=8, replacement=replacement), seed=3))
+    assert oracle.ledger.snapshot()["total"] == 0
+
+
+def test_a_plans_seed_is_an_int(tmp_path):
+    points, grid = np.random.default_rng(1).random((3, 8)), zk.SegmentGrid.uniform(8, 4)
+    cfg = zk.LimeConfig(perturbations=16)
+    plain, numpy_int = (zk.PerturbationPlan(points, grid, cfg, seed) for seed in
+                        (5, np.int64(5)))
+    assert type(numpy_int.seed) is int and numpy_int.fingerprint() == plain.fingerprint()
+    assert numpy_int.mask_tensor().tobytes() == plain.mask_tensor().tobytes()
+    for plan, name in ((plain, "int.plan"), (numpy_int, "numpy.plan")):
+        zk.save_plan(plan, tmp_path / name)
+        assert zk.load_plan(tmp_path / name).fingerprint() == plain.fingerprint()
+    assert (tmp_path / "int.plan").read_bytes() == (tmp_path / "numpy.plan").read_bytes()
+    for seed in (5.0, True):
+        with pytest.raises(ConfigError, match=f"plan seed must be an int, got {seed!r}"):
+            zk.PerturbationPlan(points, grid, cfg, seed)
 
 
 @pytest.mark.parametrize("width", [None, 0.3, 1.7])

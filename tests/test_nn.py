@@ -158,18 +158,6 @@ def test_forward_stack_is_a_local_oracles_per_point_answers_bitwise(p, k, hidden
         assert answers.tobytes() == oracle.predict_proba(variants).tobytes()
 
 
-def test_forward_stack_checks_its_stack():
-    model = tiny_net(3, input_dim=7)
-    with pytest.raises(ShapeError, match="3-D"):
-        zk.nn.forward_stack(model, np.zeros((4, 7)))
-    with pytest.raises(ShapeError, match="7 columns"):
-        zk.nn.forward_stack(model, np.zeros((2, 4, 6)))
-    bad = np.zeros((2, 4, 7))
-    bad[1, 2, 3] = np.nan
-    with pytest.raises(DomainError):
-        zk.nn.forward_stack(model, bad)
-
-
 def test_logit_cross_entropy_is_cross_entropy_bitwise():
     model = tiny_net(5, input_dim=6, class_count=4)
     rng = np.random.default_rng(5)
